@@ -4,7 +4,7 @@ Subcommands: weights (generator coefficients + error), stencil (named
 classical formulas), expand (weight series), table (reference coefficient
 tables), bvp / fbvp (the two boundary-value studies), oracle (cross-check of
 the closed form against Cramer's rule). Exit codes: 0 success, 1 computation
-error, 2 argument error.
+error, 2 argument error (a malformed scalar or a non-positive count or order).
 """
 
 from __future__ import annotations
@@ -30,6 +30,20 @@ from .stencils import KINDS, compact_stencil, noncompact_stencil, render_stencil
 TABLE_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _scalar(text: str) -> Fraction:
+    """The exact value of a scalar literal; the library rounds it into the field."""
+    try:
+        return parse_scalar(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _field(args):
     return field_from_name(args.mode, getattr(args, "digits", 50))
 
@@ -41,9 +55,7 @@ def _add_mode_flags(sub, default="rational"):
 
 def cmd_weights(args) -> int:
     field = _field(args)
-    params = derive_params(
-        parse_scalar(args.alpha, field), args.d, args.p, parse_scalar(args.r, field), field
-    )
+    params = derive_params(args.alpha, args.d, args.p, args.r, field)
     cv = beta_coefficients(params)
     errs = error_coefficients(cv, args.errors)
     if args.format == "json":
@@ -68,8 +80,7 @@ def cmd_weights(args) -> int:
 
 def cmd_stencil(args) -> int:
     field = _field(args)
-    r = parse_scalar(args.r, field) if args.r is not None else None
-    shift = shift_for_kind(args.kind, args.d, args.p, r)
+    shift = shift_for_kind(args.kind, args.d, args.p, args.r)
     alpha = args.alpha if args.alpha is not None else args.d
     if alpha == args.d:
         st = compact_stencil(args.d, args.p, shift, field)
@@ -81,13 +92,12 @@ def cmd_stencil(args) -> int:
 
 def cmd_expand(args) -> int:
     field = _field(args)
-    alpha = parse_scalar(args.alpha, field)
     if args.d is None:
-        weights = grunwald_weights(alpha, args.K, field)
+        weights = grunwald_weights(args.alpha, args.K, field)
     else:
         if args.p is None or args.r is None:
             raise ValueError("generator expansion needs --d, --p and --r together")
-        params = derive_params(alpha, args.d, args.p, parse_scalar(args.r, field), field)
+        params = derive_params(args.alpha, args.d, args.p, args.r, field)
         cv = beta_coefficients(params)
         weights = miller_expand(cv.beta, params.gamma, args.K, field).weights
     print(" ".join(field.format(w) for w in weights))
@@ -165,7 +175,7 @@ def cmd_bvp(args) -> int:
 
 def cmd_fbvp(args) -> int:
     field = field_from_name(args.mode, args.digits)
-    problem = power_law_fractional_bvp(parse_scalar(args.alpha, field), field)
+    problem = power_law_fractional_bvp(args.alpha, field)
     n_values = _n_list(args, 8)
     reports = convergence_study(
         problem, "fractional", n_values, field, p=args.p, d=args.d, r=args.r
@@ -213,31 +223,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("weights", help="generator coefficients and error terms")
-    w.add_argument("--alpha", required=True)
-    w.add_argument("--d", type=int, required=True)
-    w.add_argument("--p", type=int, required=True)
-    w.add_argument("--r", required=True)
-    w.add_argument("--errors", type=int, default=1, help="number of error coefficients")
+    w.add_argument("--alpha", type=_scalar, required=True)
+    w.add_argument("--d", type=_positive_int, required=True)
+    w.add_argument("--p", type=_positive_int, required=True)
+    w.add_argument("--r", type=_scalar, required=True)
+    w.add_argument("--errors", type=_positive_int, default=1, help="number of error coefficients")
     w.add_argument("--format", choices=("human", "json"), default="human")
     _add_mode_flags(w)
     w.set_defaults(func=cmd_weights)
 
     s = sub.add_parser("stencil", help="named classical stencils")
     s.add_argument("--kind", choices=KINDS, required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--r", help="shift for kinds shifted/staggered")
-    s.add_argument("--alpha", type=int, help="derivative order for non-compact forms")
+    s.add_argument("--d", type=_positive_int, required=True)
+    s.add_argument("--p", type=_positive_int, required=True)
+    s.add_argument("--r", type=_scalar, help="shift for kinds shifted/staggered")
+    s.add_argument("--alpha", type=_positive_int, help="derivative order for non-compact forms")
     s.add_argument("--format", choices=("human", "json", "csv"), default="human")
     _add_mode_flags(s)
     s.set_defaults(func=cmd_stencil)
 
     e = sub.add_parser("expand", help="weight series of a generator")
-    e.add_argument("--alpha", required=True)
-    e.add_argument("--K", type=int, required=True)
-    e.add_argument("--d", type=int)
-    e.add_argument("--p", type=int)
-    e.add_argument("--r")
+    e.add_argument("--alpha", type=_scalar, required=True)
+    e.add_argument("--K", type=_positive_int, required=True)
+    e.add_argument("--d", type=_positive_int)
+    e.add_argument("--p", type=_positive_int)
+    e.add_argument("--r", type=_scalar)
     _add_mode_flags(e)
     e.set_defaults(func=cmd_expand)
 
@@ -246,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_table)
 
     b = sub.add_parser("bvp", help="second-derivative boundary-value study")
-    b.add_argument("--N", type=int)
-    b.add_argument("--Nmax", type=int, default=16)
+    b.add_argument("--N", type=_positive_int)
+    b.add_argument("--Nmax", type=_positive_int, default=16)
     b.add_argument("--scheme", choices=("central", "unified", "both"), default="both")
     b.add_argument("--format", choices=("table", "csv"), default="table")
     b.add_argument("--mode", choices=("f64", "big"), default="f64")
@@ -255,11 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bvp)
 
     f = sub.add_parser("fbvp", help="fractional boundary-value study")
-    f.add_argument("--alpha", required=True)
-    f.add_argument("--N", type=int)
-    f.add_argument("--Nmax", type=int, default=256)
-    f.add_argument("--p", type=int, default=2)
-    f.add_argument("--d", type=int, default=2)
+    f.add_argument("--alpha", type=_scalar, required=True)
+    f.add_argument("--N", type=_positive_int)
+    f.add_argument("--Nmax", type=_positive_int, default=256)
+    f.add_argument("--p", type=_positive_int, default=2)
+    f.add_argument("--d", type=_positive_int, default=2)
     f.add_argument("--r", type=int, default=1)
     f.add_argument("--format", choices=("table", "csv"), default="csv")
     f.add_argument("--mode", choices=("f64", "big"), default="f64")
@@ -267,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=cmd_fbvp)
 
     o = sub.add_parser("oracle", help="cross-check closed form against Cramer's rule")
-    o.add_argument("--dmax", type=int, default=3)
-    o.add_argument("--pmax", type=int, default=4)
+    o.add_argument("--dmax", type=_positive_int, default=3)
+    o.add_argument("--pmax", type=_positive_int, default=4)
     o.set_defaults(func=cmd_oracle)
 
     return parser

@@ -7,8 +7,10 @@ Three realizations of the same numeric interface:
 * ``bigdecimal`` -- ``decimal.Decimal`` at a configured number of digits.
 
 Coefficient generation defaults to the rational field so every downstream
-identity can be checked with ``==``. The float fields exist for the solver
-layer and for timing comparisons, not for deriving coefficients.
+identity can be checked with ``==``. In the float fields the coefficient
+kernel still computes exactly and rounds each result once with ``Field.of``,
+so float and decimal coefficients are correctly rounded; the solver layer
+computes in the field itself.
 """
 
 from __future__ import annotations
@@ -113,14 +115,12 @@ class Field:
     def of(self, value) -> Scalar:
         """Convert an int, Fraction, float, Decimal or literal string into this field."""
         if self.name == "rational":
-            return Fraction(value)
+            return value if type(value) is Fraction else Fraction(value)
         if self.name == "float64":
             return float(Fraction(value)) if isinstance(value, str) else float(value)
         with self.context():
             if isinstance(value, Fraction):
                 return Decimal(value.numerator) / Decimal(value.denominator)
-            if isinstance(value, str):
-                return +Decimal(value)
             return +Decimal(value)
 
     @property
@@ -138,9 +138,6 @@ class Field:
         if self.name == "float64":
             return repr(float(x))
         return str(x)
-
-    def to_float(self, x) -> float:
-        return float(x)
 
     def power(self, base, exponent) -> Scalar:
         """base ** exponent within the field.
@@ -247,20 +244,12 @@ def parse_scalar(text: str, field: Field = RATIONAL) -> Scalar:
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a string, got {type(text).__name__}")
-    s = text.strip()
-    if not s:
-        raise ValueError("empty scalar literal")
-    if "/" in s:
-        num_text, _, den_text = s.partition("/")
-        try:
-            num, den = int(num_text), int(den_text)
-        except ValueError:
-            raise ValueError(f"malformed fraction literal {text!r}") from None
-        return field.of(Fraction(num, den))
     try:
-        value = Fraction(s)
-    except (ValueError, ZeroDivisionError):
+        value = Fraction(text)
+    except ValueError:
         raise ValueError(f"malformed scalar literal {text!r}") from None
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"zero denominator in scalar literal {text!r}") from None
     return field.of(value)
 
 

@@ -1,7 +1,7 @@
 """Weight-series expansion of difference-formula generators.
 
 A generator is a base polynomial P(z) raised to the exponent gamma = alpha/d.
-For integer gamma the power is an exact convolution; otherwise the series
+For integer gamma >= 0 the power is a convolution; otherwise the series
 coefficients come from the J.C.P. Miller recurrence
 
     m * beta_0 * w_m = sum_{k=1}^{min(m, deg)} (k*(gamma+1) - m) * beta_k * w_{m-k},
@@ -13,10 +13,9 @@ P(z) = 1 - z special case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .explicit_form import CoefficientVector
-from .scalars import Field, Scalar, field_of
+from .scalars import Field, Scalar, _is_integral, field_of
 
 __all__ = [
     "WeightSeries",
@@ -38,16 +37,6 @@ class WeightSeries:
     truncation: int
 
 
-def _is_integral(x) -> bool:
-    if isinstance(x, int):
-        return True
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    if isinstance(x, float):
-        return x.is_integer()
-    return x == x.to_integral_value()
-
-
 def grunwald_weights(alpha, truncation: int, field: Field | None = None) -> tuple[Scalar, ...]:
     """First ``truncation`` binomial weights of (1 - z)**alpha.
 
@@ -66,12 +55,12 @@ def grunwald_weights(alpha, truncation: int, field: Field | None = None) -> tupl
 
 
 def miller_expand(base, gamma, truncation: int, field: Field | None = None) -> WeightSeries:
-    """Expand P(z)**gamma to ``truncation`` weights by the Miller recurrence.
+    """Expand P(z)**gamma to ``truncation`` weights.
 
+    An integer gamma >= 0 takes the truncated convolution (base[0] may be 0).
     Fractional gamma needs base[0] > 0 (real expansion); in the rational
-    field a fractional gamma additionally needs base[0] to be a perfect
-    power, otherwise ExactnessError signals that the caller must pick a
-    float field.
+    field it additionally needs base[0] to be a perfect power, otherwise
+    ExactnessError signals that the caller must pick a float field.
     """
     base = tuple(base)
     if not base:
@@ -85,6 +74,10 @@ def miller_expand(base, gamma, truncation: int, field: Field | None = None) -> W
         gamma_f = field.of(gamma)
         b0 = base_f[0]
         integral = _is_integral(gamma_f)
+        if integral and gamma_f >= 0:
+            full = poly_power_int(base_f, int(gamma_f)) if gamma_f else (field.one,)
+            weights = (full + (field.zero,) * truncation)[:truncation]
+            return WeightSeries(gamma_f, base_f, weights, truncation)
         if not integral and not b0 > 0:
             raise ValueError("fractional exponent requires a positive leading base coefficient")
         if integral and b0 == 0 and gamma_f < 0:

@@ -25,9 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from . import decfun
 from .explicit_form import beta_coefficients, derive_params
-from .scalars import FLOAT64, RATIONAL, ExactnessError, Field, Scalar, bigdecimal
+from .scalars import FLOAT64, RATIONAL, ExactnessError, Field, Scalar
 from .series import convergence_diagnostic, miller_expand
 
 __all__ = [
@@ -186,14 +185,13 @@ def assemble_central(problem: BvpProblem, n: int, field: Field | None = None):
 
 def unified_coefficient_rows(n: int) -> list[tuple[Fraction, ...]]:
     """Exact full-grid rows: row i holds the (d=2, p=N-1, r=i) coefficients,
-    one weight per grid point 0..N."""
+    one weight per grid point 0..N. Rows past N/2 come from the mirror
+    identity: with d = 2, row N-i is row i reversed."""
     if not isinstance(n, int) or n < 2:
         raise ValueError("need at least 2 intervals")
-    rows = []
-    for i in range(1, n):
-        params = derive_params(2, 2, n - 1, i, RATIONAL)
-        rows.append(beta_coefficients(params).beta)
-    return rows
+    half = [beta_coefficients(derive_params(2, 2, n - 1, i, RATIONAL)).beta
+            for i in range(1, n // 2 + 1)]
+    return half + [tuple(reversed(row)) for row in reversed(half[: (n - 1) // 2])]
 
 
 def assemble_unified(problem: BvpProblem, n: int, field: Field | None = None):
@@ -328,7 +326,14 @@ def solve_dense(matrix, rhs, field: Field | None = None):
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise SingularMatrixError(str(exc)) from exc
         if float(np.abs(np.diag(lu)).min()) <= 1e-14 * scale:
-            raise SingularMatrixError("pivot below 1e-14 of the matrix scale")
+            # a 1-norm condition estimate from the LU factors, on this failure path only
+            rcond, _ = scipy.linalg.lapack.dgecon(lu, float(np.abs(matrix).sum(axis=0).max()))
+            cond = 1 / rcond if rcond > 0 else math.inf
+            digits = max(50, 16 + math.ceil(math.log10(cond))) if math.isfinite(cond) else 50
+            raise SingularMatrixError(
+                f"pivot below 1e-14 of the matrix scale (condition estimate {cond:.1e}); "
+                f"if the exact system is regular, solve it in a decimal field, "
+                f"e.g. bigdecimal({digits}) or --mode big --digits {digits}")
         return scipy.linalg.lu_solve((lu, piv), np.asarray(rhs, dtype=float))
     if field is not None:
         with field.context():

@@ -11,10 +11,8 @@ gamma*(p+d-1)+1 points.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
-from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 
 from .explicit_form import (
@@ -62,15 +60,6 @@ class Stencil:
     base_params: ApproxParams
 
 
-def _fractional_part(r, field: Field) -> Scalar:
-    with field.context():
-        if isinstance(r, Fraction):
-            return r - (r.numerator // r.denominator)
-        if isinstance(r, Decimal):
-            return r - r.to_integral_value(rounding=ROUND_FLOOR)
-        return field.of(r - math.floor(r))
-
-
 def shift_for_kind(kind: str, d: int, p: int, r=None) -> Scalar:
     """Shift value for a named stencil kind.
 
@@ -114,7 +103,7 @@ def _build(params: ApproxParams, weights, leading_error, field: Field) -> Stenci
         shift=params.r,
         offsets=offsets,
         weights=tuple(weights),
-        eval_fraction=_fractional_part(params.r, field),
+        eval_fraction=field.of(Fraction(params.r) % 1),
         leading_error=leading_error,
         error_derivative_order=int(params.alpha) + params.p,
         base_params=params,
@@ -182,14 +171,10 @@ def apply_stencil(st: Stencil, samples, x, h) -> Scalar:
         return acc / h**st.derivative_order
 
 
-def _text(value, field: Field) -> str:
-    return field.format(value)
-
-
 def _json_value(value, field: Field):
     if field.name == "float64":
         return float(value)
-    return _text(value, field)
+    return field.format(value)
 
 
 def render_stencil(st: Stencil, format: str = "human") -> str:
@@ -199,12 +184,12 @@ def render_stencil(st: Stencil, format: str = "human") -> str:
     if format == "human":
         parts = []
         for off, w in zip(st.offsets, st.weights):
-            text = _text(w, field)
+            text = field.format(w)
             parts.append(f"({text})" if off == 0 else text)
         line = ", ".join(parts)
         if st.eval_fraction != 0:
-            line += f" | eval offset {_text(st.eval_fraction, field)}"
-        return line + f" | error {_text(st.leading_error, field)}"
+            line += f" | eval offset {field.format(st.eval_fraction)}"
+        return line + f" | error {field.format(st.leading_error)}"
     if format == "json":
         record = {
             "alpha": st.derivative_order,
@@ -222,6 +207,6 @@ def render_stencil(st: Stencil, format: str = "human") -> str:
     if format == "csv":
         lines = ["index,offset,weight"]
         for k, (off, w) in enumerate(zip(st.offsets, st.weights)):
-            lines.append(f"{k},{_text(off, field)},{_text(w, field)}")
+            lines.append(f"{k},{field.format(off)},{field.format(w)}")
         return "\n".join(lines)
     raise ValueError(f"unknown format {format!r}; expected human, json, or csv")

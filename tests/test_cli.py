@@ -59,7 +59,7 @@ def test_weights_float_mode(capsys):
 
 
 def test_weights_computation_error(capsys):
-    rc, out, err = invoke(capsys, "weights", "--alpha", "1", "--d", "0",
+    rc, out, err = invoke(capsys, "weights", "--alpha", "0", "--d", "1",
                           "--p", "2", "--r", "0")
     assert rc == 1
     assert out == ""
@@ -74,6 +74,23 @@ def test_argparse_failures(capsys):
         run([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("weights", "--alpha", "1/0", "--d", "1", "--p", "2", "--r", "0"), "zero denominator"),
+    (("weights", "--alpha", "x1", "--d", "1", "--p", "2", "--r", "0"), "malformed"),
+    (("weights", "--alpha", "1", "--d", "0", "--p", "2", "--r", "0"), "positive integer"),
+    (("weights", "--alpha", "1", "--d", "1", "--p", "2", "--r", "nan"), "malformed"),
+    (("expand", "--alpha", "1/2", "--K", "0"), "positive integer"),
+    (("bvp", "--N", "two"), "positive integer"),
+])
+def test_argument_value_errors_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Fraction(" not in err
 
 
 def test_stencil_left_human(capsys):
@@ -126,6 +143,14 @@ def test_expand_generator(capsys):
                         "--d", "1", "--p", "3", "--r", "1")
     assert rc == 0
     assert out == "529/576 -161/96 101/192 43/144 -11/192 -1/96 1/576\n"
+
+
+def test_expand_integer_power_of_zero_leading_coefficient(capsys):
+    rc, out, err = invoke(capsys, "expand", "--alpha", "6", "--K", "8", "--d", "2",
+                          "--p", "2", "--r", "6")
+    assert rc == 0 and err == ""
+    # the base is z(1 - z)^2, so the weights are those of z^3 (1 - z)^6
+    assert out == "0 0 0 1 -6 15 -20 15\n"
 
 
 def test_expand_partial_generator_flags(capsys):

@@ -3,6 +3,7 @@ error coefficients, and the frozen table regressions."""
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,6 @@ from diffgen import (
     denominators,
     derive_params,
     error_coefficients,
-    generator_polynomial,
     numerators,
 )
 from diffgen.oracle import OpCount
@@ -60,6 +60,22 @@ def test_derive_params_validation():
         derive_params(-2, 2, 2, 1)
     with pytest.raises(ValueError):
         derive_params(1, 1.0, 2, 0)  # d must be a true int
+
+
+@pytest.mark.parametrize("args, field, name", [
+    ((1, True, 1, 0), RATIONAL, "order d"),
+    ((1, 1, True, 0), RATIONAL, "order p"),
+    ((math.inf, 1, 1, 0), RATIONAL, "alpha"),
+    ((math.inf, 1, 1, 0), FLOAT64, "alpha"),
+    ((1, 1, 1, math.nan), FLOAT64, "shift r"),
+    ((1, 1, 1, Decimal("Infinity")), bigdecimal(30), "shift r"),
+    ((1e-300, 1, 1, 1e300), FLOAT64, "lam"),
+])
+def test_derive_params_input_contract(args, field, name):
+    # refused up front with a ValueError naming the parameter, never a stray
+    # OverflowError from the kernel or a silent nan
+    with pytest.raises(ValueError, match=name):
+        derive_params(*args, field=field)
 
 
 def test_denominator_values():
@@ -176,11 +192,11 @@ def test_super_convergent_flag():
     assert not error_coefficients(beta_coefficients(derive_params(1, 1, 3, 0))).super_convergent
 
 
-def test_generator_polynomial_values():
-    assert generator_polynomial(beta_coefficients(derive_params(1, 1, 1, 0))) == (1, -1)
-    assert generator_polynomial(beta_coefficients(derive_params(1, 1, 2, 0))) == (F(3, 2), -2, F(1, 2))
+def test_base_polynomial_values():
+    assert beta_coefficients(derive_params(1, 1, 1, 0)).beta == (1, -1)
+    assert beta_coefficients(derive_params(1, 1, 2, 0)).beta == (F(3, 2), -2, F(1, 2))
     for lam in LAMBDA_SAMPLES:
-        got = generator_polynomial(beta_coefficients(derive_params(2, 2, 2, lam)))
+        got = beta_coefficients(derive_params(2, 2, 2, lam)).beta
         assert got == (2 - lam, 3 * lam - 5, -3 * lam + 4, lam - 1)
 
 
@@ -219,6 +235,22 @@ def test_mirror_identity():
         fwd = beta_coefficients(derive_params(d, d, p, lam)).beta
         rev = beta_coefficients(derive_params(d, d, p, (n - 1) - lam)).beta
         assert tuple(reversed(rev)) == tuple((-1) ** d * b for b in fwd)
+
+
+def test_float_fields_are_correctly_rounded_at_high_p():
+    # the exact kernel rounds once, so no digits are lost to cancellation
+    cv = beta_coefficients(derive_params(2, 2, 20, F(1, 2), FLOAT64))
+    exact = beta_coefficients(derive_params(2, 2, 20, F(1, 2)))
+    assert cv.beta == tuple(float(b) for b in exact.beta)
+    assert cv.exact_beta == exact.beta
+    want = F(6230263909631194841, 13857732946856352153600)
+    assert error_coefficients(exact).leading == want
+    assert error_coefficients(cv).leading == float(want)
+    big = bigdecimal(50)
+    cv = beta_coefficients(derive_params(2, 2, 40, F(21, 2), big))
+    exact = beta_coefficients(derive_params(2, 2, 40, F(21, 2)))
+    assert cv.beta == tuple(big.of(b) for b in exact.beta)
+    assert cv.numerators == tuple(big.of(n) for n in exact.numerators)
 
 
 def test_float_and_decimal_fields_track_rational():

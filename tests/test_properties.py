@@ -1,0 +1,77 @@
+"""Hypothesis properties of the exact coefficient kernel over random rational
+(d <= 4, p <= 8, lam): agreement with the Cramer oracle and the moment sums,
+correct rounding into the float fields, and the left/right mirror identity."""
+
+from decimal import Decimal
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diffgen import (
+    FLOAT64,
+    beta_coefficients,
+    bigdecimal,
+    consistency_moments,
+    derive_params,
+    error_coefficients,
+    vandermonde_solve,
+)
+
+# derandomized and without an example database, so every run checks the
+# same examples
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+orders = st.integers(1, 4)
+accuracies = st.integers(1, 8)
+shifts = st.fractions(min_value=-12, max_value=24, max_denominator=12)
+alphas = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=9).filter(lambda a: a > 0)
+
+
+@PROPERTY
+@given(orders, accuracies, shifts, alphas)
+def test_kernel_matches_cramer(d, p, r, alpha):
+    params = derive_params(alpha, d, p, r)
+    assert beta_coefficients(params).beta == vandermonde_solve(params)
+
+
+@PROPERTY
+@given(orders, accuracies, st.floats(-12, 24), st.floats(0.125, 8))
+def test_float64_is_exact_rounded_once(d, p, r, alpha):
+    params = derive_params(alpha, d, p, r, FLOAT64)
+    cv = beta_coefficients(params)
+    exact = beta_coefficients(derive_params(F(alpha), d, p, F(params.lam) * F(alpha) / d))
+    assert exact.beta == cv.exact_beta
+    assert cv.beta == tuple(float(b) for b in exact.beta)
+    want = error_coefficients(exact, p).a
+    assert error_coefficients(cv, p).a == {m: float(v) for m, v in want.items()}
+
+
+@PROPERTY
+@given(orders, accuracies, shifts)
+def test_bigdecimal_is_exact_rounded_once(d, p, r):
+    big = bigdecimal(50)
+    with big.context():
+        r_dec = Decimal(r.numerator) / Decimal(r.denominator)
+    params = derive_params(d, d, p, r_dec, big)
+    cv = beta_coefficients(params)
+    exact = beta_coefficients(derive_params(d, d, p, F(params.lam)))
+    assert cv.beta == tuple(big.of(b) for b in exact.beta)
+
+
+@PROPERTY
+@given(orders, accuracies, shifts, alphas)
+def test_error_coefficients_are_scaled_moments(d, p, r, alpha):
+    cv = beta_coefficients(derive_params(alpha, d, p, r))
+    moments = consistency_moments(cv, 2 * p - 1 + d)
+    errs = error_coefficients(cv, p).a
+    assert errs == {m: alpha / d * moments[m + d] for m in range(p, 2 * p)}
+
+
+@PROPERTY
+@given(orders, accuracies, shifts)
+def test_mirror_identity(d, p, lam):
+    n = p + d
+    fwd = beta_coefficients(derive_params(d, d, p, lam)).beta
+    rev = beta_coefficients(derive_params(d, d, p, (n - 1) - lam)).beta
+    assert tuple(reversed(rev)) == tuple((-1) ** d * b for b in fwd)

@@ -88,6 +88,16 @@ def test_miller_integer_power_truncates_to_zero():
     assert ws.weights[6] == 1
 
 
+def test_miller_integer_power_of_zero_leading_coefficient():
+    # integer powers take the convolution, so beta_0 = 0 is no division by zero
+    beta = beta_coefficients(derive_params(6, 2, 2, 6)).beta
+    assert beta[0] == 0
+    full = poly_power_int(beta, 3)
+    assert miller_expand(beta, 3, 16).weights == full + (0,) * (16 - len(full))
+    assert miller_expand(beta, 3, 4).weights == full[:4]
+    assert miller_expand(beta, 0, 3).weights == (1, 0, 0)
+
+
 def test_miller_exact_square_root():
     ws = miller_expand((F(9, 4), 1), F(1, 2), 3)
     assert ws.weights[0] == F(3, 2)

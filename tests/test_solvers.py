@@ -165,6 +165,11 @@ def test_solve_dense_singular():
             solve_dense(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 2.0]))
 
 
+def test_singular_float_unified_names_condition_and_fix():
+    with pytest.raises(SingularMatrixError, match=r"condition estimate .*--mode big --digits"):
+        solve_bvp(sine_bvp(), "unified", 40)
+
+
 def test_unified_sine_errors_pinned():
     prob = sine_bvp()
     reports = convergence_study(prob, "unified", [4, 8])
