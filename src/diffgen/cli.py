@@ -4,19 +4,20 @@ Subcommands: weights (generator coefficients + error), stencil (named
 classical formulas), expand (weight series), table (reference coefficient
 tables), bvp / fbvp (the two boundary-value studies), oracle (cross-check of
 the closed form against Cramer's rule). Exit codes: 0 success, 1 computation
-error, 2 argument error (a malformed scalar or a non-positive count or order).
+error, 2 argument error (an option value out of range or malformed).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import oracle as oracle_mod
 from .explicit_form import beta_coefficients, derive_params, error_coefficients
-from .scalars import ExactnessError, field_from_name, parse_scalar
+from .scalars import MIN_DIGITS, ExactnessError, field_from_name, parse_scalar
 from .series import grunwald_weights, miller_expand
 from .solvers import (
     convergence_study,
@@ -30,10 +31,18 @@ from .stencils import KINDS, compact_stencil, noncompact_stencil, render_stencil
 TABLE_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int, expected: str):
+    """An argparse type: a decimal integer of at least ``low``."""
+    def parse(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return int(text)
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a non-negative integer")
+_digits = _int_at_least(MIN_DIGITS, f"a precision of at least {MIN_DIGITS} digits")
 
 
 def _scalar(text: str) -> Fraction:
@@ -48,9 +57,9 @@ def _field(args):
     return field_from_name(args.mode, getattr(args, "digits", 50))
 
 
-def _add_mode_flags(sub, default="rational"):
-    sub.add_argument("--mode", choices=("rational", "f64", "big"), default=default)
-    sub.add_argument("--digits", type=int, default=50, help="precision for --mode big")
+def _add_mode_flags(sub, modes=("rational", "f64", "big")):
+    sub.add_argument("--mode", choices=modes, default=modes[0])
+    sub.add_argument("--digits", type=_digits, default=50, help="precision for --mode big")
 
 
 def cmd_weights(args) -> int:
@@ -260,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--Nmax", type=_positive_int, default=16)
     b.add_argument("--scheme", choices=("central", "unified", "both"), default="both")
     b.add_argument("--format", choices=("table", "csv"), default="table")
-    b.add_argument("--mode", choices=("f64", "big"), default="f64")
-    b.add_argument("--digits", type=int, default=50)
+    _add_mode_flags(b, ("f64", "big"))
     b.set_defaults(func=cmd_bvp)
 
     f = sub.add_parser("fbvp", help="fractional boundary-value study")
@@ -270,10 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--Nmax", type=_positive_int, default=256)
     f.add_argument("--p", type=_positive_int, default=2)
     f.add_argument("--d", type=_positive_int, default=2)
-    f.add_argument("--r", type=int, default=1)
+    f.add_argument("--r", type=_nonnegative_int, default=1)
     f.add_argument("--format", choices=("table", "csv"), default="csv")
-    f.add_argument("--mode", choices=("f64", "big"), default="f64")
-    f.add_argument("--digits", type=int, default=50)
+    _add_mode_flags(f, ("f64", "big"))
     f.set_defaults(func=cmd_fbvp)
 
     o = sub.add_parser("oracle", help="cross-check closed form against Cramer's rule")
@@ -284,8 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built on first use
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError, ArithmeticError, ExactnessError) as exc:

@@ -1,16 +1,16 @@
 """Dirichlet two-point boundary-value solvers on uniform grids.
 
-Three assembly routines share one dense-solve backend:
+* ``assemble_central``    -- the textbook (1, -2, 1)/h^2 Toeplitz band;
+* ``assemble_unified``    -- dense: row i holds the maximal-order (p = N-1)
+  second-derivative coefficients with shift r = i, so the scheme's order
+  grows with the grid;
+* ``assemble_fractional`` -- the Toeplitz operator of the order-2 weights for
+  a fractional derivative 1 < alpha < 2, expanded from the (d=2, p=2) base
+  generator and applied left-sided with zero extension below the domain;
+  lower-Hessenberg at the configured shift r = 1.
 
-* ``assemble_central``    -- the textbook (1, -2, 1)/h^2 tridiagonal scheme;
-* ``assemble_unified``    -- one full-width row per interior point, row i
-  holding the maximal-order (p = N-1) second-derivative coefficients with
-  shift r = i, so the scheme's order grows with the grid;
-* ``assemble_fractional`` -- order-2 weights for a fractional derivative
-  1 < alpha < 2, expanded from the (d=2, p=2) base generator and applied
-  left-sided with zero extension below the domain.
-
-Boundary values are folded into the right-hand side in all three.
+Boundary values are folded into the right-hand side. Exact and decimal
+elimination skips structural zeros: O(N^2) on the Hessenberg fractional matrix.
 """
 
 from __future__ import annotations
@@ -148,15 +148,33 @@ def _grid(problem: BvpProblem, n: int, field: Field):
     return h, xs
 
 
-def _empty_system(size: int, field: Field):
-    if field.name == "float64":
-        return np.zeros((size, size)), np.zeros(size)
+def _band_system(problem: BvpProblem, n: int, field: Field, xs, coeff, r: int):
+    """Interior system of the Toeplitz band whose row i puts coeff[k] on u
+    at grid index i + r - k; the weights on grid points 0 and n move to the
+    right-hand side. Call under ``field.context()``."""
+    size, width = n - 1, len(coeff)
+    ua, ub = field.of(problem.ua), field.of(problem.ub)
+    rhs = []
+    for i in range(1, n):
+        value = problem.rhs(xs[i])
+        if 0 <= i + r - n < width:
+            value = value - coeff[i + r - n] * ub
+        if i + r < width:
+            value = value - coeff[i + r] * ua
+        rhs.append(value)
+    # padded[off - i + j - 1] is coeff[i + r - j], or zero out of range;
+    # field.zero is bound once because each access builds a new scalar
     zero = field.zero
-    return [[zero] * size for _ in range(size)], [zero] * size
+    padded = [zero] * size + coeff[::-1] + [zero] * size
+    off = size + width - r
+    if field.name == "float64":
+        first_col = padded[off - size:off][::-1]
+        return scipy.linalg.toeplitz(first_col, padded[off - 1:off - 1 + size]), np.array(rhs)
+    return [padded[off - i:off - i + size] for i in range(1, n)], rhs
 
 
 def assemble_central(problem: BvpProblem, n: int, field: Field | None = None):
-    """Tridiagonal interior system for u'' = f with the (1, -2, 1)/h^2 row."""
+    """Tridiagonal interior system for u'' = f: the band (1, -2, 1)/h^2."""
     field = _resolve_field(problem, field)
     if problem.alpha != 2:
         raise ValueError("central scheme handles the second derivative only")
@@ -165,22 +183,7 @@ def assemble_central(problem: BvpProblem, n: int, field: Field | None = None):
     with field.context():
         h, xs = _grid(problem, n, field)
         scale = field.one / h**2
-        matrix, rhs = _empty_system(n - 1, field)
-        ua, ub = field.of(problem.ua), field.of(problem.ub)
-        for i in range(1, n):
-            row = i - 1
-            matrix[row][row] = -2 * scale
-            if row > 0:
-                matrix[row][row - 1] = scale
-            if row < n - 2:
-                matrix[row][row + 1] = scale
-            value = problem.rhs(xs[i])
-            if i == 1:
-                value = value - ua * scale
-            if i == n - 1:
-                value = value - ub * scale
-            rhs[row] = value
-    return matrix, rhs
+        return _band_system(problem, n, field, xs, [scale, -2 * scale, scale], 1)
 
 
 def unified_coefficient_rows(n: int) -> list[tuple[Fraction, ...]]:
@@ -208,13 +211,14 @@ def assemble_unified(problem: BvpProblem, n: int, field: Field | None = None):
     with field.context():
         h, xs = _grid(problem, n, field)
         scale = field.one / h**2
-        matrix, rhs = _empty_system(n - 1, field)
         ua, ub = field.of(problem.ua), field.of(problem.ub)
+        matrix, rhs = [], []
         for i, exact_row in enumerate(exact_rows, start=1):
             row = [field.of(c) for c in exact_row]
-            for j in range(1, n):
-                matrix[i - 1][j - 1] = row[j] * scale
-            rhs[i - 1] = problem.rhs(xs[i]) - (row[0] * ua + row[n] * ub) * scale
+            matrix.append([c * scale for c in row[1:n]])
+            rhs.append(problem.rhs(xs[i]) - (row[0] * ua + row[n] * ub) * scale)
+    if field.name == "float64":
+        return np.array(matrix), np.array(rhs)
     return matrix, rhs
 
 
@@ -264,29 +268,18 @@ def assemble_fractional(
         weights = miller_expand(cv.beta, params.gamma, n + r, field).weights
         h, xs = _grid(problem, n, field)
         scale = field.one / field.power(h, alpha)
-        matrix, rhs = _empty_system(n - 1, field)
-        ua, ub = field.of(problem.ua), field.of(problem.ub)
-        for i in range(1, n):
-            value = problem.rhs(xs[i])
-            for k in range(0, i + r + 1):
-                j = i + r - k
-                if j > n:
-                    continue
-                coeff = weights[k] * scale
-                if j == 0:
-                    value = value - coeff * ua
-                elif j == n:
-                    value = value - coeff * ub
-                else:
-                    matrix[i - 1][j - 1] = coeff
-            rhs[i - 1] = value
-    return matrix, rhs
+        return _band_system(problem, n, field, xs, [w * scale for w in weights], r)
 
 
 def _solve_exact(matrix, rhs):
+    # Row updates touch only the pivot row's nonzero columns, listed after
+    # the swap so that fill-in counts; skipping x - f*0 keeps every value
+    # (a Decimal's exponent may differ). Entries left of the pivot are never
+    # read again, so they are not updated.
     m = [list(row) for row in matrix]
     v = list(rhs)
     size = len(v)
+    pattern = []  # the nonzero columns right of the diagonal, per row of U
     for col in range(size):
         pivot_row = max(range(col, size), key=lambda rr: abs(m[rr][col]))
         if m[pivot_row][col] == 0:
@@ -294,29 +287,34 @@ def _solve_exact(matrix, rhs):
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             v[col], v[pivot_row] = v[pivot_row], v[col]
-        pivot = m[col][col]
+        top = m[col]
+        pivot = top[col]
+        nonzero = [j for j in range(col + 1, size) if top[j] != 0]
+        pattern.append(nonzero)
         for row in range(col + 1, size):
-            factor = m[row][col] / pivot
-            if factor == 0:
+            target = m[row]
+            if target[col] == 0:
                 continue
-            for j in range(col, size):
-                m[row][j] = m[row][j] - factor * m[col][j]
+            factor = target[col] / pivot
+            for j in nonzero:
+                target[j] = target[j] - factor * top[j]
             v[row] = v[row] - factor * v[col]
     out = [None] * size
     for row in range(size - 1, -1, -1):
         acc = v[row]
-        for j in range(row + 1, size):
+        for j in pattern[row]:
             acc = acc - m[row][j] * out[j]
         out[row] = acc / m[row][row]
     return out
 
 
 def solve_dense(matrix, rhs, field: Field | None = None):
-    """Solve a dense square system.
+    """Solve a square system given as a numpy array or as lists of rows.
 
     numpy arrays go through LAPACK LU with partial pivoting and a relative
-    pivot floor of 1e-14; exact and decimal systems use elimination with the
-    same pivoting and a zero-pivot check. Decimal systems run under
+    pivot floor of 1e-14. Other systems use elimination with the same
+    pivoting and a zero-pivot check; it skips structural zeros and returns
+    the values of dense elimination. Decimal systems run under
     ``field.context()`` when a field is given, else the active context.
     """
     if isinstance(matrix, np.ndarray):

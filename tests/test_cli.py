@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from diffgen.cli import run
+from diffgen import cli
+from diffgen.cli import build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -83,6 +84,11 @@ def test_argparse_failures(capsys):
     (("weights", "--alpha", "1", "--d", "1", "--p", "2", "--r", "nan"), "malformed"),
     (("expand", "--alpha", "1/2", "--K", "0"), "positive integer"),
     (("bvp", "--N", "two"), "positive integer"),
+    (("fbvp", "--alpha", "1.6", "--N", "8", "--mode", "big", "--digits", "5"), "at least 15 digits"),
+    (("bvp", "--N", "4", "--mode", "big", "--digits", "-3"), "at least 15 digits"),
+    (("weights", "--alpha", "1", "--d", "1", "--p", "2", "--r", "0", "--digits", "x"),
+     "at least 15 digits"),
+    (("fbvp", "--alpha", "1.6", "--N", "8", "--r", "-1"), "non-negative integer"),
 ])
 def test_argument_value_errors_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -205,10 +211,18 @@ def test_bvp_csv_needs_single_scheme(capsys):
 
 
 def test_bvp_rejects_low_precision(capsys):
-    rc, _, err = invoke(capsys, "bvp", "--N", "4", "--scheme", "central",
-                        "--mode", "big", "--digits", "10")
-    assert rc == 1
-    assert "error:" in err
+    with pytest.raises(SystemExit) as exc:
+        run(["bvp", "--N", "4", "--scheme", "central", "--mode", "big", "--digits", "10"])
+    assert exc.value.code == 2
+    assert "at least 15 digits" in capsys.readouterr().err
+
+
+def test_fbvp_accepts_zero_shift_and_minimum_digits(capsys):
+    with pytest.warns(RuntimeWarning, match="experimental"):
+        rc, out, _ = invoke(capsys, "fbvp", "--alpha", "1.6", "--N", "8", "--r", "0",
+                            "--mode", "big", "--digits", "15")
+    assert rc == 0
+    assert out.splitlines()[1].startswith("8,0.125,")
 
 
 def test_fbvp_single_grid(capsys):
@@ -238,3 +252,20 @@ def test_output_is_deterministic(capsys):
     first = invoke(capsys, *args)
     second = invoke(capsys, *args)
     assert first == second
+
+
+def test_parser_is_built_once_and_shared(capsys):
+    cli._parser.cache_clear()
+    weights = ("weights", "--alpha", "7/5", "--d", "2", "--p", "3", "--r", "2")
+    assert invoke(capsys, *weights)[0] == 0
+    assert invoke(capsys, "stencil", "--kind", "left", "--d", "1", "--p", "3")[0] == 0
+    assert invoke(capsys, "expand", "--alpha", "1/2", "--K", "4")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["fbvp", "--alpha", "1.6", "--N", "8", "--r", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    shared = invoke(capsys, *weights)
+    assert cli._parser.cache_info().misses == 1
+    args = build_parser().parse_args(list(weights))
+    fresh = (args.func(args),) + tuple(capsys.readouterr())
+    assert shared == fresh

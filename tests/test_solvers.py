@@ -3,6 +3,8 @@
 import math
 import random
 import warnings
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -27,6 +29,9 @@ from diffgen import (
     study_table,
     unified_coefficient_rows,
 )
+from diffgen.explicit_form import beta_coefficients, derive_params
+from diffgen.series import miller_expand
+from diffgen.solvers import _grid
 
 
 def cubic_problem():
@@ -265,3 +270,231 @@ def test_study_table_format():
     assert lines[1].split()[-1] == "2"
     assert lines[1].split()[-2] == "--"
     assert lines[2].split()[-2] != "--"
+
+
+# --- structured assembly and elimination against the dense reference ------
+#
+# The loops below are the dense assembly and elimination that the
+# Toeplitz-band builder and the zero-skipping elimination replaced. They stay
+# here as the reference: the structured code must reproduce them bit for bit.
+
+
+def _reference_system(size, field):
+    if field.name == "float64":
+        return np.zeros((size, size)), np.zeros(size)
+    zero = field.zero
+    return [[zero] * size for _ in range(size)], [zero] * size
+
+
+def _reference_central(problem, n, field):
+    with field.context():
+        h, xs = _grid(problem, n, field)
+        scale = field.one / h**2
+        matrix, rhs = _reference_system(n - 1, field)
+        ua, ub = field.of(problem.ua), field.of(problem.ub)
+        for i in range(1, n):
+            row = i - 1
+            matrix[row][row] = -2 * scale
+            if row > 0:
+                matrix[row][row - 1] = scale
+            if row < n - 2:
+                matrix[row][row + 1] = scale
+            value = problem.rhs(xs[i])
+            if i == 1:
+                value = value - ua * scale
+            if i == n - 1:
+                value = value - ub * scale
+            rhs[row] = value
+    return matrix, rhs
+
+
+def _reference_fractional(problem, n, p, r, field):
+    params = derive_params(problem.alpha, 2, p, r, field)
+    cv = beta_coefficients(params)
+    with field.context():
+        alpha = field.of(problem.alpha)
+        weights = miller_expand(cv.beta, params.gamma, n + r, field).weights
+        h, xs = _grid(problem, n, field)
+        scale = field.one / field.power(h, alpha)
+        matrix, rhs = _reference_system(n - 1, field)
+        ua, ub = field.of(problem.ua), field.of(problem.ub)
+        for i in range(1, n):
+            value = problem.rhs(xs[i])
+            for k in range(0, i + r + 1):
+                j = i + r - k
+                if j > n:
+                    continue
+                coeff = weights[k] * scale
+                if j == 0:
+                    value = value - coeff * ua
+                elif j == n:
+                    value = value - coeff * ub
+                else:
+                    matrix[i - 1][j - 1] = coeff
+            rhs[i - 1] = value
+    return matrix, rhs
+
+
+def _reference_solve(matrix, rhs):
+    m = [list(row) for row in matrix]
+    v = list(rhs)
+    size = len(v)
+    for col in range(size):
+        pivot_row = max(range(col, size), key=lambda rr: abs(m[rr][col]))
+        if m[pivot_row][col] == 0:
+            raise SingularMatrixError(f"zero pivot at column {col}")
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            v[col], v[pivot_row] = v[pivot_row], v[col]
+        pivot = m[col][col]
+        for row in range(col + 1, size):
+            factor = m[row][col] / pivot
+            if factor == 0:
+                continue
+            for j in range(col, size):
+                m[row][j] = m[row][j] - factor * m[col][j]
+            v[row] = v[row] - factor * v[col]
+    out = [None] * size
+    for row in range(size - 1, -1, -1):
+        acc = v[row]
+        for j in range(row + 1, size):
+            acc = acc - m[row][j] * out[j]
+        out[row] = acc / m[row][row]
+    return out
+
+
+def _bits(values):
+    """Every bit of a system or solution: ndarray bytes, or the repr of
+    each scalar (which tells 1.0 from 1.00 and -0 from 0 in decimals)."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.str, values.shape, values.tobytes()
+    if isinstance(values, (list, tuple)):
+        return [_bits(v) for v in values]
+    return repr(values)
+
+
+STRUCTURE_FIELDS = [FLOAT64, bigdecimal(50)]
+
+
+@pytest.mark.parametrize("field", STRUCTURE_FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("n", [3, 4, 17, 256])
+def test_central_band_matches_dense_reference(field, n):
+    problem = sine_bvp(field)
+    assert _bits(assemble_central(problem, n)) == _bits(_reference_central(problem, n, field))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 17])
+def test_central_band_matches_dense_reference_rational(n):
+    problem = BvpProblem(a=F(0), b=F(1), ua=F(2), ub=F(-3), rhs=lambda x: 6 * x,
+                         alpha=2, field=RATIONAL)
+    assert _bits(assemble_central(problem, n)) == _bits(_reference_central(problem, n, RATIONAL))
+
+
+# r = 0 and r = 2 are experimental configurations; the (d=2, p=2) generator
+# has no positive leading coefficient at r = 2, so that shift uses p = 1
+@pytest.mark.parametrize("field", STRUCTURE_FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("n", [3, 4, 17, 256])
+@pytest.mark.parametrize("p, r", [(2, 0), (2, 1), (1, 2)])
+def test_fractional_toeplitz_matches_dense_reference(field, n, p, r):
+    problem = power_law_fractional_bvp(F(8, 5), field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = assemble_fractional(problem, n, p=p, r=r)
+        reference = _reference_fractional(problem, n, p, r, field)
+    assert _bits(system) == _bits(reference)
+    if field.name != "float64" and n <= 17:
+        with field.context():
+            expected = _reference_solve(*reference)
+        assert _bits(solve_dense(*system, field)) == _bits(expected)
+
+
+def _random_banded(size, lower, upper, draw, zero):
+    return [[draw() if -lower <= j - i <= upper else zero for j in range(size)]
+            for i in range(size)]
+
+
+def _decimal_draw(rng):
+    """Uniform 50-digit decimals in [-1, 1]; call under a 50-digit context."""
+    return lambda: Decimal(rng.randint(-10**50, 10**50)).scaleb(-50)
+
+
+@pytest.mark.parametrize("size, lower, upper", [(24, 23, 1), (24, 1, 1), (24, 23, 3)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_structured_elimination_matches_dense_decimal(seed, size, lower, upper):
+    rng = random.Random(seed)
+    field = bigdecimal(50)
+    with field.context():
+        matrix = _random_banded(size, lower, upper, _decimal_draw(rng), Decimal(0))
+        for i in range(size):
+            matrix[i][i] += 4 * (upper + 1)
+        rhs = [_decimal_draw(rng)() for _ in range(size)]
+        assert _bits(solve_dense(matrix, rhs, field)) == _bits(_reference_solve(matrix, rhs))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_structured_elimination_with_row_swaps_and_fill_in(seed):
+    # a tiny diagonal and superdiagonal make the pivots come from lower
+    # rows, whose nonzeros reach further right than the rows they replace
+    rng = random.Random(seed)
+    field = bigdecimal(50)
+    size = 20
+    with field.context():
+        matrix = _random_banded(size, size - 1, 1, _decimal_draw(rng), Decimal(0))
+        for i in range(size):
+            for j in (i, i + 1):
+                if j < size:
+                    matrix[i][j] = matrix[i][j].scaleb(-8)
+        rhs = [_decimal_draw(rng)() for _ in range(size)]
+        assert max(range(size), key=lambda i: abs(matrix[i][0])) != 0
+        assert _bits(solve_dense(matrix, rhs, field)) == _bits(_reference_solve(matrix, rhs))
+
+
+@pytest.mark.parametrize("lower, upper", [(11, 1), (1, 1), (11, 2)])
+def test_structured_elimination_rational_is_exact(lower, upper):
+    rng = random.Random(5)
+    size = 12
+
+    def draw():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    matrix = _random_banded(size, lower, upper, draw, F(0))
+    matrix[0][0] = F(0)  # forces a swap at the first column
+    rhs = [draw() for _ in range(size)]
+    x = solve_dense(matrix, rhs)
+    assert x == _reference_solve(matrix, rhs)
+    assert [sum(a * b for a, b in zip(row, x)) for row in matrix] == rhs
+
+
+def _counting_fraction(tally):
+    class Counted(F):
+        """A Fraction that tallies the *, / and - it takes part in."""
+
+        def __mul__(self, other):
+            tally["*"] += 1
+            return Counted(F.__mul__(self, other))
+
+        def __truediv__(self, other):
+            tally["/"] += 1
+            return Counted(F.__truediv__(self, other))
+
+        def __sub__(self, other):
+            tally["-"] += 1
+            return Counted(F.__sub__(self, other))
+
+    return Counted
+
+
+def test_exact_solve_operation_count_on_hessenberg():
+    # the lower-Hessenberg Toeplitz shape of the fractional operator (one
+    # superdiagonal); dense elimination takes about N^3/3 multiplications
+    n = 64
+    tally = Counter()
+    counted = _counting_fraction(tally)
+    coeff = [counted(1), counted(-3)] + [counted(1, k) for k in range(1, n)]
+    matrix = [[coeff[i + 1 - j] if i + 1 >= j else counted(0) for j in range(n)]
+              for i in range(n)]
+    x = solve_dense(matrix, [counted(1)] * n)
+    used = dict(tally)
+    assert [sum(a * b for a, b in zip(row, x)) for row in matrix] == [1] * n
+    assert used["*"] < 4 * n * n
+    assert used["/"] < 4 * n * n and used["-"] < 4 * n * n
