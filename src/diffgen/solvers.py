@@ -9,8 +9,9 @@
   generator and applied left-sided with zero extension below the domain;
   lower-Hessenberg at the configured shift r = 1.
 
-Boundary values are folded into the right-hand side. Exact and decimal
-elimination skips structural zeros: O(N^2) on the Hessenberg fractional matrix.
+Boundary values are folded into the right-hand side. Float solves take a
+Hessenberg LU on the central and fractional systems (O(N), O(N^2)) and LAPACK
+LU on the dense one; exact elimination stays in the band, skipping zeros.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ import warnings
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress, count
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import daxpy, dswap, dtrsv
 
 from .explicit_form import beta_coefficients, derive_params
 from .scalars import FLOAT64, RATIONAL, ExactnessError, Field, Scalar
@@ -272,16 +275,22 @@ def assemble_fractional(
 
 
 def _solve_exact(matrix, rhs):
-    # Row updates touch only the pivot row's nonzero columns, listed after
-    # the swap so that fill-in counts; skipping x - f*0 keeps every value
-    # (a Decimal's exponent may differ). Entries left of the pivot are never
-    # read again, so they are not updated.
+    # Partial pivoting keeps L within the lower bandwidth and U within lower
+    # + upper (read off each row's first and last nonzero by C-level scans),
+    # so the pivot search, the row loop and the pivot row's nonzero columns
+    # (listed after the swap, so that fill-in counts) stay in the band.
+    # Skipping x - f*0 keeps every value (a Decimal's exponent may differ).
+    # Entries left of the pivot are never read again.
     m = [list(row) for row in matrix]
     v = list(rhs)
     size = len(v)
+    lower = max(i - next(compress(count(), row), i) for i, row in enumerate(m))
+    upper = max(size - 1 - i - next(compress(count(), reversed(row)), size - 1 - i)
+                for i, row in enumerate(m))
     pattern = []  # the nonzero columns right of the diagonal, per row of U
     for col in range(size):
-        pivot_row = max(range(col, size), key=lambda rr: abs(m[rr][col]))
+        below = min(col + lower + 1, size)
+        pivot_row = max(range(col, below), key=lambda rr: abs(m[rr][col]))
         if m[pivot_row][col] == 0:
             raise SingularMatrixError(f"zero pivot at column {col}")
         if pivot_row != col:
@@ -289,9 +298,9 @@ def _solve_exact(matrix, rhs):
             v[col], v[pivot_row] = v[pivot_row], v[col]
         top = m[col]
         pivot = top[col]
-        nonzero = [j for j in range(col + 1, size) if top[j] != 0]
+        nonzero = [j for j in range(col + 1, min(col + lower + upper + 1, size)) if top[j] != 0]
         pattern.append(nonzero)
-        for row in range(col + 1, size):
+        for row in range(col + 1, below):
             target = m[row]
             if target[col] == 0:
                 continue
@@ -308,31 +317,75 @@ def _solve_exact(matrix, rhs):
     return out
 
 
-def solve_dense(matrix, rhs, field: Field | None = None):
-    """Solve a square system given as a numpy array or as lists of rows.
+def _refuse_tiny_pivot(diagonal, scale, matrix):
+    if float(np.abs(diagonal).min()) > 1e-14 * scale:
+        return
+    # a 1-norm condition estimate from a dense LU, on this failure path only
+    lu = scipy.linalg.lu_factor(matrix)[0]
+    rcond, _ = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(matrix, 1))
+    cond = 1 / rcond if rcond > 0 else math.inf
+    digits = max(50, 16 + math.ceil(math.log10(cond))) if math.isfinite(cond) else 50
+    raise SingularMatrixError(
+        f"pivot below 1e-14 of the matrix scale (condition estimate {cond:.1e}); "
+        f"if the exact system is regular, solve it in a decimal field, "
+        f"e.g. bigdecimal({digits}) or --mode big --digits {digits}")
 
-    numpy arrays go through LAPACK LU with partial pivoting and a relative
-    pivot floor of 1e-14. Other systems use elimination with the same
-    pivoting and a zero-pivot check; it skips structural zeros and returns
-    the values of dense elimination. Decimal systems run under
-    ``field.context()`` when a field is given, else the active context.
+
+def _solve_float(matrix, b):
+    scale = float(max(matrix.max(), -matrix.min())) or 1.0  # no N x N temporary
+    if not math.isfinite(scale):
+        raise SingularMatrixError("matrix must not contain infs or NaNs")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must not contain infs or NaNs")
+    lower, upper = scipy.linalg.bandwidth(matrix)
+    if lower > 1 and upper > 1:
+        lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
+        _refuse_tiny_pivot(np.diagonal(lu), scale, matrix)
+        return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    # Hessenberg LU on a C-ordered copy of the upper-Hessenberg A, or of
+    # J A J (J the reversal) for a lower-Hessenberg A. Row k+1 takes pivot k
+    # only when strictly larger, as in LAPACK's getrf; each step is one offset
+    # BLAS call on the band + 1 entries right of the pivot: O(N^2), O(N) when
+    # banded; then one back substitution. Entries below U's diagonal are stale.
+    rev = slice(None, None, -1 if lower > 1 else 1)
+    band = lower if lower > 1 else upper  # the copy's upper bandwidth
+    u = np.array(matrix[rev, rev], dtype=float, order="C")
+    flat, y, size = u.ravel(), b[rev].tolist(), len(b)
+    item = flat.item
+    for k in range(size - 1):
+        d = k * (size + 1)  # flat index of u[k, k]
+        pivot, sub = item(d), item(d + size)
+        width = band + 1 if k + band + 2 <= size else size - 1 - k
+        if abs(sub) > abs(pivot):
+            dswap(flat, flat, width + 1, d, 1, d + size)
+            y[k], y[k + 1] = y[k + 1], y[k]
+            pivot, sub = sub, pivot
+        if sub:
+            factor = sub / pivot
+            daxpy(flat, flat, width, -factor, d + 1, 1, d + size + 1)
+            y[k + 1] -= factor * y[k]
+    _refuse_tiny_pivot(np.diagonal(u), scale, matrix)
+    return dtrsv(u.T, y, lower=1, trans=1)[rev]  # U x = y, read through U's F-ordered transpose
+
+
+def solve_dense(matrix, rhs, field: Field | None = None):
+    """Solve a nonempty square system given as a numpy array or as lists of rows.
+
+    numpy arrays with at most one sub- or superdiagonal (tridiagonal,
+    Hessenberg, triangular) take a Hessenberg LU, O(N^2) and O(N) when
+    banded, others LAPACK LU; both refuse a pivot below 1e-14 of the largest
+    entry. Other systems use elimination with the same pivoting and a
+    zero-pivot check; it stays in the band, skips structural zeros and returns
+    the values of dense elimination, under ``field.context()`` when given.
     """
+    shape = matrix.shape if isinstance(matrix, np.ndarray) else (
+        len(matrix), *sorted({len(row) for row in matrix}))
+    rhs_shape = getattr(rhs, "shape", (len(rhs),))
+    if shape[0] == 0 or shape != (shape[0],) * 2 or rhs_shape != shape[:1]:
+        raise ValueError(f"need a nonempty square matrix and a right-hand side of "
+                         f"matching length, got shapes {shape} and {rhs_shape}")
     if isinstance(matrix, np.ndarray):
-        scale = float(np.abs(matrix).max()) or 1.0
-        try:
-            lu, piv = scipy.linalg.lu_factor(matrix)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SingularMatrixError(str(exc)) from exc
-        if float(np.abs(np.diag(lu)).min()) <= 1e-14 * scale:
-            # a 1-norm condition estimate from the LU factors, on this failure path only
-            rcond, _ = scipy.linalg.lapack.dgecon(lu, float(np.abs(matrix).sum(axis=0).max()))
-            cond = 1 / rcond if rcond > 0 else math.inf
-            digits = max(50, 16 + math.ceil(math.log10(cond))) if math.isfinite(cond) else 50
-            raise SingularMatrixError(
-                f"pivot below 1e-14 of the matrix scale (condition estimate {cond:.1e}); "
-                f"if the exact system is regular, solve it in a decimal field, "
-                f"e.g. bigdecimal({digits}) or --mode big --digits {digits}")
-        return scipy.linalg.lu_solve((lu, piv), np.asarray(rhs, dtype=float))
+        return _solve_float(matrix, np.asarray(rhs, dtype=float))
     if field is not None:
         with field.context():
             return _solve_exact(matrix, rhs)

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from diffgen import (
     FLOAT64,
@@ -147,6 +148,7 @@ def test_solve_dense_float():
     eye = np.eye(3)
     b = np.array([1.0, 2.0, 3.0])
     assert np.allclose(solve_dense(eye, b), b)
+    assert solve_dense(np.array([[2.0]]), [4.0]).tolist() == [2.0]
     a = np.array([[rng.uniform(-1, 1) for _ in range(10)] for _ in range(10)])
     a += 10 * np.eye(10)
     b = np.array([rng.uniform(-1, 1) for _ in range(10)])
@@ -418,7 +420,8 @@ def _decimal_draw(rng):
     return lambda: Decimal(rng.randint(-10**50, 10**50)).scaleb(-50)
 
 
-@pytest.mark.parametrize("size, lower, upper", [(24, 23, 1), (24, 1, 1), (24, 23, 3)])
+@pytest.mark.parametrize("size, lower, upper",
+                         [(24, 23, 1), (24, 1, 1), (24, 23, 3), (24, 2, 3), (24, 1, 23)])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_structured_elimination_matches_dense_decimal(seed, size, lower, upper):
     rng = random.Random(seed)
@@ -433,13 +436,23 @@ def test_structured_elimination_matches_dense_decimal(seed, size, lower, upper):
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_structured_elimination_with_row_swaps_and_fill_in(seed):
+    _check_row_swaps_and_fill_in(seed, 19)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_banded_elimination_with_row_swaps_and_fill_in(seed):
+    # U's band widens to lower + upper = 3 after the swaps
+    _check_row_swaps_and_fill_in(seed, 2)
+
+
+def _check_row_swaps_and_fill_in(seed, lower):
     # a tiny diagonal and superdiagonal make the pivots come from lower
     # rows, whose nonzeros reach further right than the rows they replace
     rng = random.Random(seed)
     field = bigdecimal(50)
     size = 20
     with field.context():
-        matrix = _random_banded(size, size - 1, 1, _decimal_draw(rng), Decimal(0))
+        matrix = _random_banded(size, lower, 1, _decimal_draw(rng), Decimal(0))
         for i in range(size):
             for j in (i, i + 1):
                 if j < size:
@@ -481,6 +494,10 @@ def _counting_fraction(tally):
             tally["-"] += 1
             return Counted(F.__sub__(self, other))
 
+        def __abs__(self):
+            tally["abs"] += 1
+            return Counted(F.__abs__(self))
+
     return Counted
 
 
@@ -498,3 +515,170 @@ def test_exact_solve_operation_count_on_hessenberg():
     assert [sum(a * b for a, b in zip(row, x)) for row in matrix] == [1] * n
     assert used["*"] < 4 * n * n
     assert used["/"] < 4 * n * n and used["-"] < 4 * n * n
+
+
+def test_exact_solve_stays_within_the_band():
+    # tridiagonal: the pivot search compares two rows per column, where
+    # searching the whole column calls abs about N^2/2 times
+    n = 256
+    tally = Counter()
+    counted = _counting_fraction(tally)
+    band = {-1: counted(1), 0: counted(-3), 1: counted(1)}
+    matrix = [[band.get(j - i, counted(0)) for j in range(n)] for i in range(n)]
+    x = solve_dense(matrix, [counted(1)] * n)
+    assert [sum(a * b for a, b in zip(row, x)) for row in matrix] == [1] * n
+    assert tally["abs"] < 4 * n
+
+
+# --- the double-precision path: Hessenberg LU or dense LAPACK LU ----------
+
+
+def _lapack_solve(matrix, rhs):
+    """Reference: dense LAPACK LU with partial pivoting."""
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(matrix), rhs)
+
+
+def _relative_gap(x, reference):
+    return float(np.abs(x - reference).max() / np.abs(reference).max())
+
+
+def _random_float_banded(rng, size, lower, upper, tiny_diagonal=False):
+    """Random entries in the band, made well conditioned by a strong
+    diagonal, or by a tiny diagonal and strong first off-diagonals, which
+    make partial pivoting take its pivots from the row below."""
+    matrix = np.triu(np.tril(rng.uniform(-1, 1, (size, size)), upper), -lower)
+    strong = (-1, 1) if tiny_diagonal else (0,)
+    if tiny_diagonal:
+        matrix[np.diag_indices(size)] *= 1e-6
+    for offset in strong:
+        rows = np.arange(max(0, -offset), size - max(0, offset))
+        matrix[rows, rows + offset] += 4 * np.sign(matrix[rows, rows + offset])
+    return matrix
+
+
+FLOAT_SHAPES = {  # (lower, upper) bandwidths
+    "upper-hessenberg": (1, 39), "lower-hessenberg": (39, 1), "tridiagonal": (1, 1),
+    "upper-triangular": (0, 39), "lower-triangular": (39, 0), "lower-bidiagonal": (1, 0),
+}
+PIVOTING_SHAPES = ["upper-hessenberg", "lower-hessenberg", "tridiagonal"]
+
+
+@pytest.mark.parametrize("shape, tiny_diagonal",
+                         [(shape, False) for shape in FLOAT_SHAPES]
+                         + [(shape, True) for shape in PIVOTING_SHAPES])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_structured_float_solve_matches_lapack(seed, shape, tiny_diagonal):
+    rng = np.random.default_rng(seed)
+    lower, upper = FLOAT_SHAPES[shape]
+    matrix = _random_float_banded(rng, 40, lower, upper, tiny_diagonal)
+    rhs = rng.uniform(-1, 1, 40)
+    before = matrix.copy(), rhs.copy()
+    assert scipy.linalg.bandwidth(matrix) == (lower, upper)
+    assert np.linalg.cond(matrix) < 1e4  # so that both solvers agree to 1e-12
+    if tiny_diagonal:
+        assert (scipy.linalg.lu_factor(matrix)[1] != np.arange(40)).sum() > 10
+    x = solve_dense(matrix, rhs)
+    assert _relative_gap(x, _lapack_solve(matrix, rhs)) <= 1e-12
+    assert np.array_equal(matrix, before[0]) and np.array_equal(rhs, before[1])
+
+
+def test_structured_float_solve_skips_dense_lu(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense LU called on a structured system")
+
+    expected = {
+        "central": solve_bvp(sine_bvp(), "central", 256).max_error,
+        "fractional": solve_bvp(power_law_fractional_bvp(F(23, 16)), "fractional", 256).max_error,
+    }
+    monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+    assert solve_bvp(sine_bvp(), "central", 256).max_error == expected["central"]
+    rep = solve_bvp(power_law_fractional_bvp(F(23, 16)), "fractional", 256)
+    assert rep.max_error == expected["fractional"]
+
+
+def test_dense_systems_keep_lapack_lu(monkeypatch):
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    solve_bvp(sine_bvp(), "unified", 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # r = 2 is an experimental configuration
+        solve_bvp(power_law_fractional_bvp(F(8, 5)), "fractional", 64, p=1, r=2)
+    assert calls == [(15, 15), (63, 63)]
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[1.0, 2.0], [2.0, 4.0]]),
+    np.array([[1.0, 2.0, 0.0, 0.0],
+              [3.0, 1.0, 5.0, 0.0],
+              [4.0, 2.0, 1.0, 2.0],
+              [4.0, 2.0, 1.0, 2.0]]),  # lower Hessenberg, two equal rows
+    np.array([[2.0, 1.0, 3.0], [1.0, 1.0, 1.0], [0.0, 1.0, -1.0]]),  # upper Hessenberg
+    np.diag([-1e3, -1e-12]),  # the floor is relative to the largest magnitude
+], ids=["2x2", "lower-hessenberg", "upper-hessenberg", "negative-diagonal"])
+def test_singular_structured_float_names_condition(matrix):
+    assert min(scipy.linalg.bandwidth(matrix)) <= 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy flags an exactly zero pivot
+        with pytest.raises(SingularMatrixError, match=r"condition estimate .*--digits"):
+            solve_dense(matrix, np.ones(len(matrix)))
+
+
+@pytest.mark.parametrize("shape", ["tridiagonal", "lower-hessenberg", "dense"])
+def test_non_finite_float_input_is_refused(shape):
+    lower, upper = FLOAT_SHAPES.get(shape, (5, 5))
+    matrix = _random_float_banded(np.random.default_rng(4), 6, lower, upper)
+    rhs = np.ones(6)
+    for bad in (math.nan, math.inf):
+        spoiled = matrix.copy()
+        spoiled[2, 2] = bad
+        with pytest.raises(SingularMatrixError, match="infs or NaNs"):
+            solve_dense(spoiled, rhs)
+        spoiled = rhs.copy()
+        spoiled[3] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_dense(matrix, spoiled)
+
+
+@pytest.mark.parametrize("matrix, rhs, shapes", [
+    (np.ones((2, 3)), np.ones(2), r"\(2, 3\) and \(2,\)"),
+    ([[F(1), F(2), F(3)], [F(4), F(5), F(6)]], [F(1), F(2)], r"\(2, 3\) and \(2,\)"),
+    ([[F(1), F(2)], [F(3)]], [F(1), F(2)], r"\(2, 1, 2\) and \(2,\)"),
+    (np.eye(3), np.ones(2), r"\(3, 3\) and \(2,\)"),
+    ([[F(1), F(0)], [F(0), F(1)]], [F(1)], r"\(2, 2\) and \(1,\)"),
+    (np.eye(3), np.ones((3, 1)), r"\(3, 3\) and \(3, 1\)"),
+    (np.zeros((0, 0)), np.zeros(0), r"\(0, 0\) and \(0,\)"),
+    ([], [], r"\(0,\) and \(0,\)"),
+], ids=["ndarray-2x3", "lists-2x3", "ragged", "short-rhs", "short-rhs-lists",
+        "column-rhs", "empty-ndarray", "empty-lists"])
+def test_solve_dense_input_contract(matrix, rhs, shapes):
+    with pytest.raises(ValueError, match=r"nonempty square matrix .* got shapes " + shapes):
+        solve_dense(matrix, rhs)
+
+
+def _dense_reference_solution(problem, scheme, n):
+    matrix, rhs = {"central": assemble_central, "fractional": assemble_fractional}[scheme](problem, n)
+    return np.array([problem.ua, *_lapack_solve(matrix, rhs), problem.ub])
+
+
+@pytest.mark.parametrize("problem, scheme", [
+    (power_law_fractional_bvp(F(23, 16)), "fractional"),
+    (power_law_fractional_bvp(F(47, 32)), "fractional"),
+    (sine_bvp(), "central"),
+], ids=["fractional-23/16", "fractional-47/32", "central-sine"])
+def test_structured_float_solutions_match_dense_lu_on_benchmark_grids(problem, scheme):
+    # the max error is the solution minus the exact values, so it moves by at
+    # most the solutions' gap: 1e-12 of the solution scale, not of the error
+    for n in (16, 32, 64, 128, 256, 512, 1024):
+        reference = _dense_reference_solution(problem, scheme, n)
+        report = solve_bvp(problem, scheme, n)
+        _, xs = _grid(problem, n, FLOAT64)
+        reference_error = max(abs(u - problem.exact(x)) for x, u in zip(xs, reference))
+        scale = float(np.abs(reference).max())
+        assert _relative_gap(np.array(report.solution), reference) <= 1e-12
+        assert abs(report.max_error - reference_error) <= 1e-12 * scale
