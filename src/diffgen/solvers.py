@@ -9,9 +9,10 @@
   generator and applied left-sided with zero extension below the domain;
   lower-Hessenberg at the configured shift r = 1.
 
-Boundary values are folded into the right-hand side. Float solves take a
-Hessenberg LU on the central and fractional systems (O(N), O(N^2)) and LAPACK
-LU on the dense one; exact elimination stays in the band, skipping zeros.
+Boundary values are folded into the right-hand side. ``solve_bvp`` solves the
+central and fractional (r <= 1) schemes from the reciprocal series of their
+weights, with no matrix; the others take ``solve_dense``: LAPACK LU in double
+precision, elimination that stays in the band otherwise.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from itertools import compress, count
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import daxpy, dswap, dtrsv
 
 from .explicit_form import beta_coefficients, derive_params
 from .scalars import FLOAT64, RATIONAL, ExactnessError, Field, Scalar
@@ -151,11 +152,11 @@ def _grid(problem: BvpProblem, n: int, field: Field):
     return h, xs
 
 
-def _band_system(problem: BvpProblem, n: int, field: Field, xs, coeff, r: int):
-    """Interior system of the Toeplitz band whose row i puts coeff[k] on u
-    at grid index i + r - k; the weights on grid points 0 and n move to the
-    right-hand side. Call under ``field.context()``."""
-    size, width = n - 1, len(coeff)
+def _band_rhs(problem: BvpProblem, n: int, field: Field, xs, coeff, r: int) -> list:
+    """Right-hand side of the Toeplitz band whose row i puts coeff[k] on u at
+    grid index i + r - k: f at the interior points, less the weights on grid
+    points 0 and n times the boundary values. Call under ``field.context()``."""
+    width = len(coeff)
     ua, ub = field.of(problem.ua), field.of(problem.ub)
     rhs = []
     for i in range(1, n):
@@ -165,6 +166,14 @@ def _band_system(problem: BvpProblem, n: int, field: Field, xs, coeff, r: int):
         if i + r < width:
             value = value - coeff[i + r] * ua
         rhs.append(value)
+    return rhs
+
+
+def _band_system(problem: BvpProblem, n: int, field: Field, xs, coeff, r: int):
+    """Interior matrix and right-hand side of that band. Call under
+    ``field.context()``."""
+    rhs = _band_rhs(problem, n, field, xs, coeff, r)
+    size, width = n - 1, len(coeff)
     # padded[off - i + j - 1] is coeff[i + r - j], or zero out of range;
     # field.zero is bound once because each access builds a new scalar
     zero = field.zero
@@ -176,9 +185,9 @@ def _band_system(problem: BvpProblem, n: int, field: Field, xs, coeff, r: int):
     return [padded[off - i:off - i + size] for i in range(1, n)], rhs
 
 
-def assemble_central(problem: BvpProblem, n: int, field: Field | None = None):
-    """Tridiagonal interior system for u'' = f: the band (1, -2, 1)/h^2."""
-    field = _resolve_field(problem, field)
+def _central_band(problem: BvpProblem, n: int, field: Field):
+    """Grid, weights (s, -2s, s) with s = 1/h^2, and a function giving their
+    reciprocal series (k + 1)/s to n terms, of the central scheme."""
     if problem.alpha != 2:
         raise ValueError("central scheme handles the second derivative only")
     if not isinstance(n, int) or n < 2:
@@ -186,7 +195,16 @@ def assemble_central(problem: BvpProblem, n: int, field: Field | None = None):
     with field.context():
         h, xs = _grid(problem, n, field)
         scale = field.one / h**2
-        return _band_system(problem, n, field, xs, [scale, -2 * scale, scale], 1)
+        coeff = [scale, -2 * scale, scale]
+    return h, xs, coeff, lambda: [(k + 1) / scale for k in range(n)]
+
+
+def assemble_central(problem: BvpProblem, n: int, field: Field | None = None):
+    """Tridiagonal interior system for u'' = f: the band (1, -2, 1)/h^2."""
+    field = _resolve_field(problem, field)
+    _, xs, coeff, _ = _central_band(problem, n, field)
+    with field.context():
+        return _band_system(problem, n, field, xs, coeff, 1)
 
 
 def unified_coefficient_rows(n: int) -> list[tuple[Fraction, ...]]:
@@ -242,6 +260,15 @@ def assemble_fractional(
     divergent generator (edge ratio >= 1) warns and solves anyway.
     """
     field = _resolve_field(problem, field)
+    _, xs, coeff, _ = _fractional_band(problem, n, field, p, d, r)
+    with field.context():
+        return _band_system(problem, n, field, xs, coeff, r)
+
+
+def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int = 2, d: int = 2, r: int = 1):
+    """Validate and warn as ``assemble_fractional`` documents; return the grid,
+    the weights w_k / h^alpha of the (d, p) generator at shift r, and a
+    function giving their reciprocal series h^alpha P(z)^(-alpha/d) to n terms."""
     with field.context():
         alpha = field.of(problem.alpha)
         if not (1 < alpha < 2):
@@ -251,27 +278,21 @@ def assemble_fractional(
     if not isinstance(r, int) or r < 0:
         raise ValueError("shift r must be a non-negative integer (grid alignment)")
     if (p, d, r) != (2, 2, 1):
-        warnings.warn(
-            f"configuration (p={p}, d={d}, r={r}) is experimental; "
-            "the validated setup is (2, 2, 1)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"configuration (p={p}, d={d}, r={r}) is experimental; the validated "
+                      "setup is (2, 2, 1)", RuntimeWarning, stacklevel=3)
     params = derive_params(problem.alpha, d, p, r, field)
     cv = beta_coefficients(params)
     diag = convergence_diagnostic(cv)
     if not diag.converges_on_unit_disk:
-        warnings.warn(
-            f"generator expansion diverges on the unit disk "
-            f"(edge ratio {diag.edge_ratio}); solving anyway",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"generator expansion diverges on the unit disk (edge ratio "
+                      f"{diag.edge_ratio}); solving anyway", RuntimeWarning, stacklevel=3)
     with field.context():
         weights = miller_expand(cv.beta, params.gamma, n + r, field).weights
         h, xs = _grid(problem, n, field)
         scale = field.one / field.power(h, alpha)
-        return _band_system(problem, n, field, xs, [w * scale for w in weights], r)
+        coeff = [w * scale for w in weights]
+    return h, xs, coeff, lambda: [w / scale for w in miller_expand(
+        cv.beta, -params.gamma, n, field).weights]
 
 
 def _solve_exact(matrix, rhs):
@@ -317,18 +338,12 @@ def _solve_exact(matrix, rhs):
     return out
 
 
-def _refuse_tiny_pivot(diagonal, scale, matrix):
-    if float(np.abs(diagonal).min()) > 1e-14 * scale:
-        return
-    # a 1-norm condition estimate from a dense LU, on this failure path only
-    lu = scipy.linalg.lu_factor(matrix)[0]
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(matrix, 1))
-    cond = 1 / rcond if rcond > 0 else math.inf
-    digits = max(50, 16 + math.ceil(math.log10(cond))) if math.isfinite(cond) else 50
-    raise SingularMatrixError(
-        f"pivot below 1e-14 of the matrix scale (condition estimate {cond:.1e}); "
-        f"if the exact system is regular, solve it in a decimal field, "
-        f"e.g. bigdecimal({digits}) or --mode big --digits {digits}")
+def _ill_conditioned(cause: str, cond) -> SingularMatrixError:
+    """Refusal naming the condition estimate and the digits that would carry it."""
+    digits = max(50, 17 + Decimal(cond).adjusted()) if cond < math.inf else 50
+    return SingularMatrixError(
+        f"{cause} (condition estimate {cond:.1e}); if the exact system is regular, "
+        f"solve it in a decimal field, e.g. bigdecimal({digits}) or --mode big --digits {digits}")
 
 
 def _solve_float(matrix, b):
@@ -337,46 +352,23 @@ def _solve_float(matrix, b):
         raise SingularMatrixError("matrix must not contain infs or NaNs")
     if not np.isfinite(b).all():
         raise ValueError("right-hand side must not contain infs or NaNs")
-    lower, upper = scipy.linalg.bandwidth(matrix)
-    if lower > 1 and upper > 1:
-        lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
-        _refuse_tiny_pivot(np.diagonal(lu), scale, matrix)
-        return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    # Hessenberg LU on a C-ordered copy of the upper-Hessenberg A, or of
-    # J A J (J the reversal) for a lower-Hessenberg A. Row k+1 takes pivot k
-    # only when strictly larger, as in LAPACK's getrf; each step is one offset
-    # BLAS call on the band + 1 entries right of the pivot: O(N^2), O(N) when
-    # banded; then one back substitution. Entries below U's diagonal are stale.
-    rev = slice(None, None, -1 if lower > 1 else 1)
-    band = lower if lower > 1 else upper  # the copy's upper bandwidth
-    u = np.array(matrix[rev, rev], dtype=float, order="C")
-    flat, y, size = u.ravel(), b[rev].tolist(), len(b)
-    item = flat.item
-    for k in range(size - 1):
-        d = k * (size + 1)  # flat index of u[k, k]
-        pivot, sub = item(d), item(d + size)
-        width = band + 1 if k + band + 2 <= size else size - 1 - k
-        if abs(sub) > abs(pivot):
-            dswap(flat, flat, width + 1, d, 1, d + size)
-            y[k], y[k + 1] = y[k + 1], y[k]
-            pivot, sub = sub, pivot
-        if sub:
-            factor = sub / pivot
-            daxpy(flat, flat, width, -factor, d + 1, 1, d + size + 1)
-            y[k + 1] -= factor * y[k]
-    _refuse_tiny_pivot(np.diagonal(u), scale, matrix)
-    return dtrsv(u.T, y, lower=1, trans=1)[rev]  # U x = y, read through U's F-ordered transpose
+    lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
+    if float(np.abs(np.diagonal(lu)).min()) <= 1e-14 * scale:
+        # a 1-norm condition estimate from the factors, on this failure path only
+        rcond, _ = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(matrix, 1))
+        raise _ill_conditioned("pivot below 1e-14 of the matrix scale",
+                               1 / rcond if rcond > 0 else math.inf)
+    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
 def solve_dense(matrix, rhs, field: Field | None = None):
     """Solve a nonempty square system given as a numpy array or as lists of rows.
 
-    numpy arrays with at most one sub- or superdiagonal (tridiagonal,
-    Hessenberg, triangular) take a Hessenberg LU, O(N^2) and O(N) when
-    banded, others LAPACK LU; both refuse a pivot below 1e-14 of the largest
-    entry. Other systems use elimination with the same pivoting and a
-    zero-pivot check; it stays in the band, skips structural zeros and returns
-    the values of dense elimination, under ``field.context()`` when given.
+    numpy arrays take LAPACK LU and refuse a pivot below 1e-14 of the largest
+    entry, naming a condition estimate. Lists take elimination with the same
+    pivoting and a zero-pivot check; it stays in the band, skips structural
+    zeros and returns the values of dense elimination, under
+    ``field.context()`` when given.
     """
     shape = matrix.shape if isinstance(matrix, np.ndarray) else (
         len(matrix), *sorted({len(row) for row in matrix}))
@@ -392,11 +384,43 @@ def solve_dense(matrix, rhs, field: Field | None = None):
     return _solve_exact(matrix, rhs)
 
 
-_ASSEMBLERS = {
-    "central": assemble_central,
-    "unified": assemble_unified,
-    "fractional": assemble_fractional,
-}
+def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options):
+    """Grid and interior solution of the central or fractional scheme.
+
+    At r <= 1 the system is rows r..m+r-1, columns 0..m-1 of L, the m + 1 = n
+    square lower-triangular Toeplitz matrix of coeff, and L^-1 is Toeplitz
+    with the reciprocal series inv as symbol. At r = 0, x = inv * b. At
+    r = 1, L z = (c, b) with z[m] = 0 gives x = z[:m]; z = y + c inv with
+    y = inv * (0, b), so c = -y[m] / inv[m]. Larger r take ``solve_dense``.
+    """
+    band = _central_band if scheme == "central" else _fractional_band
+    h, xs, coeff, reciprocal = band(problem, n, field, **options)
+    r = options.get("r", 1)
+    with field.context():
+        if r > 1:
+            return h, xs, solve_dense(*_band_system(problem, n, field, xs, coeff, r), field)
+        b = _band_rhs(problem, n, field, xs, coeff, r)
+        if field.name == "float64" and not np.isfinite(b).all():
+            raise ValueError("right-hand side must not contain infs or NaNs")
+        inv = np.array(reciprocal())  # float64, or objects in the exact and decimal fields
+        if field.name != "rational":
+            # ||L||_1 ||L^-1||_1, refused when it leaves fewer than two of the
+            # field's significant digits: above 1e14 in double precision
+            limit = 1e14 if field.name == "float64" else Decimal(10) ** (field.digits - 2)
+            estimate = np.abs(coeff).sum() * np.abs(inv).sum()
+            if not estimate <= limit:
+                raise _ill_conditioned(f"Toeplitz system too ill-conditioned for {field.name}: "
+                                       f"|coeff|_1 |inv|_1 above {limit:.0e}", estimate)
+        if r == 1 and inv[-1] == 0:
+            raise SingularMatrixError(f"reciprocal series vanishes at term {n - 1}; singular system")
+        b = [field.zero] * r + b
+        if field.name == "float64":
+            y = np.convolve(inv, b)[:len(b)]
+        elif scheme == "central":
+            y = np.cumsum(np.cumsum(b)) / coeff[0]  # sum_i (k - i + 1) b[i] / s, in O(N)
+        else:  # half the products of np.convolve's full one
+            y = np.array([sum(map(mul, inv[k::-1], b), field.zero) for k in range(len(b))])
+        return h, xs, y if r == 0 else (y - y[-1] / inv[-1] * inv)[:-1]
 
 
 def _configured_order(scheme: str, n: int, p: int) -> int:
@@ -414,16 +438,19 @@ def solve_bvp(
     field: Field | None = None,
     **scheme_options,
 ) -> SolveReport:
-    """Assemble and solve one grid; scheme is central, unified, or fractional."""
+    """Solve one grid; scheme is central, unified, or fractional. A series
+    solve (see the module docstring) raises ``SingularMatrixError`` when its
+    condition bound leaves fewer than two of the field's digits."""
     field = _resolve_field(problem, field)
-    try:
-        assembler = _ASSEMBLERS[scheme]
-    except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_ASSEMBLERS)}") from None
-    matrix, rhs = assembler(problem, n, field=field, **scheme_options)
-    interior = solve_dense(matrix, rhs, field)
-    with field.context():
+    if scheme not in ("central", "fractional", "unified"):
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of "
+                         "['central', 'fractional', 'unified']")
+    if scheme == "unified":
+        interior = solve_dense(*assemble_unified(problem, n, field, **scheme_options), field)
         h, xs = _grid(problem, n, field)
+    else:
+        h, xs, interior = _solve_band(problem, scheme, n, field, scheme_options)
+    with field.context():
         solution = [field.of(problem.ua)]
         solution.extend(field.of(v) for v in interior)
         solution.append(field.of(problem.ub))

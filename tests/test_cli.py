@@ -235,6 +235,13 @@ def test_fbvp_single_grid(capsys):
     assert float(error) == pytest.approx(2.8309e-04, rel=5e-2)
 
 
+def test_fbvp_ill_conditioned_generator_exits_with_hint(capsys):
+    with pytest.warns(RuntimeWarning, match="experimental"):
+        rc, out, err = invoke(capsys, "fbvp", "--alpha", "1.6", "--p", "3", "--N", "128")
+    assert rc == 1 and out == ""
+    assert "condition estimate 6.1e+24" in err and "--mode big --digits" in err
+
+
 def test_fbvp_alpha_out_of_range(capsys):
     rc, _, err = invoke(capsys, "fbvp", "--alpha", "2.5", "--N", "16")
     assert rc == 1

@@ -1,6 +1,8 @@
 """Hypothesis properties of the exact coefficient kernel over random rational
 (d <= 4, p <= 8, lam): agreement with the Cramer oracle and the moment sums,
-correct rounding into the float fields, and the left/right mirror identity."""
+correct rounding into the float fields, and the left/right mirror identity.
+Also of the weight series: P(z)^gamma times P(z)^(-gamma) is 1, and integer
+powers agree with the convolution."""
 
 from decimal import Decimal
 from fractions import Fraction as F
@@ -15,6 +17,8 @@ from diffgen import (
     consistency_moments,
     derive_params,
     error_coefficients,
+    miller_expand,
+    poly_power_int,
     vandermonde_solve,
 )
 
@@ -75,3 +79,50 @@ def test_mirror_identity(d, p, lam):
     fwd = beta_coefficients(derive_params(d, d, p, lam)).beta
     rev = beta_coefficients(derive_params(d, d, p, (n - 1) - lam)).beta
     assert tuple(reversed(rev)) == tuple((-1) ** d * b for b in fwd)
+
+
+# base polynomials b0 + tail(z) with b0 a perfect square and fourth power, so
+# that b0^(1/2) and b0^(-1/2) are rational
+leads = st.sampled_from([1, 4])
+tails = st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=8), max_size=4)
+lengths = st.integers(1, 24)
+
+
+def _truncated_product(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _unit(k):
+    return [1] + [0] * (k - 1)
+
+
+@PROPERTY
+@given(leads, tails, lengths)
+def test_reciprocal_series_is_exact(b0, tail, k):
+    base = (F(b0), *tail)
+    weights = miller_expand(base, F(1, 2), k).weights
+    assert _truncated_product(weights, miller_expand(base, F(-1, 2), k).weights) == _unit(k)
+
+
+@PROPERTY
+@given(leads, tails, lengths, st.sampled_from([0.25, 0.5, 0.7, 1.5, 2.0]))
+def test_float64_reciprocal_series_within_k_eps(b0, tail, k, gamma):
+    # each term of the product, formed exactly from the rounded weights, is
+    # within 2 K unit roundoffs of the magnitudes it sums
+    base = (float(b0), *map(float, tail))
+    weights = miller_expand(base, gamma, k, FLOAT64).weights
+    inverse = miller_expand(base, -gamma, k, FLOAT64).weights
+    eps = F(2) ** -53
+    for m in range(k):
+        terms = [F(weights[i]) * F(inverse[m - i]) for i in range(m + 1)]
+        assert abs(sum(terms) - _unit(k)[m]) <= 2 * k * eps * sum(map(abs, terms))
+
+
+@PROPERTY
+@given(leads, tails, lengths, st.integers(1, 4))
+def test_integer_powers_are_convolutions(b0, tail, k, gamma):
+    # +gamma takes the convolution, -gamma the Miller recurrence
+    base = (F(b0), *tail)
+    power = (poly_power_int(base, gamma) + (0,) * k)[:k]
+    assert miller_expand(base, gamma, k).weights == power
+    assert _truncated_product(power, miller_expand(base, -gamma, k).weights) == _unit(k)

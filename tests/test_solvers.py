@@ -1,5 +1,6 @@
 """Boundary-value assembly and dense solves in all three arithmetics."""
 
+import dataclasses
 import math
 import random
 import warnings
@@ -30,6 +31,7 @@ from diffgen import (
     study_table,
     unified_coefficient_rows,
 )
+import diffgen.solvers as solvers
 from diffgen.explicit_form import beta_coefficients, derive_params
 from diffgen.series import miller_expand
 from diffgen.solvers import _grid
@@ -480,24 +482,23 @@ def test_structured_elimination_rational_is_exact(lower, upper):
 
 def _counting_fraction(tally):
     class Counted(F):
-        """A Fraction that tallies the *, / and - it takes part in."""
+        """A Fraction that tallies the *, /, -, + and abs it takes part in;
+        results stay counted."""
 
-        def __mul__(self, other):
-            tally["*"] += 1
-            return Counted(F.__mul__(self, other))
+    def counted(method, symbol):
+        def op(self, *args):
+            out = getattr(F, method)(self, *args)
+            if out is NotImplemented:  # the other operand's method takes over
+                return out
+            tally[symbol] += 1
+            return Counted(out)
+        return op
 
-        def __truediv__(self, other):
-            tally["/"] += 1
-            return Counted(F.__truediv__(self, other))
-
-        def __sub__(self, other):
-            tally["-"] += 1
-            return Counted(F.__sub__(self, other))
-
-        def __abs__(self):
-            tally["abs"] += 1
-            return Counted(F.__abs__(self))
-
+    for method, symbol in [("__mul__", "*"), ("__rmul__", "*"), ("__truediv__", "/"),
+                           ("__rtruediv__", "/"), ("__sub__", "-"), ("__rsub__", "-"),
+                           ("__add__", "+"), ("__radd__", "+"), ("__abs__", "abs"),
+                           ("__neg__", "neg"), ("__pow__", "**")]:
+        setattr(Counted, method, counted(method, symbol))
     return Counted
 
 
@@ -530,7 +531,7 @@ def test_exact_solve_stays_within_the_band():
     assert tally["abs"] < 4 * n
 
 
-# --- the double-precision path: Hessenberg LU or dense LAPACK LU ----------
+# --- the double-precision dense path: LAPACK LU ----------------------------
 
 
 def _lapack_solve(matrix, rhs):
@@ -661,24 +662,163 @@ def test_solve_dense_input_contract(matrix, rhs, shapes):
         solve_dense(matrix, rhs)
 
 
-def _dense_reference_solution(problem, scheme, n):
-    matrix, rhs = {"central": assemble_central, "fractional": assemble_fractional}[scheme](problem, n)
-    return np.array([problem.ua, *_lapack_solve(matrix, rhs), problem.ub])
-
-
-@pytest.mark.parametrize("problem, scheme", [
-    (power_law_fractional_bvp(F(23, 16)), "fractional"),
-    (power_law_fractional_bvp(F(47, 32)), "fractional"),
-    (sine_bvp(), "central"),
+@pytest.mark.parametrize("make_problem, scheme", [
+    (lambda field: power_law_fractional_bvp(F(23, 16), field), "fractional"),
+    (lambda field: power_law_fractional_bvp(F(47, 32), field), "fractional"),
+    (sine_bvp, "central"),
 ], ids=["fractional-23/16", "fractional-47/32", "central-sine"])
-def test_structured_float_solutions_match_dense_lu_on_benchmark_grids(problem, scheme):
-    # the max error is the solution minus the exact values, so it moves by at
-    # most the solutions' gap: 1e-12 of the solution scale, not of the error
+def test_structured_float_solutions_match_dense_lu_on_benchmark_grids(make_problem, scheme):
+    # the reference is a 40-digit solve of the same problem: dense LU of the
+    # rounded f64 system is itself up to 1.3e-11 away from the true solution
+    # at N = 1024. The max error is the solution minus the exact values, so
+    # it moves by at most the solutions' gap: 1e-12 of the solution scale.
+    problem, precise = make_problem(FLOAT64), make_problem(bigdecimal(40))
     for n in (16, 32, 64, 128, 256, 512, 1024):
-        reference = _dense_reference_solution(problem, scheme, n)
+        reference = np.array([float(u) for u in solve_bvp(precise, scheme, n).solution])
         report = solve_bvp(problem, scheme, n)
         _, xs = _grid(problem, n, FLOAT64)
         reference_error = max(abs(u - problem.exact(x)) for x, u in zip(xs, reference))
         scale = float(np.abs(reference).max())
         assert _relative_gap(np.array(report.solution), reference) <= 1e-12
         assert abs(report.max_error - reference_error) <= 1e-12 * scale
+
+
+# --- series solves of the Toeplitz schemes -------------------------------
+
+
+def _relative_gap_exact(x, reference):
+    return max(abs(a - b) for a, b in zip(x, reference)) / max(map(abs, reference))
+
+
+@pytest.mark.parametrize("n", [16, 128])
+@pytest.mark.parametrize("scheme, r", [("central", 1), ("fractional", 1), ("fractional", 0)])
+def test_decimal_series_solve_matches_elimination(scheme, r, n):
+    field = bigdecimal(50)
+    if scheme == "central":
+        problem, options, assemble = sine_bvp(field), {}, assemble_central
+    else:
+        problem, options = power_law_fractional_bvp(F(23, 16), field), {"r": r}
+        assemble = assemble_fractional
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # r = 0 is an experimental configuration
+        interior = solve_bvp(problem, scheme, n, **options).solution[1:-1]
+        expected = solve_dense(*assemble(problem, n, **options), field)
+    with field.context():
+        assert _relative_gap_exact(interior, expected) <= Decimal("1e-45")
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16])
+def test_rational_central_series_solve_is_exact(n):
+    problem = BvpProblem(a=F(0), b=F(1), ua=F(2), ub=F(-3), rhs=lambda x: 6 * x - 1,
+                         alpha=2, field=RATIONAL)
+    matrix, rhs = assemble_central(problem, n)
+    interior = list(solve_bvp(problem, "central", n).solution[1:-1])
+    assert interior == solve_dense(matrix, rhs)
+    assert [sum(a * b for a, b in zip(row, interior)) for row in matrix] == rhs
+
+
+@pytest.mark.parametrize("field", STRUCTURE_FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("scheme, r", [("central", 1), ("fractional", 1), ("fractional", 0)])
+def test_series_solves_build_no_matrix(monkeypatch, field, scheme, r):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was built or factored for a series solve")
+
+    for owner, name in ((solvers, "_band_system"), (solvers, "_solve_exact"),
+                        (scipy.linalg, "toeplitz"), (scipy.linalg, "lu_factor")):
+        monkeypatch.setattr(owner, name, refuse)
+    if scheme == "central":
+        report = solve_bvp(sine_bvp(field), "central", 256)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # r = 0 is an experimental configuration
+            report = solve_bvp(power_law_fractional_bvp(F(23, 16), field), "fractional", 256, r=r)
+    assert len(report.solution) == 257 and report.max_error < 1e-3
+
+
+def test_rational_central_series_solve_is_linear():
+    # a convolution with the reciprocal series would take about N^2/2
+    # multiplications; the two running sums take O(N)
+    n = 256
+    tally = Counter()
+    counted = _counting_fraction(tally)
+
+    class CountingField(type(RATIONAL)):
+        def of(self, value):
+            return counted(value)
+
+    field = CountingField("rational")
+    problem = BvpProblem(a=counted(0), b=counted(1), ua=counted(2), ub=counted(-3),
+                         rhs=lambda x: 6 * x, alpha=2, field=field)
+    interior = solve_bvp(problem, "central", n).solution[1:-1]
+    used = dict(tally)
+    matrix, rhs = assemble_central(problem, n)
+    assert list(interior) == solve_dense(matrix, rhs)
+    assert used["*"] < 8 * n and used["/"] < 8 * n
+
+
+@pytest.mark.parametrize("alpha", [F(23, 16), F(47, 32), 1.34], ids=str)
+def test_configured_generator_passes_the_condition_bound(alpha):
+    report = solve_bvp(power_law_fractional_bvp(alpha), "fractional", 4096)
+    assert report.max_error < 1e-6
+    big = bigdecimal(50)
+    report = solve_bvp(power_law_fractional_bvp(alpha, big), "fractional", 256)
+    assert report.max_error < Decimal("1e-4")
+
+
+@pytest.mark.parametrize("alpha, n", [(1.34, 32), (1.6, 128)])
+def test_divergent_generator_is_refused_by_condition(alpha, n):
+    # at these orders the (3, 2, 1) base polynomial has a root inside the
+    # unit disk (0.31 and 0.77; the edge-ratio verdict, advisory for p != 2,
+    # misses it): the condition bounds are 7.5e28 and 6.1e24, and a solve
+    # returns garbage
+    with pytest.warns(RuntimeWarning, match="experimental"):
+        with pytest.raises(SingularMatrixError,
+                           match=r"condition estimate .*e\+2[48].*--mode big --digits"):
+            solve_bvp(power_law_fractional_bvp(alpha), "fractional", n, p=3)
+
+
+def _force_last_reciprocal_term(monkeypatch, value):
+    """Make the reciprocal series' last term ``value``: no generator here has
+    a vanishing or non-finite one, so the fault is injected."""
+    expand = solvers.miller_expand
+
+    def expand_with_fault(base, gamma, truncation, field):
+        series = expand(base, gamma, truncation, field)
+        if gamma > 0:
+            return series
+        return dataclasses.replace(series, weights=series.weights[:-1] + (field.of(value),))
+
+    monkeypatch.setattr(solvers, "miller_expand", expand_with_fault)
+
+
+@pytest.mark.parametrize("field", STRUCTURE_FIELDS, ids=lambda f: f.name)
+def test_vanishing_reciprocal_term_is_singular(monkeypatch, field):
+    # at r = 1 the system is singular exactly when inv[m] vanishes
+    _force_last_reciprocal_term(monkeypatch, 0)
+    with pytest.raises(SingularMatrixError, match="vanishes at term 15"):
+        solve_bvp(power_law_fractional_bvp(F(23, 16), field), "fractional", 16)
+
+
+def test_non_finite_reciprocal_series_is_refused(monkeypatch):
+    _force_last_reciprocal_term(monkeypatch, math.nan)
+    with pytest.raises(SingularMatrixError, match="condition estimate nan"):
+        solve_bvp(power_law_fractional_bvp(F(23, 16)), "fractional", 16)
+
+
+def test_decimal_series_solve_follows_its_digits():
+    # the limit is 10^(digits - 2): the 7.5e28 bound above is refused at 20
+    # digits and solved at the 50 the hint names
+    with pytest.warns(RuntimeWarning, match="experimental"):
+        with pytest.raises(SingularMatrixError, match=r"7\.5e\+28.*--digits 50"):
+            solve_bvp(power_law_fractional_bvp(1.34, bigdecimal(20)), "fractional", 32, p=3)
+        report = solve_bvp(power_law_fractional_bvp(1.34, bigdecimal(50)), "fractional", 32, p=3)
+    assert len(report.solution) == 33
+
+
+@pytest.mark.parametrize("scheme", ["central", "fractional"])
+def test_series_solve_refuses_non_finite_data(scheme):
+    for bad in (math.nan, math.inf):
+        problem = BvpProblem(a=0.0, b=1.0, ua=0.0, ub=1.0, rhs=lambda x, bad=bad: bad * x,
+                             alpha=2.0 if scheme == "central" else 1.5, field=FLOAT64)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_bvp(problem, scheme, 8)
