@@ -70,7 +70,7 @@ def _finite(name: str, value, field: Field) -> Scalar:
     """``value`` in ``field``, refused unless finite: the kernel takes its exact value."""
     try:
         converted = field.of(value)
-        Fraction(converted)
+        converted.as_integer_ratio()  # raises for infinities and NaNs
     except (ArithmeticError, ValueError):
         raise ValueError(f"{name} must be a finite number in the {field.name} field") from None
     return converted

@@ -6,15 +6,21 @@ coefficients come from the J.C.P. Miller recurrence
 
     m * beta_0 * w_m = sum_{k=1}^{min(m, deg)} (k*(gamma+1) - m) * beta_k * w_{m-k},
 
-seeded with w_0 = beta_0^gamma. The classic Grünwald binomial weights are the
-P(z) = 1 - z special case.
+seeded with w_0 = beta_0^gamma. The recurrence is a lower-triangular banded
+system A w = w_0 e_0 of bandwidth deg: A[0, 0] = 1, A[m, m] = m * beta_0 and
+A[m, m-k] = -(k*(gamma+1) - m) * beta_k. Double precision solves it with one
+BLAS ``dtbsv``; the exact and decimal fields forward-substitute it. The classic
+Grünwald binomial weights are the P(z) = 1 - z special case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .explicit_form import CoefficientVector
+import numpy as np
+from scipy.linalg.blas import dtbsv
+
+from .explicit_form import CoefficientVector, _finite, _positive_int
 from .scalars import Field, Scalar, _is_integral, field_of
 
 __all__ = [
@@ -40,14 +46,14 @@ class WeightSeries:
 def grunwald_weights(alpha, truncation: int, field: Field | None = None) -> tuple[Scalar, ...]:
     """First ``truncation`` binomial weights of (1 - z)**alpha.
 
-    g_0 = 1 and g_k = g_{k-1} * (k - 1 - alpha) / k.
+    g_0 = 1 and g_k = g_{k-1} * (k - 1 - alpha) / k. A non-finite alpha
+    raises ValueError.
     """
-    if not isinstance(truncation, int) or truncation < 1:
-        raise ValueError("truncation must be a positive integer")
+    _positive_int("truncation", truncation)
     if field is None:
         field = field_of(alpha)
     with field.context():
-        alpha = field.of(alpha)
+        alpha = _finite("alpha", alpha, field)
         weights = [field.one]
         for k in range(1, truncation):
             weights.append(weights[-1] * (k - 1 - alpha) / k)
@@ -58,20 +64,21 @@ def miller_expand(base, gamma, truncation: int, field: Field | None = None) -> W
     """Expand P(z)**gamma to ``truncation`` weights.
 
     An integer gamma >= 0 takes the truncated convolution (base[0] may be 0).
-    Fractional gamma needs base[0] > 0 (real expansion); in the rational
-    field it additionally needs base[0] to be a perfect power, otherwise
-    ExactnessError signals that the caller must pick a float field.
+    Any other gamma solves the banded triangular system of the module
+    docstring. Fractional gamma needs base[0] > 0 (real expansion); in the
+    rational field it additionally needs base[0] to be a perfect power,
+    otherwise ExactnessError signals that the caller must pick a float field.
+    A non-finite gamma or base coefficient raises ValueError.
     """
     base = tuple(base)
     if not base:
         raise ValueError("base polynomial must have at least one coefficient")
-    if not isinstance(truncation, int) or truncation < 1:
-        raise ValueError("truncation must be a positive integer")
+    _positive_int("truncation", truncation)
     if field is None:
         field = field_of(base[0])
     with field.context():
-        base_f = tuple(field.of(b) for b in base)
-        gamma_f = field.of(gamma)
+        base_f = tuple(_finite(f"base coefficient {k}", b, field) for k, b in enumerate(base))
+        gamma_f = _finite("exponent gamma", gamma, field)
         b0 = base_f[0]
         integral = _is_integral(gamma_f)
         if integral and gamma_f >= 0:
@@ -82,13 +89,23 @@ def miller_expand(base, gamma, truncation: int, field: Field | None = None) -> W
             raise ValueError("fractional exponent requires a positive leading base coefficient")
         if integral and b0 == 0 and gamma_f < 0:
             raise ZeroDivisionError("negative power of a polynomial with zero constant term")
-        w = [field.power(b0, gamma_f)]
+        w0 = field.power(b0, gamma_f)
         deg = len(base_f) - 1
-        for m in range(1, truncation):
-            acc = field.zero
-            for k in range(1, min(m, deg) + 1):
-                acc += (k * (gamma_f + 1) - m) * base_f[k] * w[m - k]
-            w.append(acc / (m * b0))
+        if field.name == "float64":
+            # band storage ab[k, j] = A[j + k, j] = (j - k*gamma) * beta_k, whose
+            # row 0 is the diagonal j * beta_0; A[0, 0] = 1 carries the seed
+            ab = (np.arange(truncation) - np.arange(deg + 1)[:, None] * gamma_f) \
+                * np.array(base_f)[:, None]
+            ab[0, 0], rhs = 1.0, np.zeros(truncation)
+            rhs[0] = w0
+            w = dtbsv(deg, ab, rhs, lower=1).tolist()
+        else:
+            w, zero = [w0], field.zero
+            for m in range(1, truncation):
+                acc = zero
+                for k in range(1, min(m, deg) + 1):
+                    acc += (k * (gamma_f + 1) - m) * base_f[k] * w[m - k]
+                w.append(acc / (m * b0))
     return WeightSeries(gamma_f, base_f, tuple(w), truncation)
 
 

@@ -423,6 +423,9 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
         return h, xs, y if r == 0 else (y - y[-1] / inv[-1] * inv)[:-1]
 
 
+_SCHEME_OPTIONS = {"central": (), "fractional": ("p", "d", "r"), "unified": ()}
+
+
 def _configured_order(scheme: str, n: int, p: int) -> int:
     if scheme == "central":
         return 2
@@ -438,15 +441,20 @@ def solve_bvp(
     field: Field | None = None,
     **scheme_options,
 ) -> SolveReport:
-    """Solve one grid; scheme is central, unified, or fractional. A series
-    solve (see the module docstring) raises ``SingularMatrixError`` when its
-    condition bound leaves fewer than two of the field's digits."""
+    """Solve one grid; scheme is central, unified, or fractional. Only the
+    fractional scheme takes options (p, d, r of ``assemble_fractional``);
+    any other raises ValueError. A series solve (see the module docstring)
+    raises ``SingularMatrixError`` when its condition bound leaves fewer than
+    two of the field's digits."""
     field = _resolve_field(problem, field)
-    if scheme not in ("central", "fractional", "unified"):
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of "
-                         "['central', 'fractional', 'unified']")
+    if scheme not in _SCHEME_OPTIONS:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_SCHEME_OPTIONS)}")
+    unknown = sorted(set(scheme_options) - set(_SCHEME_OPTIONS[scheme]))
+    if unknown:
+        raise ValueError(f"scheme {scheme!r} takes no option {', '.join(unknown)}; it accepts "
+                         f"{', '.join(_SCHEME_OPTIONS[scheme]) or 'none'}")
     if scheme == "unified":
-        interior = solve_dense(*assemble_unified(problem, n, field, **scheme_options), field)
+        interior = solve_dense(*assemble_unified(problem, n, field), field)
         h, xs = _grid(problem, n, field)
     else:
         h, xs, interior = _solve_band(problem, scheme, n, field, scheme_options)

@@ -1,8 +1,9 @@
 """Hypothesis properties of the exact coefficient kernel over random rational
 (d <= 4, p <= 8, lam): agreement with the Cramer oracle and the moment sums,
 correct rounding into the float fields, and the left/right mirror identity.
-Also of the weight series: P(z)^gamma times P(z)^(-gamma) is 1, and integer
-powers agree with the convolution."""
+Also of the weight series: P(z)^gamma times P(z)^(-gamma) is 1, integer
+powers agree with the convolution, and f64 weights are within a stated bound
+of the exact ones."""
 
 from decimal import Decimal
 from fractions import Fraction as F
@@ -126,3 +127,33 @@ def test_integer_powers_are_convolutions(b0, tail, k, gamma):
     power = (poly_power_int(base, gamma) + (0,) * k)[:k]
     assert miller_expand(base, gamma, k).weights == power
     assert _truncated_product(power, miller_expand(base, -gamma, k).weights) == _unit(k)
+
+
+# dyadic tails are exact in f64, so the rational expansion of the same base is
+# the exact value of the float one
+dyadic_tails = st.lists(st.integers(-64, 64).map(lambda n: F(n, 8)), max_size=4)
+
+
+def _majorant(base, gamma, w0, k):
+    """The Miller recurrence on the magnitudes of its terms, from |w0|."""
+    deg, out = len(base) - 1, [abs(w0)]
+    for m in range(1, k):
+        terms = (abs((j * (gamma + 1) - m) * base[j]) * out[m - j]
+                 for j in range(1, min(m, deg) + 1))
+        out.append(sum(terms, F(0)) / (m * abs(base[0])))
+    return out
+
+
+@PROPERTY
+@given(leads, dyadic_tails, lengths, st.sampled_from([F(1, 2), F(-1, 2)]))
+def test_float64_miller_weights_within_stated_bound(b0, tail, k, gamma):
+    # |w_m - exact_m| <= (deg + 3)(m + 1) u M_m with M the majorant: the band
+    # entries are exact here, and weight m rounds deg products, deg sums and
+    # one quotient of terms M bounds, and inherits the error of the weights
+    # before it
+    base = (F(b0), *tail)
+    exact = miller_expand(base, gamma, k).weights
+    weights = miller_expand(tuple(map(float, base)), float(gamma), k, FLOAT64).weights
+    step = (len(base) + 2) * F(1, 2**53)  # (deg + 3) u
+    for m, (w, want, bound) in enumerate(zip(weights, exact, _majorant(base, gamma, exact[0], k))):
+        assert abs(F(w) - want) <= step * (m + 1) * bound

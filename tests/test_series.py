@@ -1,13 +1,20 @@
-"""Generator expansions: binomial weights, the Miller recurrence, integer
-convolution powers, and the unit-disk convergence diagnostic."""
+"""Generator expansions: binomial weights, the Miller recurrence (a banded
+triangular solve), integer convolution powers, and the unit-disk convergence
+diagnostic."""
 
 import decimal
+import hashlib
+import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import diffgen.series as series
 from diffgen import (
+    FLOAT64,
+    RATIONAL,
     ExactnessError,
     beta_coefficients,
     bigdecimal,
@@ -124,6 +131,125 @@ def test_miller_validation():
         miller_expand((-1, 1), F(1, 2), 4)
     with pytest.raises(ZeroDivisionError):
         miller_expand((0, 1), -1, 4)
+
+
+FIELDS = [RATIONAL, FLOAT64, bigdecimal(50)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_miller_band_edge_cases(field):
+    # (z - 2)^-1 = -1/2 sum (z/2)^k: a negative integer power of a base with a
+    # negative leading coefficient, exact in every field
+    base = tuple(field.of(b) for b in (-2, 1))
+    assert miller_expand(base, -1, 6, field).weights == tuple(-F(1, 2 ** k) for k in range(1, 7))
+    # a single weight, and fewer weights than the base has coefficients
+    assert miller_expand((4, -3, 1, 2), F(1, 2), 1, field).weights == (2,)
+    assert miller_expand((4, -3, 1, 2), F(1, 2), 2, field).weights == (2, F(-3, 4))
+    assert miller_expand((4, -3, 1, 2), F(-1, 2), 3, field).weights == (
+        F(1, 2), F(3, 16), F(11, 256))
+    # a degree-0 base: the constant b0^gamma, then zeros
+    assert miller_expand((4,), F(-1, 2), 5, field).weights == (F(1, 2), 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: miller_expand((1.0, -1.0), math.nan, 4, FLOAT64), "exponent gamma",
+                 id="f64-nan-gamma"),
+    pytest.param(lambda: miller_expand((1.0, -1.0), -math.inf, 4, FLOAT64), "exponent gamma",
+                 id="f64-inf-gamma"),
+    pytest.param(lambda: miller_expand((math.inf, 1.0), 0.5, 4, FLOAT64), "base coefficient 0",
+                 id="f64-inf-b0"),
+    pytest.param(lambda: miller_expand((1.0, math.nan), -1, 4, FLOAT64), "base coefficient 1",
+                 id="f64-nan-b1"),
+    pytest.param(lambda: miller_expand((1.0, math.inf), 2, 4, FLOAT64), "base coefficient 1",
+                 id="f64-inf-b1-integer-power"),
+    pytest.param(lambda: miller_expand((1, -1), decimal.Decimal("NaN"), 4, bigdecimal(30)),
+                 "exponent gamma", id="decimal-nan-gamma"),
+    pytest.param(lambda: miller_expand((1, decimal.Decimal("-Infinity")), F(1, 2), 4,
+                                       bigdecimal(30)), "base coefficient 1", id="decimal-inf-b1"),
+    pytest.param(lambda: grunwald_weights(math.inf, 4, FLOAT64), "alpha", id="grunwald-f64-inf"),
+    pytest.param(lambda: grunwald_weights(decimal.Decimal("NaN"), 4, bigdecimal(30)), "alpha",
+                 id="grunwald-decimal-nan"),
+])
+def test_non_finite_expansion_input_is_refused(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number in the"):
+        call()
+
+
+def test_bool_truncation_is_refused():
+    for call in (lambda t: miller_expand((1, -1), F(1, 2), t),
+                 lambda t: miller_expand((1.0, -1.0), 0.5, t, FLOAT64),
+                 lambda t: grunwald_weights(F(1, 2), t)):
+        for truncation in (True, False):
+            with pytest.raises(ValueError, match="truncation must be a positive integer"):
+                call(truncation)
+
+
+def test_float64_expansion_is_one_banded_solve(monkeypatch):
+    # K = 4096 weights: one dtbsv call of bandwidth deg, and miller_expand
+    # runs as many lines as it does for 8 weights (no per-weight loop)
+    calls, dtbsv = [], series.dtbsv
+
+    def counted(k, ab, rhs, **options):
+        calls.append((k, ab.shape))
+        return dtbsv(k, ab, rhs, **options)
+
+    monkeypatch.setattr(series, "dtbsv", counted)
+
+    def traced(truncation):
+        lines = 0
+
+        def tracer(frame, event, arg):
+            nonlocal lines
+            if frame.f_code is not series.miller_expand.__code__:
+                return None
+            lines += event == "line"
+            return tracer
+
+        sys.settrace(tracer)
+        try:
+            weights = miller_expand((1.5, -2.0, 0.5), -0.75, truncation, FLOAT64).weights
+        finally:
+            sys.settrace(None)
+        return weights, lines
+
+    _, few = traced(8)
+    calls.clear()
+    weights, many = traced(4096)
+    assert calls == [(2, (3, 4096))]
+    assert many == few
+    # the base and exponent are exact in f64: within K unit roundoffs of the
+    # largest weight of the 50-digit forward substitution
+    big = bigdecimal(50)
+    ref = miller_expand((F(3, 2), -2, F(1, 2)), F(-3, 4), 4096, big).weights
+    with big.context():
+        gap = max(abs(decimal.Decimal(w) - r) for w, r in zip(weights, ref))
+        assert gap <= 4096 * decimal.Decimal(2) ** -53 * max(map(abs, ref))
+
+
+def _expansions_digest():
+    big = bigdecimal(50)
+    series_list = []
+    for base, gamma in [((1, -1), F(1, 2)), ((1, -1), F(-1, 2)), ((1, -1), F(8, 5)),
+                        ((1, -1), F(-7, 4)), ((F(9, 4), 1), F(1, 2)), ((F(9, 4), 1), F(-1, 2)),
+                        ((4, -3, F(1, 2), F(1, 8)), F(1, 2)), ((4, -3, F(1, 2), F(1, 8)), F(-1, 2)),
+                        ((2, 1), -1), ((2, 1), -3), (NONCOMPACT_BASE, -2)]:
+        series_list.append(miller_expand(base, gamma, 40).weights)
+    for alpha in (F(23, 16), F(47, 32), F(8, 5), F(127, 64)):
+        for d, p, r in ((2, 2, 1), (1, 3, 1), (2, 3, 0)):
+            params = derive_params(alpha, d, p, r, big)
+            cv = beta_coefficients(params)
+            for gamma in (params.gamma, -params.gamma):
+                series_list.append(miller_expand(cv.beta, gamma, 64, big).weights)
+    text = "\n".join(repr(w) for weights in series_list for w in weights)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_exact_and_decimal_expansions_are_unchanged():
+    # 35 rational and 50-digit series (1,976 weights) as reprs; the digest
+    # was taken before the f64 path became a banded solve, and the exact and
+    # decimal paths must not move
+    digest = "de19e6581f038e1ddc334ab88e33c9032982163b0dc241c1838fcbc466e611cf"
+    assert _expansions_digest() == digest
 
 
 def _formal_power(base, gamma, k):

@@ -244,6 +244,17 @@ def test_solve_bvp_unknown_scheme():
         solve_bvp(sine_bvp(), "spectral", 8)
 
 
+@pytest.mark.parametrize("scheme, option, accepted", [
+    ("central", "p", "none"), ("unified", "r", "none"), ("fractional", "q", "p, d, r")])
+def test_unknown_scheme_option_names_what_the_scheme_accepts(scheme, option, accepted):
+    problem = power_law_fractional_bvp(1.6) if scheme == "fractional" else sine_bvp()
+    message = rf"^scheme '{scheme}' takes no option {option}; it accepts {accepted}$"
+    with pytest.raises(ValueError, match=message):
+        solve_bvp(problem, scheme, 8, **{option: 1})
+    with pytest.raises(ValueError, match=message):
+        convergence_study(problem, scheme, [4, 8], **{option: 1})
+
+
 def test_convergence_study_needs_exact():
     prob = BvpProblem(a=0.0, b=1.0, ua=0.0, ub=0.0,
                       rhs=lambda x: x, alpha=2, field=FLOAT64)
