@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from typing import Union
@@ -100,11 +100,18 @@ class Field:
 
     Use the module constants ``RATIONAL`` and ``FLOAT64``, or build a decimal
     field with ``bigdecimal(digits)``. All arithmetic helpers honour the
-    field's precision: decimal work runs inside ``context()``.
+    field's precision: decimal work runs inside ``context()``. ``zero`` and
+    ``one`` are the field's constants, built once.
     """
 
     name: str
     digits: int | None = None
+    zero: Scalar = field(init=False, compare=False, repr=False)
+    one: Scalar = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "zero", self.of(0))
+        object.__setattr__(self, "one", self.of(1))
 
     def context(self):
         """Context manager activating this field's decimal precision (no-op otherwise)."""
@@ -122,14 +129,6 @@ class Field:
             if isinstance(value, Fraction):
                 return Decimal(value.numerator) / Decimal(value.denominator)
             return +Decimal(value)
-
-    @property
-    def zero(self) -> Scalar:
-        return self.of(0)
-
-    @property
-    def one(self) -> Scalar:
-        return self.of(1)
 
     def format(self, x) -> str:
         """Textual form: num/den for rationals, shortest round-trip otherwise."""

@@ -68,7 +68,8 @@ def miller_expand(base, gamma, truncation: int, field: Field | None = None) -> W
     docstring. Fractional gamma needs base[0] > 0 (real expansion); in the
     rational field it additionally needs base[0] to be a perfect power,
     otherwise ExactnessError signals that the caller must pick a float field.
-    A non-finite gamma or base coefficient raises ValueError.
+    A non-finite gamma or base coefficient raises ValueError; a double-precision
+    weight that overflows raises OverflowError naming its index.
     """
     base = tuple(base)
     if not base:
@@ -98,11 +99,17 @@ def miller_expand(base, gamma, truncation: int, field: Field | None = None) -> W
                 * np.array(base_f)[:, None]
             ab[0, 0], rhs = 1.0, np.zeros(truncation)
             rhs[0] = w0
-            w = dtbsv(deg, ab, rhs, lower=1).tolist()
+            w = dtbsv(deg, ab, rhs, lower=1)
+            finite = np.isfinite(w)
+            if not finite.all():
+                raise OverflowError(
+                    f"double-precision weight {int(np.argmin(finite))} of P(z)^{gamma_f} is not "
+                    "finite; expand in a decimal field, e.g. bigdecimal(50) or --mode big")
+            w = w.tolist()
         else:
-            w, zero = [w0], field.zero
+            w = [w0]
             for m in range(1, truncation):
-                acc = zero
+                acc = field.zero
                 for k in range(1, min(m, deg) + 1):
                     acc += (k * (gamma_f + 1) - m) * base_f[k] * w[m - k]
                 w.append(acc / (m * b0))

@@ -9,10 +9,12 @@
   generator and applied left-sided with zero extension below the domain;
   lower-Hessenberg at the configured shift r = 1.
 
-Boundary values are folded into the right-hand side. ``solve_bvp`` solves the
-central and fractional (r <= 1) schemes from the reciprocal series of their
-weights, with no matrix; the others take ``solve_dense``: LAPACK LU in double
-precision, elimination that stays in the band otherwise.
+Problem data are grid functions: each solve calls the problem's ``rhs`` and
+``exact`` once on the ``Grid`` of its points. Boundary values are folded into
+the right-hand side. ``solve_bvp`` solves the central and fractional (r <= 1)
+schemes from the reciprocal series of their weights, with no matrix; the
+others take ``solve_dense``: LAPACK LU in double precision, elimination that
+stays in the band otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import compress, count
 from operator import mul
@@ -29,12 +31,14 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
+from . import decfun
 from .explicit_form import beta_coefficients, derive_params
-from .scalars import FLOAT64, RATIONAL, ExactnessError, Field, Scalar
+from .scalars import FLOAT64, RATIONAL, ExactnessError, Field, Scalar, bigdecimal
 from .series import convergence_diagnostic, miller_expand
 
 __all__ = [
     "BvpProblem",
+    "Grid",
     "SolveReport",
     "SingularMatrixError",
     "sine_bvp",
@@ -55,9 +59,31 @@ class SingularMatrixError(ArithmeticError):
     """The assembled system has no usable pivot."""
 
 
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """The uniform grid a solve evaluates its problem on: ``n`` intervals of
+    width ``h`` from ``a``, and the n + 1 points ``x[i] = a + i*h`` (a float64
+    ndarray in double precision, an object ndarray of field scalars otherwise)."""
+
+    a: Scalar
+    h: Scalar
+    n: int
+    x: np.ndarray
+
+
 @dataclass(frozen=True)
 class BvpProblem:
     """Two-point Dirichlet problem D^alpha u = f on [a, b].
+
+    ``rhs`` and ``exact`` are grid functions: a solve calls each once, under
+    the field's context, with the ``Grid`` it solves on. ``rhs(grid)``
+    returns f at the n - 1 interior points ``grid.x[1:-1]`` (so an f singular
+    at an end still works) and ``exact(grid)`` returns u at all n + 1 points,
+    each as a sequence or a 1-D array; any other length raises ValueError.
+    For u'' = 6x with u = x^3 - x on [0, 1]::
+
+        BvpProblem(a=0.0, b=1.0, ua=0.0, ub=0.0, alpha=2,
+                   rhs=lambda g: 6 * g.x[1:-1], exact=lambda g: g.x**3 - g.x)
 
     ``field`` (when set, as the factories do) is the arithmetic the problem
     data lives in; solvers use it as their default.
@@ -67,9 +93,9 @@ class BvpProblem:
     b: Scalar
     ua: Scalar
     ub: Scalar
-    rhs: Callable[[Scalar], Scalar]
+    rhs: Callable[[Grid], Sequence[Scalar]]
     alpha: Scalar
-    exact: Callable[[Scalar], Scalar] | None = None
+    exact: Callable[[Grid], Sequence[Scalar]] | None = None
     field: Field | None = None
 
     def __post_init__(self):
@@ -92,29 +118,114 @@ class SolveReport:
     approx_order: int | None = None
 
 
+# exact decimal arithmetic for sums and products (no rounding, no overflow)
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _guard(field: Field, grid: Grid) -> Field:
+    """The decimal field that grid data are built in before one rounding:
+    10 guard digits, and one per decade of points for the error each step adds."""
+    return bigdecimal(field.digits + 10 + math.ceil(math.log10(grid.n + 1)))
+
+
+def _offsets(grid: Grid) -> list:
+    """x_i - (a + i h), exactly: nonzero where a decimal grid point was rounded."""
+    with localcontext(_EXACT):
+        return [x - (grid.a + i * grid.h) for i, x in enumerate(grid.x)]
+
+
+def _decimal_sines(grid: Grid, field: Field) -> np.ndarray:
+    """sin x_i on a decimal grid: (sin, cos)(a + i h) by angle addition from a
+    in steps of h, plus the first-order term cos * offset where x_i was
+    rounded, each rounded once into ``field``."""
+    with _guard(field, grid).context():
+        s, c = decfun.sin(grid.a), decfun.cos(grid.a)
+        sh, ch = decfun.sin(grid.h), decfun.cos(grid.h)
+        values = []
+        for d in _offsets(grid):
+            values.append(s + c * d if d else s)
+            s, c = s * ch + c * sh, c * ch - s * sh
+    with field.context():
+        return np.array([+v for v in values], dtype=object)
+
+
 def sine_bvp(field: Field = FLOAT64) -> BvpProblem:
-    """u'' = -sin x on [-1, 1] with exact solution u = sin x."""
+    """u'' = -sin x on [-1, 1] with exact solution u = sin x.
+
+    ``exact(grid)`` is sin at the n + 1 grid points and ``rhs(grid)`` its
+    negation at the interior ones. Double precision takes ``np.sin``; a
+    decimal field rotates (sin, cos) by the angle h along the grid (angle
+    addition) at digits + 10 + ceil(log10(n + 1)) digits and rounds once, so
+    the values are within 10^-digits of sin x_i.
+    """
     if field.name == "rational":
         raise ExactnessError("sine problem has no rational data; use float64 or bigdecimal")
-    sin = field.sin
 
-    def rhs(x):
-        return -sin(x)
+    def exact(grid):
+        if field.name == "float64":
+            return np.sin(grid.x)
+        return _decimal_sines(grid, field)
+
+    def rhs(grid):
+        with field.context():
+            return -exact(grid)[1:-1]
 
     return BvpProblem(
         a=field.of(-1),
         b=field.of(1),
-        ua=sin(field.of(-1)),
-        ub=sin(field.of(1)),
+        ua=field.sin(field.of(-1)),
+        ub=field.sin(field.of(1)),
         rhs=rhs,
         alpha=field.of(2),
-        exact=sin,
+        exact=exact,
         field=field,
     )
 
 
+def _smallest_prime_factors(n: int) -> list[int]:
+    """spf[i] for 0 <= i <= n (spf[i] = i for i < 2 and for primes)."""
+    spf = list(range(n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+def _decimal_powers(grid: Grid, e: Decimal, field: Field) -> np.ndarray:
+    """x_i^e on a decimal grid from 0: h^e * i^e, with i^e multiplicative over
+    the smallest prime factors (one exp(e ln p) per prime p <= n, one product
+    per composite), times 1 + e * offset / x_i where x_i was rounded, each
+    rounded once into ``field``."""
+    if grid.a != 0:
+        raise ValueError(f"power-law grid data need a grid starting at 0, got a = {grid.a}")
+    wide = _guard(field, grid)
+    with wide.context():
+        def to_e(base: Decimal) -> Decimal:  # exp and ln cost less than ** here
+            return (e * base.ln()).exp()
+
+        powers = [wide.zero, wide.one]
+        for i, p in enumerate(_smallest_prime_factors(grid.n)[2:], start=2):
+            powers.append(to_e(Decimal(i)) if p == i else powers[p] * powers[i // p])
+        scale = to_e(grid.h)
+        values = [scale * power for power in powers]
+        for i, d in enumerate(_offsets(grid)):
+            if d:
+                values[i] += e * values[i] * d / grid.x[i]
+    with field.context():
+        return np.array([+v for v in values], dtype=object)
+
+
 def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
-    """D^alpha y = Gamma(4+alpha)/6 * x^3 on [0, 1] with exact y = x^(3+alpha)."""
+    """D^alpha y = Gamma(4+alpha)/6 * x^3 on [0, 1] with exact y = x^(3+alpha).
+
+    ``rhs(grid)`` is f at the interior points. ``exact(grid)`` is
+    ``grid.x ** (3 + alpha)`` in double precision; in a decimal field it is
+    h^e * i^e with i^e built by multiplicativity (one power per prime <= n)
+    at digits + 10 + ceil(log10(n + 1)) digits and rounded once, and a grid
+    that does not start at 0 raises ValueError.
+    """
     with field.context():
         alpha = field.of(alpha)
         if not (1 < alpha < 2):
@@ -122,11 +233,14 @@ def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
         gamma_factor = field.gamma(4 + alpha) / 6
         exponent = 3 + alpha
 
-    def rhs(x):
-        return gamma_factor * x**3
+    def rhs(grid):
+        with field.context():
+            return gamma_factor * grid.x[1:-1] ** 3
 
-    def exact(x):
-        return field.power(x, exponent)
+    def exact(grid):
+        if field.name == "float64":
+            return grid.x ** exponent
+        return _decimal_powers(grid, exponent, field)
 
     return BvpProblem(
         a=field.zero,
@@ -144,45 +258,61 @@ def _resolve_field(problem: BvpProblem, field: Field | None) -> Field:
     return field if field is not None else (problem.field or FLOAT64)
 
 
-def _grid(problem: BvpProblem, n: int, field: Field):
+def _grid(problem: BvpProblem, n: int, field: Field) -> Grid:
     with field.context():
         a = field.of(problem.a)
         h = (field.of(problem.b) - a) / n
-        xs = [a + i * h for i in range(n + 1)]
-    return h, xs
+        if field.name == "float64":
+            x = a + np.arange(n + 1) * h
+        else:
+            x = np.array([a + i * h for i in range(n + 1)], dtype=object)
+    return Grid(a, h, n, x)
 
 
-def _band_rhs(problem: BvpProblem, n: int, field: Field, xs, coeff, r: int) -> list:
+def _grid_values(problem: BvpProblem, name: str, grid: Grid, field: Field) -> np.ndarray:
+    """A new array of ``problem.rhs(grid)`` (n - 1 values) or
+    ``problem.exact(grid)`` (n + 1 values); a wrong length raises ValueError."""
+    values = np.array(getattr(problem, name)(grid),
+                      dtype=float if field.name == "float64" else object)
+    count, points = (grid.n - 1, "interior") if name == "rhs" else (grid.n + 1, "grid")
+    if values.shape != (count,):
+        raise ValueError(f"problem.{name} must return {count} values on a grid of N = {grid.n} "
+                         f"(one per {points} point), got an array of shape {values.shape}")
+    return values
+
+
+def _band_rhs(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int) -> np.ndarray:
     """Right-hand side of the Toeplitz band whose row i puts coeff[k] on u at
     grid index i + r - k: f at the interior points, less the weights on grid
-    points 0 and n times the boundary values. Call under ``field.context()``."""
-    width = len(coeff)
+    points 0 and n times the boundary values (in that order in each row).
+    Call under ``field.context()``."""
+    n, width = grid.n, len(coeff)
     ua, ub = field.of(problem.ua), field.of(problem.ub)
-    rhs = []
-    for i in range(1, n):
-        value = problem.rhs(xs[i])
-        if 0 <= i + r - n < width:
-            value = value - coeff[i + r - n] * ub
-        if i + r < width:
-            value = value - coeff[i + r] * ua
-        rhs.append(value)
+    rhs = _grid_values(problem, "rhs", grid, field)
+    # rows i = n - r .. n - 1 put coeff[i + r - n] on grid point n, while
+    # that is a weight; rows 1 .. width - r - 1 put coeff[i + r] on point 0
+    first, last = max(1, n - r), min(n - 1, n - r + width - 1)
+    if first <= last:
+        folded = np.array(coeff[first + r - n:last + r - n + 1])
+        rhs[first - 1:last] = rhs[first - 1:last] - folded * ub
+    last = min(n - 1, width - r - 1)
+    if last >= 1:
+        rhs[:last] = rhs[:last] - np.array(coeff[r + 1:last + r + 1]) * ua
     return rhs
 
 
-def _band_system(problem: BvpProblem, n: int, field: Field, xs, coeff, r: int):
+def _band_system(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int):
     """Interior matrix and right-hand side of that band. Call under
     ``field.context()``."""
-    rhs = _band_rhs(problem, n, field, xs, coeff, r)
-    size, width = n - 1, len(coeff)
-    # padded[off - i + j - 1] is coeff[i + r - j], or zero out of range;
-    # field.zero is bound once because each access builds a new scalar
-    zero = field.zero
-    padded = [zero] * size + coeff[::-1] + [zero] * size
+    rhs = _band_rhs(problem, grid, field, coeff, r)
+    size, width = grid.n - 1, len(coeff)
+    # padded[off - i + j - 1] is coeff[i + r - j], or zero out of range
+    padded = [field.zero] * size + coeff[::-1] + [field.zero] * size
     off = size + width - r
     if field.name == "float64":
         first_col = padded[off - size:off][::-1]
-        return scipy.linalg.toeplitz(first_col, padded[off - 1:off - 1 + size]), np.array(rhs)
-    return [padded[off - i:off - i + size] for i in range(1, n)], rhs
+        return scipy.linalg.toeplitz(first_col, padded[off - 1:off - 1 + size]), rhs
+    return [padded[off - i:off - i + size] for i in range(1, grid.n)], rhs.tolist()
 
 
 def _central_band(problem: BvpProblem, n: int, field: Field):
@@ -193,18 +323,18 @@ def _central_band(problem: BvpProblem, n: int, field: Field):
     if not isinstance(n, int) or n < 2:
         raise ValueError("need at least 2 intervals")
     with field.context():
-        h, xs = _grid(problem, n, field)
-        scale = field.one / h**2
+        grid = _grid(problem, n, field)
+        scale = field.one / grid.h**2
         coeff = [scale, -2 * scale, scale]
-    return h, xs, coeff, lambda: [(k + 1) / scale for k in range(n)]
+    return grid, coeff, lambda: [(k + 1) / scale for k in range(n)]
 
 
 def assemble_central(problem: BvpProblem, n: int, field: Field | None = None):
     """Tridiagonal interior system for u'' = f: the band (1, -2, 1)/h^2."""
     field = _resolve_field(problem, field)
-    _, xs, coeff, _ = _central_band(problem, n, field)
+    grid, coeff, _ = _central_band(problem, n, field)
     with field.context():
-        return _band_system(problem, n, field, xs, coeff, 1)
+        return _band_system(problem, grid, field, coeff, 1)
 
 
 def unified_coefficient_rows(n: int) -> list[tuple[Fraction, ...]]:
@@ -230,17 +360,16 @@ def assemble_unified(problem: BvpProblem, n: int, field: Field | None = None):
         raise ValueError("unified scheme handles the second derivative only")
     exact_rows = unified_coefficient_rows(n)
     with field.context():
-        h, xs = _grid(problem, n, field)
-        scale = field.one / h**2
+        grid = _grid(problem, n, field)
+        scale = field.one / grid.h**2
         ua, ub = field.of(problem.ua), field.of(problem.ub)
-        matrix, rhs = [], []
-        for i, exact_row in enumerate(exact_rows, start=1):
-            row = [field.of(c) for c in exact_row]
-            matrix.append([c * scale for c in row[1:n]])
-            rhs.append(problem.rhs(xs[i]) - (row[0] * ua + row[n] * ub) * scale)
+        rows = [[field.of(c) for c in exact_row] for exact_row in exact_rows]
+        matrix = [[c * scale for c in row[1:n]] for row in rows]
+        first, last = np.array([row[0] for row in rows]), np.array([row[n] for row in rows])
+        rhs = _grid_values(problem, "rhs", grid, field) - (first * ua + last * ub) * scale
     if field.name == "float64":
-        return np.array(matrix), np.array(rhs)
-    return matrix, rhs
+        return np.array(matrix), rhs
+    return matrix, rhs.tolist()
 
 
 def assemble_fractional(
@@ -260,9 +389,9 @@ def assemble_fractional(
     divergent generator (edge ratio >= 1) warns and solves anyway.
     """
     field = _resolve_field(problem, field)
-    _, xs, coeff, _ = _fractional_band(problem, n, field, p, d, r)
+    grid, coeff, _ = _fractional_band(problem, n, field, p, d, r)
     with field.context():
-        return _band_system(problem, n, field, xs, coeff, r)
+        return _band_system(problem, grid, field, coeff, r)
 
 
 def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int = 2, d: int = 2, r: int = 1):
@@ -288,10 +417,10 @@ def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int = 2, d: i
                       f"{diag.edge_ratio}); solving anyway", RuntimeWarning, stacklevel=3)
     with field.context():
         weights = miller_expand(cv.beta, params.gamma, n + r, field).weights
-        h, xs = _grid(problem, n, field)
-        scale = field.one / field.power(h, alpha)
+        grid = _grid(problem, n, field)
+        scale = field.one / field.power(grid.h, alpha)
         coeff = [w * scale for w in weights]
-    return h, xs, coeff, lambda: [w / scale for w in miller_expand(
+    return grid, coeff, lambda: [w / scale for w in miller_expand(
         cv.beta, -params.gamma, n, field).weights]
 
 
@@ -394,12 +523,12 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
     y = inv * (0, b), so c = -y[m] / inv[m]. Larger r take ``solve_dense``.
     """
     band = _central_band if scheme == "central" else _fractional_band
-    h, xs, coeff, reciprocal = band(problem, n, field, **options)
+    grid, coeff, reciprocal = band(problem, n, field, **options)
     r = options.get("r", 1)
     with field.context():
         if r > 1:
-            return h, xs, solve_dense(*_band_system(problem, n, field, xs, coeff, r), field)
-        b = _band_rhs(problem, n, field, xs, coeff, r)
+            return grid, solve_dense(*_band_system(problem, grid, field, coeff, r), field)
+        b = _band_rhs(problem, grid, field, coeff, r)
         if field.name == "float64" and not np.isfinite(b).all():
             raise ValueError("right-hand side must not contain infs or NaNs")
         inv = np.array(reciprocal())  # float64, or objects in the exact and decimal fields
@@ -413,14 +542,14 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
                                        f"|coeff|_1 |inv|_1 above {limit:.0e}", estimate)
         if r == 1 and inv[-1] == 0:
             raise SingularMatrixError(f"reciprocal series vanishes at term {n - 1}; singular system")
-        b = [field.zero] * r + b
+        b = np.concatenate(([field.zero] * r, b))
         if field.name == "float64":
             y = np.convolve(inv, b)[:len(b)]
         elif scheme == "central":
             y = np.cumsum(np.cumsum(b)) / coeff[0]  # sum_i (k - i + 1) b[i] / s, in O(N)
         else:  # half the products of np.convolve's full one
             y = np.array([sum(map(mul, inv[k::-1], b), field.zero) for k in range(len(b))])
-        return h, xs, y if r == 0 else (y - y[-1] / inv[-1] * inv)[:-1]
+        return grid, y if r == 0 else (y - y[-1] / inv[-1] * inv)[:-1]
 
 
 _SCHEME_OPTIONS = {"central": (), "fractional": ("p", "d", "r"), "unified": ()}
@@ -455,24 +584,24 @@ def solve_bvp(
                          f"{', '.join(_SCHEME_OPTIONS[scheme]) or 'none'}")
     if scheme == "unified":
         interior = solve_dense(*assemble_unified(problem, n, field), field)
-        h, xs = _grid(problem, n, field)
+        grid = _grid(problem, n, field)
     else:
-        h, xs, interior = _solve_band(problem, scheme, n, field, scheme_options)
+        grid, interior = _solve_band(problem, scheme, n, field, scheme_options)
     with field.context():
-        solution = [field.of(problem.ua)]
-        solution.extend(field.of(v) for v in interior)
-        solution.append(field.of(problem.ub))
+        ua, ub = field.of(problem.ua), field.of(problem.ub)
+        if field.name == "float64":
+            solution = np.concatenate(([ua], interior, [ub]))
+        else:
+            solution = np.array([ua, *map(field.of, interior), ub], dtype=object)
         max_error = None
         if problem.exact is not None:
-            max_error = field.zero
-            for x, u in zip(xs, solution):
-                err = abs(u - problem.exact(x))
-                if err > max_error:
-                    max_error = err
+            max_error = abs(solution - _grid_values(problem, "exact", grid, field)).max()
+            if field.name == "float64":
+                max_error = float(max_error)
     return SolveReport(
         n_intervals=n,
-        h=h,
-        solution=tuple(solution),
+        h=grid.h,
+        solution=tuple(solution.tolist()),
         max_error=max_error,
         approx_order=_configured_order(scheme, n, scheme_options.get("p", 2)),
     )

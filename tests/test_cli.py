@@ -165,6 +165,17 @@ def test_expand_partial_generator_flags(capsys):
     assert "error:" in err
 
 
+def test_expand_overflow_in_double_precision_exits_1(capsys):
+    # the generator diverges (edge ratio 2), so its weights grow like 2^m
+    argv = ["expand", "--alpha", "6/5", "--K", "1100", "--d", "2", "--p", "2", "--r", "1"]
+    rc, out, err = invoke(capsys, *argv, "--mode", "f64")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: double-precision weight 1034 of P(z)^0.6 is not finite;")
+    assert "--mode big" in err
+    rc, out, err = invoke(capsys, *argv, "--mode", "big")
+    assert rc == 0 and err == "" and len(out.split()) == 1100
+
+
 def test_table_one(capsys):
     rc, out, _ = invoke(capsys, "table", "--which", "1")
     assert rc == 0

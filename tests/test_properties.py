@@ -3,11 +3,16 @@
 correct rounding into the float fields, and the left/right mirror identity.
 Also of the weight series: P(z)^gamma times P(z)^(-gamma) is 1, integer
 powers agree with the convolution, and f64 weights are within a stated bound
-of the exact ones."""
+of the exact ones. And of the BVP problems' grid data: decimal values within
+one unit in the last place of mpmath's, f64 values within one ulp of Python's
+per-point functions."""
 
+import math
 from decimal import Decimal
 from fractions import Fraction as F
 
+import mpmath
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +25,11 @@ from diffgen import (
     error_coefficients,
     miller_expand,
     poly_power_int,
+    power_law_fractional_bvp,
+    sine_bvp,
     vandermonde_solve,
 )
+from diffgen.solvers import _grid
 
 # derandomized and without an example database, so every run checks the
 # same examples
@@ -157,3 +165,71 @@ def test_float64_miller_weights_within_stated_bound(b0, tail, k, gamma):
     step = (len(base) + 2) * F(1, 2**53)  # (deg + 3) u
     for m, (w, want, bound) in enumerate(zip(weights, exact, _majorant(base, gamma, exact[0], k))):
         assert abs(F(w) - want) <= step * (m + 1) * bound
+
+
+# grid data of the BVP problems. N = 3, 7 and 11 have steps that are not
+# finite decimals; at N = 11 some points i h of the power-law grid on [0, 1]
+# need one digit more than the field has, so the grid holds them rounded
+GRID_DATA = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+grid_digits = st.sampled_from([30, 50, 80])
+grid_sizes = st.sampled_from([2, 3, 7, 11, 100, 1024])
+power_law_alphas = st.integers(65, 127).map(lambda k: F(k, 64))
+
+
+def _within_last_place(values, reference, digits, floor=0):
+    """|v - u| <= one unit in the last of ``digits`` places of u, or
+    ``floor`` where that is larger."""
+    for v, u in zip(values, reference):
+        place = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(abs(u))) + 1 - digits) if u else 0
+        assert abs(mpmath.mpf(str(v)) - u) <= max(place, floor), (v, u)
+
+
+@GRID_DATA
+@given(grid_digits, grid_sizes)
+def test_decimal_sine_grid_data_are_within_one_place(digits, n):
+    field = bigdecimal(digits)
+    problem = sine_bvp(field)
+    grid = _grid(problem, n, field)
+    exact, rhs = problem.exact(grid), problem.rhs(grid)
+    assert len(exact) == n + 1 and len(rhs) == n - 1
+    with mpmath.workdps(digits + 20):
+        # |sin| < 1 here; the rotation's error is absolute, so at x = 0 the
+        # value is far below 10^-digits but not 0
+        floor = mpmath.mpf(10) ** -digits
+        reference = [mpmath.sin(mpmath.mpf(str(x))) for x in grid.x]
+        _within_last_place(exact, reference, digits, floor)
+        _within_last_place(rhs, [-u for u in reference[1:-1]], digits, floor)
+
+
+@GRID_DATA
+@given(grid_digits, grid_sizes, power_law_alphas)
+def test_decimal_power_law_grid_data_are_within_one_place(digits, n, alpha):
+    field = bigdecimal(digits)
+    problem = power_law_fractional_bvp(alpha, field)
+    grid = _grid(problem, n, field)
+    exact = problem.exact(grid)
+    with mpmath.workdps(digits + 20):
+        e = 3 + mpmath.mpf(alpha.numerator) / alpha.denominator
+        _within_last_place(exact, [mpmath.mpf(str(x)) ** e for x in grid.x], digits)
+    # the right-hand side keeps the per-point arithmetic, bit for bit
+    with field.context():
+        gamma_factor = field.gamma(4 + field.of(alpha)) / 6
+        assert list(problem.rhs(grid)) == [gamma_factor * x**3 for x in grid.x[1:-1]]
+
+
+def _within_one_ulp(values, reference):
+    return all(abs(v - u) <= math.ulp(u) for v, u in zip(values, reference))
+
+
+@GRID_DATA
+@given(grid_sizes, power_law_alphas)
+def test_float64_grid_data_are_within_one_ulp(n, alpha):
+    sine = sine_bvp(FLOAT64)
+    grid = _grid(sine, n, FLOAT64)
+    assert grid.x.dtype == np.float64
+    assert _within_one_ulp(sine.exact(grid), [math.sin(x) for x in grid.x.tolist()])
+    assert _within_one_ulp(sine.rhs(grid), [-math.sin(x) for x in grid.x[1:-1].tolist()])
+    power_law = power_law_fractional_bvp(alpha, FLOAT64)
+    grid = _grid(power_law, n, FLOAT64)
+    e = 3 + float(alpha)
+    assert _within_one_ulp(power_law.exact(grid), [x**e for x in grid.x.tolist()])

@@ -151,6 +151,18 @@ def test_field_conversions_and_constants():
     assert big.one == Decimal(1)
 
 
+def test_field_constants_are_built_once():
+    for field in (RATIONAL, FLOAT64, bigdecimal(30)):
+        assert field.zero is field.zero and field.one is field.one
+        assert (field.zero, field.one) == (0, 1)
+        assert type(field.zero) is type(field.of(0))
+    # they take no part in construction, equality, hashing or repr
+    assert bigdecimal(30) == bigdecimal(30) and hash(bigdecimal(30)) == hash(bigdecimal(30))
+    assert repr(bigdecimal(30)) == "Field(name='bigdecimal', digits=30)"
+    with pytest.raises(TypeError):
+        type(FLOAT64)("float64", None, 0.0)
+
+
 def test_rational_sin_and_gamma_refuse():
     with pytest.raises(ExactnessError):
         RATIONAL.sin(Fraction(1))

@@ -175,6 +175,22 @@ def test_non_finite_expansion_input_is_refused(call, name):
         call()
 
 
+@pytest.mark.parametrize("base, gamma, truncation, index", [
+    ((1.0, -3.0), -0.5, 800, 644),  # weights grow like 3^m
+    # a negative integer power takes the banded solve too; its row m holds
+    # m times the weights, so 2^m overflows there from m = 1015 on
+    ((1.0, -2.0), -1, 1100, 1015),
+])
+def test_float64_overflow_is_refused(base, gamma, truncation, index):
+    with pytest.raises(OverflowError, match=rf"^double-precision weight {index} of P\(z\)\^"
+                                            r".* is not finite; expand in a decimal field"):
+        miller_expand(base, gamma, truncation, FLOAT64)
+    # one weight fewer is finite, and a decimal field carries the whole series
+    assert math.isfinite(miller_expand(base, gamma, index, FLOAT64).weights[-1])
+    weights = miller_expand(base, gamma, truncation, bigdecimal(30)).weights
+    assert weights[index].is_finite()
+
+
 def test_bool_truncation_is_refused():
     for call in (lambda t: miller_expand((1, -1), F(1, 2), t),
                  lambda t: miller_expand((1.0, -1.0), 0.5, t, FLOAT64),

@@ -40,9 +40,9 @@ from diffgen.solvers import _grid
 def cubic_problem():
     return BvpProblem(
         a=F(0), b=F(1), ua=F(0), ub=F(0),
-        rhs=lambda x: 6 * x,
+        rhs=lambda g: 6 * g.x[1:-1],
         alpha=2,
-        exact=lambda x: x**3 - x,
+        exact=lambda g: g.x**3 - g.x,
         field=RATIONAL,
     )
 
@@ -50,8 +50,9 @@ def cubic_problem():
 def test_sine_problem_factory():
     prob = sine_bvp()
     assert prob.field is FLOAT64
-    assert prob.exact(0.0) == 0.0
-    assert prob.rhs(0.5) == -math.sin(0.5)
+    grid = _grid(prob, 4, FLOAT64)  # -1, -0.5, 0, 0.5, 1
+    assert prob.exact(grid)[2] == 0.0
+    assert prob.rhs(grid)[2] == -math.sin(0.5)
     assert prob.ua == math.sin(-1)
     with pytest.raises(ExactnessError):
         sine_bvp(RATIONAL)
@@ -59,9 +60,11 @@ def test_sine_problem_factory():
 
 def test_power_law_factory():
     prob = power_law_fractional_bvp(1.6)
-    assert prob.exact(1.0) == pytest.approx(1.0)
-    assert prob.exact(0.5) == pytest.approx(0.5 ** 4.6)
-    assert prob.rhs(1.0) == pytest.approx(math.gamma(5.6) / 6)
+    exact = prob.exact(_grid(prob, 2, FLOAT64))  # 0, 0.5, 1
+    assert exact[2] == pytest.approx(1.0)
+    assert exact[1] == pytest.approx(0.5 ** 4.6)
+    wide = _grid(dataclasses.replace(prob, b=2.0), 4, FLOAT64)  # 1.0 is interior
+    assert prob.rhs(wide)[1] == pytest.approx(math.gamma(5.6) / 6)
     for bad in (1, 2, 2.5, 0.3):
         with pytest.raises(ValueError):
             power_law_fractional_bvp(bad)
@@ -69,9 +72,9 @@ def test_power_law_factory():
 
 def test_problem_domain_validation():
     with pytest.raises(ValueError):
-        BvpProblem(a=1, b=1, ua=0, ub=0, rhs=lambda x: x, alpha=2)
+        BvpProblem(a=1, b=1, ua=0, ub=0, rhs=lambda g: g.x[1:-1], alpha=2)
     with pytest.raises(ValueError):
-        BvpProblem(a=2, b=1, ua=0, ub=0, rhs=lambda x: x, alpha=2)
+        BvpProblem(a=2, b=1, ua=0, ub=0, rhs=lambda g: g.x[1:-1], alpha=2)
 
 
 def test_assemble_central_smallest():
@@ -82,7 +85,7 @@ def test_assemble_central_smallest():
 
 def test_assemble_central_boundary_fold():
     prob = BvpProblem(a=F(0), b=F(1), ua=F(2), ub=F(5),
-                      rhs=lambda x: F(0), alpha=2, field=RATIONAL)
+                      rhs=lambda g: [F(0)] * (g.n - 1), alpha=2, field=RATIONAL)
     matrix, rhs = assemble_central(prob, 2)
     assert matrix == [[-8]]
     assert rhs == [-4 * 2 - 4 * 5]
@@ -257,7 +260,7 @@ def test_unknown_scheme_option_names_what_the_scheme_accepts(scheme, option, acc
 
 def test_convergence_study_needs_exact():
     prob = BvpProblem(a=0.0, b=1.0, ua=0.0, ub=0.0,
-                      rhs=lambda x: x, alpha=2, field=FLOAT64)
+                      rhs=lambda g: g.x[1:-1], alpha=2, field=FLOAT64)
     with pytest.raises(ValueError):
         convergence_study(prob, "central", [4, 8])
     # solve_bvp itself is fine without an exact solution
@@ -303,8 +306,9 @@ def _reference_system(size, field):
 
 def _reference_central(problem, n, field):
     with field.context():
-        h, xs = _grid(problem, n, field)
-        scale = field.one / h**2
+        grid = _grid(problem, n, field)
+        f = problem.rhs(grid)
+        scale = field.one / grid.h**2
         matrix, rhs = _reference_system(n - 1, field)
         ua, ub = field.of(problem.ua), field.of(problem.ub)
         for i in range(1, n):
@@ -314,7 +318,7 @@ def _reference_central(problem, n, field):
                 matrix[row][row - 1] = scale
             if row < n - 2:
                 matrix[row][row + 1] = scale
-            value = problem.rhs(xs[i])
+            value = f[i - 1]
             if i == 1:
                 value = value - ua * scale
             if i == n - 1:
@@ -329,12 +333,13 @@ def _reference_fractional(problem, n, p, r, field):
     with field.context():
         alpha = field.of(problem.alpha)
         weights = miller_expand(cv.beta, params.gamma, n + r, field).weights
-        h, xs = _grid(problem, n, field)
-        scale = field.one / field.power(h, alpha)
+        grid = _grid(problem, n, field)
+        f = problem.rhs(grid)
+        scale = field.one / field.power(grid.h, alpha)
         matrix, rhs = _reference_system(n - 1, field)
         ua, ub = field.of(problem.ua), field.of(problem.ub)
         for i in range(1, n):
-            value = problem.rhs(xs[i])
+            value = f[i - 1]
             for k in range(0, i + r + 1):
                 j = i + r - k
                 if j > n:
@@ -400,7 +405,7 @@ def test_central_band_matches_dense_reference(field, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 17])
 def test_central_band_matches_dense_reference_rational(n):
-    problem = BvpProblem(a=F(0), b=F(1), ua=F(2), ub=F(-3), rhs=lambda x: 6 * x,
+    problem = BvpProblem(a=F(0), b=F(1), ua=F(2), ub=F(-3), rhs=lambda g: 6 * g.x[1:-1],
                          alpha=2, field=RATIONAL)
     assert _bits(assemble_central(problem, n)) == _bits(_reference_central(problem, n, RATIONAL))
 
@@ -687,8 +692,8 @@ def test_structured_float_solutions_match_dense_lu_on_benchmark_grids(make_probl
     for n in (16, 32, 64, 128, 256, 512, 1024):
         reference = np.array([float(u) for u in solve_bvp(precise, scheme, n).solution])
         report = solve_bvp(problem, scheme, n)
-        _, xs = _grid(problem, n, FLOAT64)
-        reference_error = max(abs(u - problem.exact(x)) for x, u in zip(xs, reference))
+        exact = problem.exact(_grid(problem, n, FLOAT64))
+        reference_error = max(abs(u - e) for e, u in zip(exact, reference))
         scale = float(np.abs(reference).max())
         assert _relative_gap(np.array(report.solution), reference) <= 1e-12
         assert abs(report.max_error - reference_error) <= 1e-12 * scale
@@ -720,7 +725,7 @@ def test_decimal_series_solve_matches_elimination(scheme, r, n):
 
 @pytest.mark.parametrize("n", [2, 3, 7, 16])
 def test_rational_central_series_solve_is_exact(n):
-    problem = BvpProblem(a=F(0), b=F(1), ua=F(2), ub=F(-3), rhs=lambda x: 6 * x - 1,
+    problem = BvpProblem(a=F(0), b=F(1), ua=F(2), ub=F(-3), rhs=lambda g: 6 * g.x[1:-1] - 1,
                          alpha=2, field=RATIONAL)
     matrix, rhs = assemble_central(problem, n)
     interior = list(solve_bvp(problem, "central", n).solution[1:-1])
@@ -759,7 +764,7 @@ def test_rational_central_series_solve_is_linear():
 
     field = CountingField("rational")
     problem = BvpProblem(a=counted(0), b=counted(1), ua=counted(2), ub=counted(-3),
-                         rhs=lambda x: 6 * x, alpha=2, field=field)
+                         rhs=lambda g: 6 * g.x[1:-1], alpha=2, field=field)
     interior = solve_bvp(problem, "central", n).solution[1:-1]
     used = dict(tally)
     matrix, rhs = assemble_central(problem, n)
@@ -829,7 +834,103 @@ def test_decimal_series_solve_follows_its_digits():
 @pytest.mark.parametrize("scheme", ["central", "fractional"])
 def test_series_solve_refuses_non_finite_data(scheme):
     for bad in (math.nan, math.inf):
-        problem = BvpProblem(a=0.0, b=1.0, ua=0.0, ub=1.0, rhs=lambda x, bad=bad: bad * x,
+        problem = BvpProblem(a=0.0, b=1.0, ua=0.0, ub=1.0, rhs=lambda g, bad=bad: bad * g.x[1:-1],
                              alpha=2.0 if scheme == "central" else 1.5, field=FLOAT64)
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_bvp(problem, scheme, 8)
+
+
+# --- problem data as grid functions ---------------------------------------
+
+
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(50)], ids=lambda f: f.name)
+def test_grid_holds_the_points_in_the_field(field):
+    problem = BvpProblem(a=field.of(-1), b=field.of(2), ua=0, ub=0, rhs=None, alpha=2)
+    grid = _grid(problem, 3, field)
+    assert (grid.a, grid.h, grid.n) == (-1, 1, 3)
+    if field is FLOAT64:
+        assert grid.x.dtype == np.float64 and grid.x.tolist() == [-1.0, 0.0, 1.0, 2.0]
+    else:
+        assert grid.x.dtype == object and list(grid.x) == [-1, 0, 1, 2]
+        assert {type(x) for x in grid.x} == {type(field.one)}
+
+
+def _counting(problem):
+    """``problem`` with rhs and exact that record the grid of every call."""
+    calls = {"rhs": [], "exact": []}
+
+    def counted(name, function):
+        def grid_function(grid):
+            calls[name].append(grid)
+            return function(grid)
+        return grid_function
+
+    return dataclasses.replace(problem, rhs=counted("rhs", problem.rhs),
+                               exact=counted("exact", problem.exact)), calls
+
+
+@pytest.mark.parametrize("field", STRUCTURE_FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("scheme, options", [
+    ("central", {}), ("unified", {}), ("fractional", {"r": 1}), ("fractional", {"p": 1, "r": 2})],
+    ids=["central", "unified", "fractional-r1", "fractional-r2"])
+def test_each_solve_evaluates_rhs_and_exact_once(field, scheme, options):
+    if scheme == "fractional":
+        problem, calls = _counting(power_law_fractional_bvp(F(23, 16), field))
+    else:
+        problem, calls = _counting(sine_bvp(field))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # r = 2 is an experimental configuration
+        convergence_study(problem, scheme, [4, 8, 16], **options)
+    for name in ("rhs", "exact"):
+        assert [grid.n for grid in calls[name]] == [4, 8, 16]
+    # both see the same points
+    assert all(list(r.x) == list(e.x) for r, e in zip(calls["rhs"], calls["exact"]))
+
+
+@pytest.mark.parametrize("field", STRUCTURE_FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("scheme", ["central", "unified", "fractional"])
+@pytest.mark.parametrize("name, expected, points", [("rhs", 7, "interior"), ("exact", 9, "grid")])
+def test_grid_function_of_wrong_length_is_refused(field, scheme, name, expected, points):
+    if scheme == "fractional":
+        problem = power_law_fractional_bvp(F(23, 16), field)
+    else:
+        problem = sine_bvp(field)
+    good = getattr(problem, name)
+    message = (rf"^problem\.{name} must return {expected} values on a grid of N = 8 "
+               rf"\(one per {points} point\), got an array of shape ")
+    for bad, shape in ((lambda g: good(g)[:-1], r"\(%d,\)" % (expected - 1)),
+                       (lambda g: [*good(g), good(g)[0]], r"\(%d,\)" % (expected + 1)),
+                       (lambda g: good(g)[0], r"\(\)")):
+        with pytest.raises(ValueError, match=message + shape + "$"):
+            solve_bvp(dataclasses.replace(problem, **{name: bad}), scheme, 8)
+
+
+def test_rhs_singular_at_an_end_is_only_evaluated_inside():
+    # u'' = (3/4) x^(-1/2) with u = x^(3/2): f is infinite at x = 0, which
+    # the interior-only rhs never meets
+    problem = BvpProblem(a=0.0, b=1.0, ua=0.0, ub=1.0, alpha=2,
+                         rhs=lambda g: 0.75 * g.x[1:-1] ** -0.5, exact=lambda g: g.x**1.5,
+                         field=FLOAT64)
+    reports = convergence_study(problem, "central", [16, 64, 256])
+    assert all(np.isfinite(report.solution).all() for report in reports)
+    assert reports[-1].max_error < 1e-4 and reports[-1].empirical_order > 1.3
+
+
+def test_decimal_power_law_data_need_a_grid_from_zero():
+    field = bigdecimal(50)
+    problem = power_law_fractional_bvp(F(3, 2), field)
+    grid = dataclasses.replace(_grid(problem, 8, field), a=Decimal("0.5"))
+    with pytest.raises(ValueError, match="grid starting at 0, got a = 0.5"):
+        problem.exact(grid)
+
+
+@pytest.mark.parametrize("alpha", [F(87, 64), F(100, 64), F(127, 64)], ids=str)
+def test_decimal_power_law_exact_matches_per_point_powers(alpha):
+    # h^e i^e by multiplicativity rounds to the correctly rounded x^e on the
+    # benchmark grids, so the max errors of the decimal studies are unchanged
+    field = bigdecimal(50)
+    problem = power_law_fractional_bvp(alpha, field)
+    for n in (16, 100, 128):
+        grid = _grid(problem, n, field)
+        want = [field.power(x, 3 + field.of(alpha)) for x in grid.x]
+        assert list(problem.exact(grid)) == want
