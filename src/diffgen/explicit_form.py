@@ -12,8 +12,11 @@ symmetric polynomial in the shifted nodes) over a denominator D_j that does
 not depend on lam, which is what the functions below compute without ever
 solving a linear system.
 
-All of it runs exactly on Python ints; each result is rounded once into the
-field, so float and decimal outputs are correctly rounded.
+All of it runs exactly on Python ints, from the node polynomial prod_m (x + X_m)
+on the integer nodes X_m = q*(lam - m), lam = a/q: numerators are its quotients
+by synthetic division, error moments the remainders of powers modulo it. Each
+result is rounded once into the field from an unreduced integer pair, so float
+and decimal outputs are correctly rounded.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Mapping
 
 from .scalars import RATIONAL, Field, Scalar
@@ -96,95 +99,85 @@ def derive_params(alpha, d: int, p: int, r, field: Field = RATIONAL) -> ApproxPa
 
 @lru_cache(maxsize=None)
 def _denominators(d: int, p: int, field: Field) -> tuple[Scalar, ...]:
-    n = p + d
-    first = Fraction(1)
-    for m in range(d + 1, n):
-        first *= -m
-    out = [first]
-    for j in range(1, n):
-        out.append(out[-1] * Fraction(-j, n - j))
-    return tuple(map(field.of, out))
+    n, fact = p + d, math.factorial
+    return tuple(field.of(Fraction((-1) ** (p - 1 + j) * fact(j) * fact(n - 1 - j), fact(d)))
+                 for j in range(n))
 
 
 def denominators(d: int, p: int, field: Field = RATIONAL) -> tuple[Scalar, ...]:
-    """Shift-independent denominators D_j, j = 0..p+d-1.
-
-    D_0 = prod_{m=d+1}^{p+d-1} (-m) and D_j = D_{j-1} * (-j) / (p+d-j); the
-    exact values are rounded into ``field`` and cached per (d, p, field).
-    """
+    """Shift-independent denominators D_j = (-1)^(p-1-j) j! (p+d-1-j)! / d!,
+    j = 0..p+d-1, rounded into ``field`` and cached per (d, p, field)."""
     _positive_int("d", d)
     _positive_int("p", p)
     return _denominators(d, p, field)
 
 
-def _exact_numerators(params: ApproxParams, tally: "OpCount | None") -> list[Fraction]:
-    # With lam = a/q the nodes lam - m are (a - m*q)/q. Coefficient d of the
-    # node product is homogeneous of degree p-1 in the nodes, so the recurrence
-    # runs on the integer nodes a - m*q and each result is divided by q^(p-1).
-    lam = Fraction(params.lam)
-    a, q = lam.numerator, lam.denominator
-    n = params.n_coeffs
-    d = params.d
-    adds = mults = 0
-    xs = [a - m * q for m in range(n)]
-    coeffs = [0] * (n + 1)
-    coeffs[0] = 1
-    for m in range(1, n):
-        xm = xs[m]
-        for k in range(m, 0, -1):
-            coeffs[k] = coeffs[k - 1] + xm * coeffs[k]
-        coeffs[0] = xm * coeffs[0]
-        adds += m
-        mults += m + 1
-    nums = [coeffs[d]]
-    prev = coeffs
-    for j in range(1, n):
-        x_in, x_out = xs[j - 1], xs[j]
-        cur = [0] * (n + 1)
-        for k in range(n - 1, -1, -1):
-            cur[k] = prev[k] + x_in * prev[k + 1] - x_out * cur[k + 1]
-        adds += 2 * n
-        mults += 2 * n
-        nums.append(cur[d])
-        prev = cur
-    if tally is not None:
-        tally.additions += adds
-        tally.multiplications += mults
-    scale = q ** (params.p - 1)
-    return [Fraction(c, scale) for c in nums]
+def _node_polynomial(params: ApproxParams) -> tuple[list[int], list[int], int]:
+    """With lam = a/q the nodes lam - m are X_m/q on the integers X_m = a - m*q:
+    the X_m, the coefficients (lowest first) of Pi(x) = prod_m (x + X_m), and q."""
+    a, q = Fraction(params.lam).as_integer_ratio()
+    nodes = [a - m * q for m in range(params.n_coeffs)]
+    poly = [nodes[0], 1]
+    for x in nodes[1:]:
+        poly = [x * poly[0]] + [lo + x * hi for lo, hi in zip(poly, poly[1:])] + [1]
+    return nodes, poly, q
+
+
+def _numerator_pairs(params: ApproxParams, tally: "OpCount | None") -> list[tuple[int, int]]:
+    # N_j = c_j / q^(p-1) with c_j = [x^d] Pi(x)/(x + X_j), the degree-(p-1)
+    # elementary symmetric polynomial of the other X_m; synthetic division from
+    # the top reaches it in p-1 steps
+    nodes, poly, q = _node_polynomial(params)
+    n, p, scale = params.n_coeffs, params.p, q ** (params.p - 1)
+    top = poly[n - 1 : params.d : -1]
+    nums = []
+    for x in nodes:
+        c = 1
+        for coeff in top:
+            c = coeff - x * c
+        nums.append((c, scale))
+    if tally is not None:  # building Pi, then the divisions
+        tally.additions += n * (n - 1) // 2 + n * (p - 1)
+        tally.multiplications += n * (n - 1) // 2 + n - 1 + n * (p - 1)
+    return nums
 
 
 def numerators(params: ApproxParams, tally: "OpCount | None" = None) -> tuple[Scalar, ...]:
     """Numerators N_j: degree-(p-1) elementary symmetric polynomials on the
     node sets {lam - k : k != j}.
 
-    Builds the coefficient list of prod_{m=1}^{N-1} (x + lam - m) once, then
-    slides the excluded node from j-1 to j with a two-term recurrence, so the
-    whole family costs O(N^2) operations instead of N * C(N-1, p-1).
-    ``tally`` (if given) accumulates the executed adds and multiplies.
+    Builds the node polynomial prod_{m=0}^{N-1} (x + lam - m) once, on integer
+    nodes, then divides each node out of it by p-1 steps of synthetic division:
+    O(N^2) operations instead of N * C(N-1, p-1). ``tally`` (if given)
+    accumulates the executed adds and multiplies.
     """
-    return tuple(map(params.field.of, _exact_numerators(params, tally)))
+    return tuple(params.field._quotient(*nv) for nv in _numerator_pairs(params, tally))
 
 
 @dataclass(frozen=True)
 class CoefficientVector:
     """Base-polynomial coefficients beta_j = N_j / D_j with their parts, in
-    ``params.field``; ``exact_beta`` holds the exact betas they round."""
+    ``params.field``; ``exact_beta``, computed when read, holds the exact betas."""
 
     params: ApproxParams
     beta: tuple[Scalar, ...]
     numerators: tuple[Scalar, ...]
     denominators: tuple[Scalar, ...]
-    exact_beta: tuple[Fraction, ...]
+
+    @cached_property
+    def exact_beta(self) -> tuple[Fraction, ...]:
+        nums = _numerator_pairs(self.params, None)
+        exact_den = _denominators(self.params.d, self.params.p, RATIONAL)
+        return tuple(Fraction(*nv) / dj for nv, dj in zip(nums, exact_den))
 
 
 def beta_coefficients(params: ApproxParams, tally: "OpCount | None" = None) -> CoefficientVector:
     """Coefficients of the base polynomial for ``params``."""
-    d, p, of = params.d, params.p, params.field.of
-    nums = _exact_numerators(params, tally)
-    exact_beta = tuple(nv / dv for nv, dv in zip(nums, _denominators(d, p, RATIONAL)))
-    return CoefficientVector(params, tuple(map(of, exact_beta)), tuple(map(of, nums)),
-                             _denominators(d, p, params.field), exact_beta)
+    quotient, nums = params.field._quotient, _numerator_pairs(params, tally)
+    exact_den = _denominators(params.d, params.p, RATIONAL)
+    beta = (quotient(c * dj.denominator, s * dj.numerator) for (c, s), dj in zip(nums, exact_den))
+    return CoefficientVector(params, tuple(beta), tuple(quotient(*nv) for nv in nums),
+                             _denominators(params.d, params.p, params.field))
 
 
 @dataclass(frozen=True)
@@ -213,21 +206,23 @@ def error_coefficients(cv: CoefficientVector, count: int = 1) -> ErrorCoefficien
 
     a_m = (alpha/d) * (1/(m+d)!) * sum_j (lam-j)^{m+d} beta_j; only
     m < 2p is meaningful for a base of degree p+d-1, hence count <= p. The
-    sum runs on the integer nodes a - j*q (lam = a/q) and the exact betas
-    over a common denominator.
+    moments need no betas: with s_k = [y^d] (y^k mod Pi(y)) on the integer
+    node polynomial, sum_j (lam-j)^k beta_j = d! (-1)^(k+d) q^(d-k) s_k.
     """
     params = cv.params
-    if not isinstance(count, int) or count < 1 or count > params.p:
-        raise ValueError(f"count must be in 1..p = {params.p}, got {count!r}")
-    alpha, lam = Fraction(params.alpha), Fraction(params.lam)
-    a, q = lam.numerator, lam.denominator
-    common = math.lcm(*(b.denominator for b in cv.exact_beta))
-    scaled_beta = [b.numerator * (common // b.denominator) for b in cv.exact_beta]
-    nodes = [a - j * q for j in range(params.n_coeffs)]
+    d, p, n = params.d, params.p, params.n_coeffs
+    if not isinstance(count, int) or count < 1 or count > p:
+        raise ValueError(f"count must be in 1..p = {p}, got {count!r}")
+    alpha = Fraction(params.alpha)
+    _, poly, q = _node_polynomial(params)
+    # s_k = delta_{k,d} for k < N, then s_k = -sum_{i<N} Pi_i s_{k-N+i} (Pi is monic of
+    # degree N): the delta and the s_j found so far, times Pi's small top coefficients
+    s: list[int] = []
     out: dict[int, Scalar] = {}
-    for m in range(params.p, params.p + count):
-        k = m + params.d
-        moment = sum(node**k * b for node, b in zip(nodes, scaled_beta))
-        den = alpha.denominator * params.d * math.factorial(k) * q**k * common
-        out[m] = params.field.of(Fraction(alpha.numerator * moment, den))
+    for m in range(p, p + count):
+        k = m + d
+        s_k = -sum(poly[j + n - k] * s_j for j, s_j in enumerate(s, n))
+        s.append(s_k - poly[d + n - k] if k - n <= d else s_k)
+        num = (-1) ** m * alpha.numerator * math.factorial(d - 1) * s[-1]
+        out[m] = params.field._quotient(num, alpha.denominator * math.factorial(k) * q**m)
     return ErrorCoefficients(params, out)

@@ -125,10 +125,29 @@ class Field:
             return value if type(value) is Fraction else Fraction(value)
         if self.name == "float64":
             return float(Fraction(value)) if isinstance(value, str) else float(value)
+        if isinstance(value, Fraction):
+            return self._quotient(value.numerator, value.denominator)
         with self.context():
-            if isinstance(value, Fraction):
-                return Decimal(value.numerator) / Decimal(value.denominator)
             return +Decimal(value)
+
+    def _quotient(self, num: int, den: int) -> Scalar:
+        """num/den for integers, den != 0, correctly rounded into this field
+        with no need to reduce the pair first. In a decimal field it equals
+        Decimal division, from one integer division."""
+        if den < 0:
+            num, den = -num, -den
+        if self.name == "rational":
+            return Fraction(num, den)
+        if self.name == "float64":
+            return num / den
+        # |num| 10^shift // den has over `digits` digits: log10|num/den| > (bits - 1) log10 2
+        shift = self.digits + 2 - (num.bit_length() - den.bit_length() - 1) * 30103 // 100000
+        quot, rem = divmod(abs(num) * 10 ** max(shift, 0), den * 10 ** max(-shift, 0))
+        context = Context(prec=self.digits)
+        if not rem:  # Decimal gives an exact quotient the exponent closest to 0
+            return context.divide(Decimal(num), Decimal(den))
+        # a sticky 1 after the known digits stands for the remainder
+        return context.create_decimal(f"{'-' if num < 0 else ''}{quot}1E{-shift - 1}")
 
     def format(self, x) -> str:
         """Textual form: num/den for rationals, shortest round-trip otherwise."""

@@ -8,9 +8,9 @@ coefficients come from the J.C.P. Miller recurrence
 
 seeded with w_0 = beta_0^gamma. The recurrence is a lower-triangular banded
 system A w = w_0 e_0 of bandwidth deg: A[0, 0] = 1, A[m, m] = m * beta_0 and
-A[m, m-k] = -(k*(gamma+1) - m) * beta_k. Double precision solves it with one
-BLAS ``dtbsv``; the exact and decimal fields forward-substitute it. The classic
-Grünwald binomial weights are the P(z) = 1 - z special case.
+A[m, m-k] = -(k*(gamma+1) - m) * beta_k. Double precision divides row m by m
+and solves it with one BLAS ``dtbsv``; the exact and decimal fields
+forward-substitute it. The Grünwald weights are the P(z) = 1 - z case.
 """
 
 from __future__ import annotations
@@ -93,10 +93,10 @@ def miller_expand(base, gamma, truncation: int, field: Field | None = None) -> W
         w0 = field.power(b0, gamma_f)
         deg = len(base_f) - 1
         if field.name == "float64":
-            # band storage ab[k, j] = A[j + k, j] = (j - k*gamma) * beta_k, whose
-            # row 0 is the diagonal j * beta_0; A[0, 0] = 1 carries the seed
-            ab = (np.arange(truncation) - np.arange(deg + 1)[:, None] * gamma_f) \
-                * np.array(base_f)[:, None]
+            # band ab[k, j] = A[j + k, j] / (j + k): row m divided by m, so no partial
+            # sum holds m times a weight; the diagonal is beta_0, A[0, 0] = 1 the seed
+            j, k = np.arange(truncation), np.arange(deg + 1)[:, None]
+            ab = (j - k * gamma_f) * np.array(base_f)[:, None] / np.maximum(j + k, 1)
             ab[0, 0], rhs = 1.0, np.zeros(truncation)
             rhs[0] = w0
             w = dtbsv(deg, ab, rhs, lower=1)

@@ -170,7 +170,7 @@ def test_expand_overflow_in_double_precision_exits_1(capsys):
     argv = ["expand", "--alpha", "6/5", "--K", "1100", "--d", "2", "--p", "2", "--r", "1"]
     rc, out, err = invoke(capsys, *argv, "--mode", "f64")
     assert rc == 1 and out == ""
-    assert err.startswith("error: double-precision weight 1034 of P(z)^0.6 is not finite;")
+    assert err.startswith("error: double-precision weight 1043 of P(z)^0.6 is not finite;")
     assert "--mode big" in err
     rc, out, err = invoke(capsys, *argv, "--mode", "big")
     assert rc == 0 and err == "" and len(out.split()) == 1100

@@ -1,6 +1,7 @@
 """Closed-form coefficients: parameters, denominators, numerators, betas,
 error coefficients, and the frozen table regressions."""
 
+import hashlib
 import math
 import random
 from decimal import Decimal
@@ -18,7 +19,7 @@ from diffgen import (
     error_coefficients,
     numerators,
 )
-from diffgen.oracle import OpCount
+from diffgen.oracle import OpCount, consistency_moments
 
 from reference_tables import (
     BETA_POLY,
@@ -122,7 +123,8 @@ def test_numerator_values():
 def test_numerators_tally_quadratic():
     tally = OpCount()
     numerators(derive_params(10, 10, 10, 1), tally)
-    # two O(N^2) phases, nowhere near the C(19,9)-term direct sum
+    # the node polynomial and N synthetic divisions of p - 1 steps, nowhere
+    # near the C(19,9)-term direct sum
     assert tally.additions <= 1000
     assert tally.multiplications <= 1000
     assert tally.additions > 0
@@ -263,3 +265,50 @@ def test_float_and_decimal_fields_track_rational():
     decs = beta_coefficients(derive_params(2, 2, 4, 1, big)).beta
     for e, g in zip(exact, decs):
         assert abs(big.of(e) - g) < big.of(F(1, 10**25))
+
+
+SWEEP_SHIFTS = (F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(7, 3), F(21, 2), F(5, 7), F(-3, 2),
+                F(13, 6))
+SWEEP_ACCURACIES = (1, 2, 3, 5, 8, 13, 20, 30)
+
+
+def _sweep_alphas(d):
+    return (F(d), F(d, 2), F(2 * d + 1, 3), F(7 * d, 5))
+
+
+def _kernel_digest():
+    h = hashlib.sha256()
+    for field in (RATIONAL, FLOAT64, bigdecimal(20), bigdecimal(50), bigdecimal(80)):
+        for d in range(1, 5):
+            for alpha in _sweep_alphas(d):
+                for p in SWEEP_ACCURACIES:
+                    for r in SWEEP_SHIFTS:
+                        params = derive_params(alpha, d, p, r, field)
+                        cv = beta_coefficients(params)
+                        errs = error_coefficients(cv, p).a
+                        h.update(repr((d, alpha, p, r, cv.beta, cv.numerators, cv.denominators,
+                                       cv.exact_beta, numerators(params),
+                                       sorted(errs.items()))).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_kernel_outputs_are_unchanged():
+    # 6,400 parameter sets in the rational, f64 and 20-, 50- and 80-digit
+    # fields, every output of the kernel as reprs (the sign of a float zero,
+    # a Decimal's exponent); the digest was taken before the kernel became
+    # synthetic division and remainders of the node polynomial
+    digest = "d05cd15f8c75659ab5fd3b83739334a420b4468d0c4eb59f1405b371a7e9168b"
+    assert _kernel_digest() == digest
+
+
+def test_error_coefficients_equal_oracle_moments():
+    # a_m = (alpha/d) b_{m+d} for every m = p..2p-1, b the oracle's moment sums;
+    # the Hypothesis property covers random shifts up to p = 8, this sweep p = 20
+    for d in range(1, 5):
+        for alpha in _sweep_alphas(d):
+            for p in SWEEP_ACCURACIES[:-1]:
+                for r in SWEEP_SHIFTS:
+                    cv = beta_coefficients(derive_params(alpha, d, p, r))
+                    moments = consistency_moments(cv, 2 * p - 1 + d)
+                    want = {m: alpha / d * moments[m + d] for m in range(p, 2 * p)}
+                    assert error_coefficients(cv, p).a == want, (d, alpha, p, r)

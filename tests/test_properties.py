@@ -5,10 +5,12 @@ Also of the weight series: P(z)^gamma times P(z)^(-gamma) is 1, integer
 powers agree with the convolution, and f64 weights are within a stated bound
 of the exact ones. And of the BVP problems' grid data: decimal values within
 one unit in the last place of mpmath's, f64 values within one ulp of Python's
-per-point functions."""
+per-point functions. And of the correctly rounded integer quotient every
+coefficient is rounded through: equal to Decimal division, float(Fraction)
+and Fraction, string for string."""
 
 import math
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction as F
 
 import mpmath
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from diffgen import (
     FLOAT64,
+    RATIONAL,
     beta_coefficients,
     bigdecimal,
     consistency_moments,
@@ -155,10 +158,11 @@ def _majorant(base, gamma, w0, k):
 @PROPERTY
 @given(leads, dyadic_tails, lengths, st.sampled_from([F(1, 2), F(-1, 2)]))
 def test_float64_miller_weights_within_stated_bound(b0, tail, k, gamma):
-    # |w_m - exact_m| <= (deg + 3)(m + 1) u M_m with M the majorant: the band
-    # entries are exact here, and weight m rounds deg products, deg sums and
-    # one quotient of terms M bounds, and inherits the error of the weights
-    # before it
+    # |w_m - exact_m| <= (deg + 3)(m + 1) u M_m with M the majorant: a term of
+    # weight m rounds once in its band entry (the division of row m by m), once
+    # in its product and at most deg - 1 times in the sum, the quotient by the
+    # diagonal (exactly beta_0) once, and weight m inherits the error of the
+    # weights before it
     base = (F(b0), *tail)
     exact = miller_expand(base, gamma, k).weights
     weights = miller_expand(tuple(map(float, base)), float(gamma), k, FLOAT64).weights
@@ -233,3 +237,67 @@ def test_float64_grid_data_are_within_one_ulp(n, alpha):
     grid = _grid(power_law, n, FLOAT64)
     e = 3 + float(alpha)
     assert _within_one_ulp(power_law.exact(grid), [x**e for x in grid.x.tolist()])
+
+
+# integer pairs for the quotient every coefficient is rounded through: up to
+# 3000 digits either side, exact quotients, terminating decimals 2^a 5^b,
+# binary ties, and zero; the sign sits on either part
+QUOTIENT = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+quotient_digits = st.sampled_from([15, 20, 50, 80])
+huge = st.integers(1, 10**3000) | st.integers(1, 10**40)
+signs = st.sampled_from([1, -1])
+
+
+def _signed(pair, num_sign, den_sign):
+    return num_sign * pair[0], den_sign * pair[1]
+
+
+quotient_pairs = st.builds(_signed, st.one_of(
+    st.tuples(huge | st.just(0), huge),
+    st.builds(lambda q, den: (q * den, den), huge, huge),
+    st.builds(lambda n, a, b: (n, 2**a * 5**b), huge, st.integers(0, 400), st.integers(0, 400)),
+    st.builds(lambda odd, a, b: (odd * 2**a, 2**b),
+              st.integers(2**53, 2**54).map(lambda k: 2 * k + 1), st.integers(0, 1100),
+              st.integers(0, 1100)),
+), signs, signs)
+
+
+def _decimal_reference(num, den, digits):
+    # Decimal division of the pair with its sign on the numerator: a zero
+    # quotient is +0, as for Fraction(num, den) in the other fields
+    if den < 0:
+        num, den = -num, -den
+    return str(Context(prec=digits).divide(Decimal(num), Decimal(den)))
+
+
+def _float_outcome(call):
+    # repr tells -0.0 from 0.0
+    try:
+        return repr(call())
+    except OverflowError:
+        return "OverflowError"
+
+
+@QUOTIENT
+@given(quotient_pairs, quotient_digits)
+def test_quotient_is_correctly_rounded(pair, digits):
+    num, den = pair
+    assert str(bigdecimal(digits)._quotient(num, den)) == _decimal_reference(num, den, digits)
+    assert RATIONAL._quotient(num, den) == F(num, den)
+    assert _float_outcome(lambda: FLOAT64._quotient(num, den)) == \
+        _float_outcome(lambda: float(F(num, den)))
+
+
+@QUOTIENT
+@given(quotient_digits, st.data())
+def test_quotient_rounds_decimal_ties_to_even(digits, data):
+    # (10 c + 5) / 10^t has digits + 1 significant digits and ends in 5; the
+    # pair carries a common factor, so it is not reduced
+    c = data.draw(st.integers(10 ** (digits - 1), 10**digits - 1) | st.just(10**digits - 1))
+    t = data.draw(st.integers(-60, 3000))
+    factor = data.draw(st.sampled_from([1, 3, 2**70, 7 * 5**9]))
+    num, den = (10 * c + 5) * factor * 10 ** max(-t, 0), factor * 10 ** max(t, 0)
+    num, den = _signed((num, den), data.draw(signs), data.draw(signs))
+    got = str(bigdecimal(digits)._quotient(num, den))
+    assert got == _decimal_reference(num, den, digits)
+    assert got == str(bigdecimal(digits).of(F(num, den)))

@@ -176,10 +176,11 @@ def test_non_finite_expansion_input_is_refused(call, name):
 
 
 @pytest.mark.parametrize("base, gamma, truncation, index", [
-    ((1.0, -3.0), -0.5, 800, 644),  # weights grow like 3^m
-    # a negative integer power takes the banded solve too; its row m holds
-    # m times the weights, so 2^m overflows there from m = 1015 on
-    ((1.0, -2.0), -1, 1100, 1015),
+    # the first index whose exact weight exceeds the largest double
+    ((1.0, -3.0), -0.5, 800, 650),  # weights grow like 3^m
+    # a negative integer power takes the banded solve too: 2^m is finite
+    # up to m = 1023
+    ((1.0, -2.0), -1, 1100, 1024),
 ])
 def test_float64_overflow_is_refused(base, gamma, truncation, index):
     with pytest.raises(OverflowError, match=rf"^double-precision weight {index} of P\(z\)\^"
@@ -189,6 +190,8 @@ def test_float64_overflow_is_refused(base, gamma, truncation, index):
     assert math.isfinite(miller_expand(base, gamma, index, FLOAT64).weights[-1])
     weights = miller_expand(base, gamma, truncation, bigdecimal(30)).weights
     assert weights[index].is_finite()
+    # and the refused weight is the first whose exact value is out of range
+    assert abs(weights[index]) > sys.float_info.max >= abs(weights[index - 1])
 
 
 def test_bool_truncation_is_refused():
