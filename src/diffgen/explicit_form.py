@@ -112,15 +112,18 @@ def denominators(d: int, p: int, field: Field = RATIONAL) -> tuple[Scalar, ...]:
     return _denominators(d, p, field)
 
 
-def _node_polynomial(params: ApproxParams) -> tuple[list[int], list[int], int]:
+@lru_cache(maxsize=32)
+def _node_polynomial(params: ApproxParams) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """With lam = a/q the nodes lam - m are X_m/q on the integers X_m = a - m*q:
-    the X_m, the coefficients (lowest first) of Pi(x) = prod_m (x + X_m), and q."""
+    the X_m, the coefficients (lowest first) of Pi(x) = prod_m (x + X_m), and q.
+    The last few are kept, so the numerators, ``exact_beta`` and the error
+    terms of one request build Pi once."""
     a, q = Fraction(params.lam).as_integer_ratio()
     nodes = [a - m * q for m in range(params.n_coeffs)]
     poly = [nodes[0], 1]
     for x in nodes[1:]:
         poly = [x * poly[0]] + [lo + x * hi for lo, hi in zip(poly, poly[1:])] + [1]
-    return nodes, poly, q
+    return tuple(nodes), tuple(poly), q
 
 
 def _numerator_pairs(params: ApproxParams, tally: "OpCount | None") -> list[tuple[int, int]]:
@@ -149,7 +152,8 @@ def numerators(params: ApproxParams, tally: "OpCount | None" = None) -> tuple[Sc
     Builds the node polynomial prod_{m=0}^{N-1} (x + lam - m) once, on integer
     nodes, then divides each node out of it by p-1 steps of synthetic division:
     O(N^2) operations instead of N * C(N-1, p-1). ``tally`` (if given)
-    accumulates the executed adds and multiplies.
+    accumulates the adds and multiplies of both steps, also when the node
+    polynomial was kept from an earlier call with these params.
     """
     return tuple(params.field._quotient(*nv) for nv in _numerator_pairs(params, tally))
 

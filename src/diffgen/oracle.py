@@ -10,11 +10,12 @@ obviously correct.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from . import scalars
 from .explicit_form import ApproxParams, CoefficientVector
+from .series import poly_power_int
 
 __all__ = [
     "OpCount",
@@ -169,18 +170,6 @@ def consistency_moments(cv: CoefficientVector, k_max: int):
     return tuple(out)
 
 
-def _convolve_truncated(a, b, length, zero):
-    out = [zero] * length
-    for i, av in enumerate(a):
-        if i >= length:
-            break
-        for j, bv in enumerate(b):
-            if i + j >= length:
-                break
-            out[i + j] += av * bv
-    return out
-
-
 def symbol_series(cv: CoefficientVector, count: int | None = None, digits: int = 40):
     """Power-series coefficients g_0..g_count of the scaled symbol of the
     formula: the composition (sum_k b_k z^{k-d})^{alpha/d} with b_k the
@@ -195,32 +184,22 @@ def symbol_series(cv: CoefficientVector, count: int | None = None, digits: int =
         count = params.p
     fb = scalars.bigdecimal(digits)
     with fb.context():
-        lam = fb.of(params.lam)
-        beta = [fb.of(b) for b in cv.beta]
-        nodes = [lam - j for j in range(params.n_coeffs)]
-        b = []
-        powers = [fb.one] * len(nodes)
-        for k in range(count + params.d + 1):
-            if k > 0:
-                powers = [pw * node for pw, node in zip(powers, nodes)]
-            moment = fb.zero
-            for pw, bj in zip(powers, beta):
-                moment += pw * bj
-            b.append(moment / math.factorial(k))
+        # consistency_moments reads only the params and the betas
+        decimal_cv = CoefficientVector(replace(params, lam=fb.of(params.lam), field=fb),
+                                       tuple(fb.of(b) for b in cv.beta), (), ())
+        b = consistency_moments(decimal_cv, max(count + params.d, params.n_coeffs - 1))
         # negative-degree moments b_0..b_{d-1} vanish by consistency; the
         # residue is roundoff from the decimal conversion, safe to drop
         s0 = b[params.d]
-        t = [bk / s0 for bk in b[params.d + 1 :]]
+        t_series = [fb.zero] + [bk / s0 for bk in b[params.d + 1 : count + params.d + 1]]
         gamma = fb.of(params.alpha) / params.d
-        series = [fb.zero] * (count + 1)
-        series[0] = fb.one
-        t_series = [fb.zero] + t
-        t_power = [fb.one] + [fb.zero] * count
+        series = [fb.one] + [fb.zero] * count
         binom = fb.one
         for order in range(1, count + 1):
             binom *= (gamma - (order - 1)) / order
-            t_power = _convolve_truncated(t_power, t_series, count + 1, fb.zero)
-            for i, v in enumerate(t_power):
+            # t^order to degree count needs t to degree count - order + 1 (t_0 = 0)
+            t_power = poly_power_int(t_series[: count - order + 2], order)
+            for i, v in enumerate(t_power[: count + 1]):
                 series[i] += binom * v
         scale = fb.power(s0, gamma)
         return [scale * g for g in series]

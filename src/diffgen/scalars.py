@@ -1,16 +1,20 @@
 """Interchangeable scalar arithmetic for coefficient generation and solving.
 
-Three realizations of the same numeric interface:
+``Field`` is one interface with three small implementations:
 
-* ``rational``   -- exact ``fractions.Fraction`` arithmetic;
-* ``float64``    -- IEEE double precision (native floats);
-* ``bigdecimal`` -- ``decimal.Decimal`` at a configured number of digits.
+* ``RATIONAL``           -- exact ``fractions.Fraction`` arithmetic;
+* ``FLOAT64``            -- IEEE double precision (native floats);
+* ``bigdecimal(digits)`` -- ``decimal.Decimal`` at ``digits`` significant digits.
+
+Each writes its conversion, rounding, text and elementary functions once, so
+no method tests which arithmetic it holds. ``vector(values)`` is the field's
+array: a float64 ndarray in double precision, an object ndarray otherwise.
 
 Coefficient generation defaults to the rational field so every downstream
 identity can be checked with ``==``. In the float fields the coefficient
-kernel still computes exactly and rounds each result once with ``Field.of``,
-so float and decimal coefficients are correctly rounded; the solver layer
-computes in the field itself.
+kernel still computes exactly and rounds each result once with
+``Field._quotient``, so float and decimal coefficients are correctly rounded;
+the solver layer computes in the field itself.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from dataclasses import dataclass, field
 from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 from . import decfun
 
@@ -82,98 +88,137 @@ def _exact_fraction_power(base: Fraction, exponent: Fraction) -> Fraction:
     return root**s
 
 
-def _is_integral(x) -> bool:
-    if isinstance(x, int):
-        return True
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    if isinstance(x, float):
-        return x.is_integer()
-    if isinstance(x, Decimal):
-        return x == x.to_integral_value()
-    raise TypeError(f"not a scalar: {x!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Field:
-    """One scalar realization.
+    """One scalar realization, implemented by ``_Rational``, ``_Float64`` and
+    ``_BigDecimal``.
 
     Use the module constants ``RATIONAL`` and ``FLOAT64``, or build a decimal
-    field with ``bigdecimal(digits)``. All arithmetic helpers honour the
-    field's precision: decimal work runs inside ``context()``. ``zero`` and
-    ``one`` are the field's constants, built once.
+    field with ``bigdecimal(digits)``. Each implementation writes ``of``
+    (convert an int, Fraction, float, Decimal or literal string into the
+    field), ``_quotient(num, den)`` (num/den for integers, den != 0, correctly
+    rounded with no need to reduce the pair first), ``format`` (num/den for
+    rationals, the shortest round-trip otherwise), ``power`` (exact or
+    ExactnessError in the rational field; a fractional exponent needs a base
+    >= 0 otherwise), ``sin`` and ``gamma`` (positive arguments in the float
+    fields). All of them honour the field's precision: decimal work runs
+    inside ``context()``. ``zero`` and ``one`` are the field's constants,
+    built once. Fields compare and hash by ``name`` and ``digits``.
     """
 
     name: str
     digits: int | None = None
-    zero: Scalar = field(init=False, compare=False, repr=False)
-    one: Scalar = field(init=False, compare=False, repr=False)
+    zero: Scalar = field(init=False, compare=False)
+    one: Scalar = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "zero", self.of(0))
         object.__setattr__(self, "one", self.of(1))
 
+    def __repr__(self):
+        return f"Field(name={self.name!r}, digits={self.digits!r})"
+
     def context(self):
         """Context manager activating this field's decimal precision (no-op otherwise)."""
-        if self.name == "bigdecimal":
-            return localcontext(Context(prec=self.digits))
         return nullcontext()
 
-    def of(self, value) -> Scalar:
-        """Convert an int, Fraction, float, Decimal or literal string into this field."""
-        if self.name == "rational":
-            return value if type(value) is Fraction else Fraction(value)
-        if self.name == "float64":
-            return float(Fraction(value)) if isinstance(value, str) else float(value)
-        if isinstance(value, Fraction):
-            return self._quotient(value.numerator, value.denominator)
-        with self.context():
-            return +Decimal(value)
+    def vector(self, values) -> np.ndarray:
+        """A new 1-D array of ``values`` converted into this field: float64 in
+        double precision, objects (each value through ``of``) otherwise."""
+        # an object array holds numpy integers as Python ints, which ``of`` takes
+        return np.array([self.of(v) for v in np.asarray(values, dtype=object)], dtype=object)
 
-    def _quotient(self, num: int, den: int) -> Scalar:
-        """num/den for integers, den != 0, correctly rounded into this field
-        with no need to reduce the pair first. In a decimal field it equals
-        Decimal division, from one integer division."""
+
+class _Rational(Field):
+    """Exact ``fractions.Fraction`` arithmetic."""
+
+    def of(self, value) -> Fraction:
+        return value if type(value) is Fraction else Fraction(value)
+
+    def _quotient(self, num: int, den: int) -> Fraction:
+        return Fraction(num, den)
+
+    def format(self, x) -> str:
+        return str(Fraction(x))
+
+    def power(self, base, exponent) -> Fraction:
+        if isinstance(exponent, float):
+            raise TypeError("float exponent in rational field")
+        return _exact_fraction_power(Fraction(base), Fraction(exponent))
+
+    def sin(self, x):
+        raise ExactnessError("sin has no exact rational value; use float64 or bigdecimal")
+
+    def gamma(self, x) -> Fraction:
+        x = Fraction(x)
+        if x.denominator == 1 and x > 0:
+            return Fraction(math.factorial(int(x) - 1))
+        raise ExactnessError("gamma is irrational off the positive integers")
+
+
+class _Float64(Field):
+    """IEEE double precision on native floats and float64 ndarrays."""
+
+    def of(self, value) -> float:
+        return float(Fraction(value)) if isinstance(value, str) else float(value)
+
+    def vector(self, values) -> np.ndarray:
+        return np.array(values, dtype=float)
+
+    def _quotient(self, num: int, den: int) -> float:
+        # a positive denominator keeps 0/-3 a positive zero
+        return -num / -den if den < 0 else num / den
+
+    def format(self, x) -> str:
+        return repr(float(x))
+
+    def power(self, base, exponent) -> float:
+        b, e = float(base), float(exponent)
+        if b < 0 and not e.is_integer():
+            raise ValueError("negative base with fractional exponent")
+        if b == 0 and e < 0:
+            raise ZeroDivisionError("0 raised to a negative power")
+        return b**e
+
+    def sin(self, x) -> float:
+        return math.sin(float(x))
+
+    def gamma(self, x) -> float:
+        return math.gamma(float(x))
+
+
+class _BigDecimal(Field):
+    """``decimal.Decimal`` at ``digits`` significant digits."""
+
+    def __post_init__(self):
+        # built once: a Context costs more than rounding one value in it
+        object.__setattr__(self, "_context", Context(prec=self.digits))
+        super().__post_init__()
+
+    def context(self):
+        return localcontext(self._context)
+
+    def of(self, value) -> Decimal:
+        if isinstance(value, (Decimal, int, float, str)):
+            return self._context.plus(Decimal(value))
+        return self._quotient(value.numerator, value.denominator)  # a Fraction
+
+    def _quotient(self, num: int, den: int) -> Decimal:
+        # equals Decimal division, from one integer division
         if den < 0:
             num, den = -num, -den
-        if self.name == "rational":
-            return Fraction(num, den)
-        if self.name == "float64":
-            return num / den
         # |num| 10^shift // den has over `digits` digits: log10|num/den| > (bits - 1) log10 2
         shift = self.digits + 2 - (num.bit_length() - den.bit_length() - 1) * 30103 // 100000
         quot, rem = divmod(abs(num) * 10 ** max(shift, 0), den * 10 ** max(-shift, 0))
-        context = Context(prec=self.digits)
         if not rem:  # Decimal gives an exact quotient the exponent closest to 0
-            return context.divide(Decimal(num), Decimal(den))
+            return self._context.divide(Decimal(num), Decimal(den))
         # a sticky 1 after the known digits stands for the remainder
-        return context.create_decimal(f"{'-' if num < 0 else ''}{quot}1E{-shift - 1}")
+        return self._context.create_decimal(f"{'-' if num < 0 else ''}{quot}1E{-shift - 1}")
 
     def format(self, x) -> str:
-        """Textual form: num/den for rationals, shortest round-trip otherwise."""
-        if self.name == "rational":
-            return str(Fraction(x))
-        if self.name == "float64":
-            return repr(float(x))
         return str(x)
 
-    def power(self, base, exponent) -> Scalar:
-        """base ** exponent within the field.
-
-        Rational mode is exact or raises :class:`ExactnessError`; float modes
-        require a positive base for fractional exponents.
-        """
-        if self.name == "rational":
-            if isinstance(exponent, float):
-                raise TypeError("float exponent in rational field")
-            return _exact_fraction_power(Fraction(base), Fraction(exponent))
-        if self.name == "float64":
-            b, e = float(base), float(exponent)
-            if b < 0 and not e.is_integer():
-                raise ValueError("negative base with fractional exponent")
-            if b == 0 and e < 0:
-                raise ZeroDivisionError("0 raised to a negative power")
-            return b**e
+    def power(self, base, exponent) -> Decimal:
         with self.context():
             b = self.of(base)
             e = self.of(exponent)
@@ -189,36 +234,24 @@ class Field:
                 raise ValueError("negative base with fractional exponent")
             return +(b**e)
 
-    def sin(self, x) -> Scalar:
-        if self.name == "rational":
-            raise ExactnessError("sin has no exact rational value")
-        if self.name == "float64":
-            return math.sin(float(x))
+    def sin(self, x) -> Decimal:
         with self.context():
             return decfun.sin(self.of(x))
 
-    def gamma(self, x) -> Scalar:
-        """The gamma function, for positive arguments in the float fields."""
-        if self.name == "rational":
-            x = Fraction(x)
-            if x.denominator == 1 and x > 0:
-                return Fraction(math.factorial(int(x) - 1))
-            raise ExactnessError("gamma is irrational off the positive integers")
-        if self.name == "float64":
-            return math.gamma(float(x))
+    def gamma(self, x) -> Decimal:
         with self.context():
             return decfun.gamma(self.of(x))
 
 
-RATIONAL = Field("rational")
-FLOAT64 = Field("float64")
+RATIONAL = _Rational("rational")
+FLOAT64 = _Float64("float64")
 
 
 def bigdecimal(digits: int = 50) -> Field:
     """Decimal field at ``digits`` significant digits (at least 15)."""
     if not isinstance(digits, int) or digits < MIN_DIGITS:
         raise ValueError(f"bigdecimal needs an integer precision >= {MIN_DIGITS}")
-    return Field("bigdecimal", digits)
+    return _BigDecimal("bigdecimal", digits)
 
 
 _NAMES = {
@@ -272,15 +305,7 @@ def parse_scalar(text: str, field: Field = RATIONAL) -> Scalar:
 
 
 def _realization(x) -> str:
-    if isinstance(x, int):
-        return "any"
-    if isinstance(x, Fraction):
-        return "rational"
-    if isinstance(x, float):
-        return "float64"
-    if isinstance(x, Decimal):
-        return "bigdecimal"
-    raise TypeError(f"not a scalar: {x!r}")
+    return "any" if isinstance(x, int) else field_of(x).name
 
 
 def _as_decimal(v) -> Decimal:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg.blas import dtbsv
 
 from .explicit_form import CoefficientVector, _finite, _positive_int
-from .scalars import Field, Scalar, _is_integral, field_of
+from .scalars import Field, Scalar, field_of
 
 __all__ = [
     "WeightSeries",
@@ -81,7 +81,7 @@ def miller_expand(base, gamma, truncation: int, field: Field | None = None) -> W
         base_f = tuple(_finite(f"base coefficient {k}", b, field) for k, b in enumerate(base))
         gamma_f = _finite("exponent gamma", gamma, field)
         b0 = base_f[0]
-        integral = _is_integral(gamma_f)
+        integral = gamma_f == int(gamma_f)
         if integral and gamma_f >= 0:
             full = poly_power_int(base_f, int(gamma_f)) if gamma_f else (field.one,)
             weights = (full + (field.zero,) * truncation)[:truncation]

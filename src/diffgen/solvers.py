@@ -33,7 +33,7 @@ import scipy.linalg
 
 from . import decfun
 from .explicit_form import beta_coefficients, derive_params
-from .scalars import FLOAT64, RATIONAL, ExactnessError, Field, Scalar, bigdecimal
+from .scalars import FLOAT64, RATIONAL, Field, Scalar, bigdecimal
 from .series import convergence_diagnostic, miller_expand
 
 __all__ = [
@@ -145,8 +145,7 @@ def _decimal_sines(grid: Grid, field: Field) -> np.ndarray:
         for d in _offsets(grid):
             values.append(s + c * d if d else s)
             s, c = s * ch + c * sh, c * ch - s * sh
-    with field.context():
-        return np.array([+v for v in values], dtype=object)
+    return field.vector(values)
 
 
 def sine_bvp(field: Field = FLOAT64) -> BvpProblem:
@@ -156,10 +155,9 @@ def sine_bvp(field: Field = FLOAT64) -> BvpProblem:
     negation at the interior ones. Double precision takes ``np.sin``; a
     decimal field rotates (sin, cos) by the angle h along the grid (angle
     addition) at digits + 10 + ceil(log10(n + 1)) digits and rounds once, so
-    the values are within 10^-digits of sin x_i.
+    the values are within 10^-digits of sin x_i. The rational field has no
+    sine and raises ExactnessError.
     """
-    if field.name == "rational":
-        raise ExactnessError("sine problem has no rational data; use float64 or bigdecimal")
 
     def exact(grid):
         if field.name == "float64":
@@ -213,8 +211,7 @@ def _decimal_powers(grid: Grid, e: Decimal, field: Field) -> np.ndarray:
         for i, d in enumerate(_offsets(grid)):
             if d:
                 values[i] += e * values[i] * d / grid.x[i]
-    with field.context():
-        return np.array([+v for v in values], dtype=object)
+    return field.vector(values)
 
 
 def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
@@ -262,23 +259,19 @@ def _grid(problem: BvpProblem, n: int, field: Field) -> Grid:
     with field.context():
         a = field.of(problem.a)
         h = (field.of(problem.b) - a) / n
-        if field.name == "float64":
-            x = a + np.arange(n + 1) * h
-        else:
-            x = np.array([a + i * h for i in range(n + 1)], dtype=object)
+        x = a + field.vector(np.arange(n + 1)) * h
     return Grid(a, h, n, x)
 
 
 def _grid_values(problem: BvpProblem, name: str, grid: Grid, field: Field) -> np.ndarray:
-    """A new array of ``problem.rhs(grid)`` (n - 1 values) or
+    """A new ``field.vector`` of ``problem.rhs(grid)`` (n - 1 values) or
     ``problem.exact(grid)`` (n + 1 values); a wrong length raises ValueError."""
-    values = np.array(getattr(problem, name)(grid),
-                      dtype=float if field.name == "float64" else object)
+    values = getattr(problem, name)(grid)
     count, points = (grid.n - 1, "interior") if name == "rhs" else (grid.n + 1, "grid")
-    if values.shape != (count,):
+    if np.shape(values) != (count,):
         raise ValueError(f"problem.{name} must return {count} values on a grid of N = {grid.n} "
-                         f"(one per {points} point), got an array of shape {values.shape}")
-    return values
+                         f"(one per {points} point), got an array of shape {np.shape(values)}")
+    return field.vector(values)
 
 
 def _band_rhs(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int) -> np.ndarray:
@@ -404,8 +397,8 @@ def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int = 2, d: i
             raise ValueError("fractional order must satisfy 1 < alpha < 2")
     if not isinstance(n, int) or n < 2:
         raise ValueError("need at least 2 intervals")
-    if not isinstance(r, int) or r < 0:
-        raise ValueError("shift r must be a non-negative integer (grid alignment)")
+    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+        raise ValueError(f"shift r must be a non-negative integer (grid alignment), got {r!r}")
     if (p, d, r) != (2, 2, 1):
         warnings.warn(f"configuration (p={p}, d={d}, r={r}) is experimental; the validated "
                       "setup is (2, 2, 1)", RuntimeWarning, stacklevel=3)
@@ -529,8 +522,6 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
         if r > 1:
             return grid, solve_dense(*_band_system(problem, grid, field, coeff, r), field)
         b = _band_rhs(problem, grid, field, coeff, r)
-        if field.name == "float64" and not np.isfinite(b).all():
-            raise ValueError("right-hand side must not contain infs or NaNs")
         inv = np.array(reciprocal())  # float64, or objects in the exact and decimal fields
         if field.name != "rational":
             # ||L||_1 ||L^-1||_1, refused when it leaves fewer than two of the
@@ -544,6 +535,8 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
             raise SingularMatrixError(f"reciprocal series vanishes at term {n - 1}; singular system")
         b = np.concatenate(([field.zero] * r, b))
         if field.name == "float64":
+            if not np.isfinite(b).all():
+                raise ValueError("right-hand side must not contain infs or NaNs")
             y = np.convolve(inv, b)[:len(b)]
         elif scheme == "central":
             y = np.cumsum(np.cumsum(b)) / coeff[0]  # sum_i (k - i + 1) b[i] / s, in O(N)
@@ -589,15 +582,11 @@ def solve_bvp(
         grid, interior = _solve_band(problem, scheme, n, field, scheme_options)
     with field.context():
         ua, ub = field.of(problem.ua), field.of(problem.ub)
-        if field.name == "float64":
-            solution = np.concatenate(([ua], interior, [ub]))
-        else:
-            solution = np.array([ua, *map(field.of, interior), ub], dtype=object)
+        # through ``of``: a decimal -0 from elimination reads 0
+        solution = field.vector(np.concatenate(([ua], interior, [ub])))
         max_error = None
         if problem.exact is not None:
-            max_error = abs(solution - _grid_values(problem, "exact", grid, field)).max()
-            if field.name == "float64":
-                max_error = float(max_error)
+            max_error = field.of(abs(solution - _grid_values(problem, "exact", grid, field)).max())
     return SolveReport(
         n_intervals=n,
         h=grid.h,

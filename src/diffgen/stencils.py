@@ -172,9 +172,8 @@ def apply_stencil(st: Stencil, samples, x, h) -> Scalar:
 
 
 def _json_value(value, field: Field):
-    if field.name == "float64":
-        return float(value)
-    return field.format(value)
+    # a double is a JSON number; a fraction or a long decimal keeps its text
+    return value if isinstance(value, float) else field.format(value)
 
 
 def render_stencil(st: Stencil, format: str = "human") -> str:

@@ -19,6 +19,7 @@ from diffgen import (
     error_coefficients,
     numerators,
 )
+from diffgen import explicit_form
 from diffgen.oracle import OpCount, consistency_moments
 
 from reference_tables import (
@@ -299,6 +300,20 @@ def test_kernel_outputs_are_unchanged():
     # synthetic division and remainders of the node polynomial
     digest = "d05cd15f8c75659ab5fd3b83739334a420b4468d0c4eb59f1405b371a7e9168b"
     assert _kernel_digest() == digest
+
+
+def test_node_polynomial_is_built_once_per_request():
+    # beta_coefficients, exact_beta and error_coefficients of one request share
+    # one build of the node polynomial; the cache keeping it is bounded
+    build = explicit_form._node_polynomial
+    assert build.cache_info().maxsize is not None
+    for field in (RATIONAL, FLOAT64, bigdecimal(50)):
+        build.cache_clear()
+        cv = beta_coefficients(derive_params(F(8, 5), 2, 30, F(1, 3), field))
+        cv.exact_beta
+        error_coefficients(cv, 30)
+        numerators(cv.params)
+        assert build.cache_info().misses == 1
 
 
 def test_error_coefficients_equal_oracle_moments():

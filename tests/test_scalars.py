@@ -6,6 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from diffgen import (
@@ -17,7 +18,7 @@ from diffgen import (
     field_from_name,
     parse_scalar,
 )
-from diffgen import decfun
+from diffgen import decfun, explicit_form
 from diffgen.scalars import field_of
 
 
@@ -161,6 +162,45 @@ def test_field_constants_are_built_once():
     assert repr(bigdecimal(30)) == "Field(name='bigdecimal', digits=30)"
     with pytest.raises(TypeError):
         type(FLOAT64)("float64", None, 0.0)
+
+
+@pytest.mark.parametrize("field, dtype", [(RATIONAL, object), (FLOAT64, np.float64),
+                                          (bigdecimal(30), object)], ids=str)
+def test_field_vector_holds_the_fields_scalars(field, dtype):
+    inputs = [1, Fraction(1, 3), "0.5"]
+    values = field.vector(inputs)
+    assert values.dtype == dtype and values.shape == (3,)
+    assert values.tolist() == [field.of(v) for v in inputs]
+    assert {type(v) for v in values.tolist()} == {type(field.one)}
+    assert field.vector(np.arange(3)).tolist() == [field.of(i) for i in range(3)]
+    copy = field.vector(values)  # a new array: writing to it leaves the input alone
+    copy[0] = field.zero
+    assert values[0] == 1
+    with field.context():  # field_of takes a decimal's digits from the context
+        assert field_of(field.one) == field and type(field_of(field.one)) is type(field)
+
+
+def test_float64_quotient_of_zero_is_a_positive_zero():
+    for den in (-3, 3, -(10**400)):
+        zero = FLOAT64._quotient(0, den)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    assert math.copysign(1.0, FLOAT64._quotient(-1, 10**400)) == -1.0
+
+
+def test_field_aliases_are_equal_and_hit_the_denominator_cache():
+    cache = explicit_form._denominators
+    for names, digits in ((("rational",), 50), (("f64", "float64"), 50),
+                          (("big", "bigdecimal"), 30)):
+        fields = [field_from_name(name, digits) for name in names]
+        with fields[0].context():  # field_of takes a decimal's digits from the context
+            fields.append(field_of(fields[0].one))
+        assert len(set(fields)) == 1 and len({hash(f) for f in fields}) == 1
+        assert len({type(f) for f in fields}) == 1
+        explicit_form.denominators(2, 3, fields[0])
+        hits = cache.cache_info().hits
+        for field in fields:
+            explicit_form.denominators(2, 3, field)
+        assert cache.cache_info().hits == hits + len(fields)
 
 
 def test_rational_sin_and_gamma_refuse():

@@ -1,6 +1,7 @@
 """Boundary-value assembly and dense solves in all three arithmetics."""
 
 import dataclasses
+import hashlib
 import math
 import random
 import warnings
@@ -33,6 +34,7 @@ from diffgen import (
 )
 import diffgen.solvers as solvers
 from diffgen.explicit_form import beta_coefficients, derive_params
+from diffgen.oracle import symbol_series
 from diffgen.series import miller_expand
 from diffgen.solvers import _grid
 
@@ -240,6 +242,15 @@ def test_fractional_validation():
     sine = sine_bvp()
     with pytest.raises(ValueError):
         assemble_fractional(sine, 8)
+
+
+def test_bool_shift_is_refused():
+    # True is an int, but a shift of True is a mistake, not r = 1
+    prob = power_law_fractional_bvp(1.6)
+    with pytest.raises(ValueError, match="shift r must be a non-negative integer.*True"):
+        solve_bvp(prob, "fractional", 8, r=True)
+    with pytest.raises(ValueError, match="shift r must be a non-negative integer.*False"):
+        assemble_fractional(prob, 8, r=False)
 
 
 def test_solve_bvp_unknown_scheme():
@@ -934,3 +945,54 @@ def test_decimal_power_law_exact_matches_per_point_powers(alpha):
         grid = _grid(problem, n, field)
         want = [field.power(x, 3 + field.of(alpha)) for x in grid.x]
         assert list(problem.exact(grid)) == want
+
+
+def _plain(value):
+    """Nested lists of the values of arrays and tuples, for an exact repr."""
+    if isinstance(value, (np.ndarray, list, tuple)):
+        return [_plain(v) for v in (value.tolist() if isinstance(value, np.ndarray) else value)]
+    return value
+
+
+def _solver_digest():
+    h = hashlib.sha256()
+
+    def record(*parts):
+        h.update(repr(_plain(parts)).encode() + b"\n")
+
+    for field in (RATIONAL, FLOAT64, bigdecimal(30), bigdecimal(50)):
+        problem = cubic_problem() if field is RATIONAL else sine_bvp(field)
+        for n in (2, 3, 4, 8, 16):
+            for scheme in ("central", "unified"):
+                report = solve_bvp(problem, scheme, n, field)
+                record(field, scheme, n, report.solution, report.max_error, report.h)
+        for n in (4, 8):
+            record(field, n, assemble_central(problem, n, field), assemble_unified(problem, n, field))
+        if field is RATIONAL:
+            continue
+        problem = power_law_fractional_bvp(F(8, 5), field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for n in (2, 3, 4, 8, 16, 64):
+                for options in ({"r": 1}, {"r": 0}, {"p": 1, "r": 2}):
+                    report = solve_bvp(problem, "fractional", n, field, **options)
+                    record(field, options, n, report.solution, report.max_error, report.h)
+                    if n in (4, 8):
+                        record(field, options, n, assemble_fractional(problem, n, field=field,
+                                                                      **options))
+    for field in (RATIONAL, FLOAT64, bigdecimal(30)):
+        for alpha, d, p, r in ((2, 1, 3, 1), (F(8, 5), 2, 2, 1), (F(8, 5), 2, 5, F(1, 2)),
+                               (3, 2, 4, F(7, 3)), (F(1, 2), 1, 6, 0)):
+            cv = beta_coefficients(derive_params(alpha, d, p, r, field))
+            for count in (1, p, p + 2):
+                record(field, alpha, d, p, r, count, symbol_series(cv, count))
+    return h.hexdigest()
+
+
+def test_solver_outputs_are_unchanged():
+    # solve_bvp (solution, max_error, h), the assemble_* systems and
+    # symbol_series in the rational, f64 and 30- and 50-digit fields, as
+    # reprs (the sign of a zero, a Decimal's exponent); the digest was taken
+    # before Field became three types
+    digest = "3fac8a518e00df43f90eec3cf93f27cb0a726e0c223350bf09fabe0c962fb6b8"
+    assert _solver_digest() == digest
