@@ -103,7 +103,10 @@ class Field:
     >= 0 otherwise), ``sin`` and ``gamma`` (positive arguments in the float
     fields). All of them honour the field's precision: decimal work runs
     inside ``context()``. ``zero`` and ``one`` are the field's constants,
-    built once. Fields compare and hash by ``name`` and ``digits``.
+    built once. ``condition_limit`` is the largest condition estimate a solve
+    accepts, 10^(digits - 2) so that two significant digits survive (1e14 in
+    double precision, None in the exact field). Fields compare and hash by
+    ``name`` and ``digits``.
     """
 
     name: str
@@ -132,6 +135,8 @@ class Field:
 class _Rational(Field):
     """Exact ``fractions.Fraction`` arithmetic."""
 
+    condition_limit = None
+
     def of(self, value) -> Fraction:
         return value if type(value) is Fraction else Fraction(value)
 
@@ -158,6 +163,8 @@ class _Rational(Field):
 
 class _Float64(Field):
     """IEEE double precision on native floats and float64 ndarrays."""
+
+    condition_limit = 1e14
 
     def of(self, value) -> float:
         return float(Fraction(value)) if isinstance(value, str) else float(value)
@@ -197,6 +204,10 @@ class _BigDecimal(Field):
 
     def context(self):
         return localcontext(self._context)
+
+    @property
+    def condition_limit(self) -> Decimal:
+        return Decimal(10) ** (self.digits - 2)
 
     def of(self, value) -> Decimal:
         if isinstance(value, (Decimal, int, float, str)):

@@ -11,10 +11,21 @@
 
 Problem data are grid functions: each solve calls the problem's ``rhs`` and
 ``exact`` once on the ``Grid`` of its points. Boundary values are folded into
-the right-hand side. ``solve_bvp`` solves the central and fractional (r <= 1)
-schemes from the reciprocal series of their weights, with no matrix; the
-others take ``solve_dense``: LAPACK LU in double precision, elimination that
-stays in the band otherwise.
+the right-hand side. ``solve_bvp`` builds no matrix for three of them:
+
+* central and fractional (r <= 1): from the reciprocal series of the weights,
+  refused when ||coeff||_1 ||inv||_1 is above the field's ``condition_limit``;
+* unified: by exact collocation. Its solution is the degree-N polynomial with
+  the boundary values whose second derivative is f at the interior points,
+  built on integers from the field's data and rounded once per value. The
+  answer moves only with the rounding of the data, so the solve is refused
+  when the exact ||A_N||_inf, of the map from h^2 f to u, is above the
+  field's ``condition_limit`` (1e14 in double precision, which solves up to
+  N = 52; 10^(digits - 2) in a decimal field).
+
+Fractional r >= 2 takes ``solve_dense``: LAPACK LU in double precision,
+elimination that stays in the band otherwise. ``assemble_unified`` still
+builds the dense unified system, for inspection and checks.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import warnings
 from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, count
 from operator import mul
 from typing import Callable, Sequence
@@ -155,14 +167,17 @@ def sine_bvp(field: Field = FLOAT64) -> BvpProblem:
     negation at the interior ones. Double precision takes ``np.sin``; a
     decimal field rotates (sin, cos) by the angle h along the grid (angle
     addition) at digits + 10 + ceil(log10(n + 1)) digits and rounds once, so
-    the values are within 10^-digits of sin x_i. The rational field has no
-    sine and raises ExactnessError.
+    the values are within 10^-digits of sin x_i. Both serve from one
+    evaluation on the same ``Grid``. The rational field has no sine and
+    raises ExactnessError.
     """
+    latest = [None, None]  # the grid of the latest evaluation and its sines
 
     def exact(grid):
-        if field.name == "float64":
-            return np.sin(grid.x)
-        return _decimal_sines(grid, field)
+        if latest[0] is not grid:
+            sines = np.sin(grid.x) if field.name == "float64" else _decimal_sines(grid, field)
+            latest[:] = grid, sines
+        return latest[1].copy()
 
     def rhs(grid):
         with field.context():
@@ -523,10 +538,10 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
             return grid, solve_dense(*_band_system(problem, grid, field, coeff, r), field)
         b = _band_rhs(problem, grid, field, coeff, r)
         inv = np.array(reciprocal())  # float64, or objects in the exact and decimal fields
-        if field.name != "rational":
+        limit = field.condition_limit
+        if limit is not None:
             # ||L||_1 ||L^-1||_1, refused when it leaves fewer than two of the
-            # field's significant digits: above 1e14 in double precision
-            limit = 1e14 if field.name == "float64" else Decimal(10) ** (field.digits - 2)
+            # field's significant digits
             estimate = np.abs(coeff).sum() * np.abs(inv).sum()
             if not estimate <= limit:
                 raise _ill_conditioned(f"Toeplitz system too ill-conditioned for {field.name}: "
@@ -543,6 +558,123 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
         else:  # half the products of np.convolve's full one
             y = np.array([sum(map(mul, inv[k::-1], b), field.zero) for k in range(len(b))])
         return grid, y if r == 0 else (y - y[-1] / inv[-1] * inv)[:-1]
+
+
+def _newton_interpolant(v: list[int]) -> np.ndarray:
+    """(m-1)! times the degree-(m-1) interpolant of the m integers ``v`` at
+    t = 1 .. m, as monomial coefficients (lowest degree first): Newton's
+    forward form sum_k (Delta^k v)(1) C(t-1, k), nested so that each step
+    multiplies by one factor t - k, with every coefficient an integer."""
+    diffs = []
+    while v:
+        diffs.append(v[0])
+        v = [b - a for a, b in zip(v, v[1:])]
+    weight, poly = 1, []  # weight = (m-1)!/k!
+    for k in range(len(diffs) - 1, -1, -1):
+        poly = [lo - (k + 1) * hi for lo, hi in zip([0, *poly], [*poly, 0])]
+        poly[0] += weight * diffs[k]
+        weight *= k
+    return np.array(poly, dtype=object)
+
+
+def _lagrange_basis(n: int) -> np.ndarray:
+    """Column c - 1 is (n-2)! l_c, the Lagrange basis polynomial of node c
+    on t = 1 .. n-1, as integer monomial coefficients: l_c is omega(t)/(t-c)
+    over omega'(c), with omega(t) = prod_i (t - i) and (n-2)!/omega'(c) =
+    (-1)^(n-1-c) C(n-2, c-1). One synthetic division serves every c at once."""
+    omega = np.ones(1, dtype=object)
+    for i in range(1, n):
+        omega = np.concatenate(([0], omega)) - i * np.concatenate((omega, [0]))
+    nodes = np.arange(1, n).astype(object)
+    quotient = np.empty((n - 1, n - 1), dtype=object)
+    quotient[-1] = omega[-1]
+    for k in range(n - 2, 0, -1):
+        quotient[k - 1] = omega[k] + nodes * quotient[k]
+    return quotient * np.array([(-1) ** (n - 1 - c) * math.comb(n - 2, c - 1) for c in range(1, n)],
+                               dtype=object)
+
+
+def _integrated_values(poly: np.ndarray, points) -> tuple[np.ndarray, int]:
+    """For p with (n-2)! p = ``poly`` (integer monomial coefficients along
+    the first axis, degree n - 2; further axes are independent columns):
+    n W(t) - t W(n) at each of ``points``, and K = (n-2)! lcm_m (m+1)(m+2)
+    over m <= n-2, where W'' = K p and W(0) = W'(0) = 0. The values at t of
+    u with u'' = p and u(0) = u(n) = 0 are these over n K."""
+    deg = len(poly) - 1
+    n = deg + 2
+    column = (slice(None),) + (None,) * (poly.ndim - 1)  # broadcast along the columns
+    lcm = math.lcm(*((m + 1) * (m + 2) for m in range(deg + 1)))
+    # t^m integrates twice to t^(m+2)/((m+1)(m+2)), under the one lcm
+    w = poly * np.array([lcm // ((m + 1) * (m + 2)) for m in range(deg + 1)], dtype=object)[column]
+    t = np.array([*points, n], dtype=object)[column]
+    acc = w[deg]
+    for m in range(deg - 1, -1, -1):  # Horner at every point at once
+        acc = acc * t + w[m]
+    values = acc * t * t
+    return n * values[:-1] - t[:-1] * values[-1], math.factorial(deg) * lcm
+
+
+@lru_cache(maxsize=None)
+def _data_bound(n: int) -> Fraction:
+    """||A_N||_inf exactly, A_N the map from v = h^2 f to the interior u of
+    the unified scheme (zero boundary values, t = (x - a)/h): the columns
+    of A_N are the double integrals of the Lagrange basis. Rows j and n - j
+    have equal absolute sums (reflect t to n - t), so rows j <= n/2 suffice."""
+    g, scale = _integrated_values(_lagrange_basis(n), range(1, n // 2 + 1))
+    return Fraction(max(np.abs(g).sum(axis=1)), n * scale)
+
+
+@lru_cache(maxsize=None)
+def _sign_bound(n: int) -> Fraction:
+    """|(A_N s)_1| for the alternating signs s_c = (-1)^c: a lower bound on
+    ||A_N||_inf from one O(N^2) collocation, which refuses a large N without
+    the O(N^3) exact bound. Row 1 attains the norm from N = 8 on, and its
+    signs alternate, so the two are equal at even N and within 2 % at odd N."""
+    g, scale = _integrated_values(_newton_interpolant([(-1) ** c for c in range(1, n)]), [1])
+    return Fraction(abs(g[0]), n * scale)
+
+
+def _solve_unified(problem: BvpProblem, n: int, field: Field):
+    """Grid and interior solution of the unified scheme by exact collocation.
+
+    Row i of the scheme is the second derivative at x_i of the degree-n
+    interpolant of the grid values, so its solution is the degree-n
+    polynomial U of t = (x - a)/h with U(0) = ua, U(n) = ub and
+    U''(i) = h^2 f_i at t = 1 .. n-1. U is built on integers from the
+    field's own ua, ub, h and f_i, taken exactly, and each interior value is
+    rounded once. Outside the exact field the solve is refused when
+    ``_data_bound(n)`` is above ``field.condition_limit``; ``_sign_bound(n)``
+    decides alone when it is already above.
+    """
+    if problem.alpha != 2:
+        raise ValueError("unified scheme handles the second derivative only")
+    if not isinstance(n, int) or n < 2:
+        raise ValueError("need at least 2 intervals")
+    limit = field.condition_limit
+    if limit is not None:
+        bound = _sign_bound(n)
+        if bound <= limit:
+            bound = _data_bound(n)
+        if bound > limit:
+            raise _ill_conditioned(f"unified scheme too sensitive to data rounding in "
+                                   f"{field.name}: data bound ||A_N||_inf above {limit:.0e}",
+                                   Context().divide(bound.numerator, bound.denominator))
+    with field.context():
+        grid = _grid(problem, n, field)
+        data = [field.of(problem.ua), field.of(problem.ub), grid.h]
+        f = _grid_values(problem, "rhs", grid, field)
+    try:  # exact: floats, Decimals and Fractions are ratios of integers
+        (an, ad), (bn, bd), (hn, hd), *ratios = (x.as_integer_ratio() for x in data + f.tolist())
+    except (OverflowError, ValueError):
+        raise ValueError("problem data must not contain infs or NaNs") from None
+    # ua, ub and v_i = h^2 f_i as integers over one common denominator
+    den = math.lcm(ad, bd, hd * hd * math.lcm(*(d for _, d in ratios)))
+    ua, ub = an * (den // ad), bn * (den // bd)
+    v = [hn * hn * num * (den // (hd * hd * d)) for num, d in ratios]
+    g, scale = _integrated_values(_newton_interpolant(v), range(1, n))
+    # u_j: the part that vanishes at both ends, plus the line from ua to ub
+    return grid, [field._quotient(gj + scale * (n * ua + j * (ub - ua)), n * scale * den)
+                  for j, gj in enumerate(g.tolist(), 1)]
 
 
 _SCHEME_OPTIONS = {"central": (), "fractional": ("p", "d", "r"), "unified": ()}
@@ -565,9 +697,12 @@ def solve_bvp(
 ) -> SolveReport:
     """Solve one grid; scheme is central, unified, or fractional. Only the
     fractional scheme takes options (p, d, r of ``assemble_fractional``);
-    any other raises ValueError. A series solve (see the module docstring)
-    raises ``SingularMatrixError`` when its condition bound leaves fewer than
-    two of the field's digits."""
+    any other raises ValueError. Outside the exact field a series solve and
+    the unified collocation (see the module docstring) raise
+    ``SingularMatrixError`` when their bound leaves fewer than two of the
+    field's digits: the unified scheme from N = 53 in double precision. The
+    unified result is the exact solution of the scheme on the field's ua,
+    ub, h and f, correctly rounded."""
     field = _resolve_field(problem, field)
     if scheme not in _SCHEME_OPTIONS:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_SCHEME_OPTIONS)}")
@@ -576,8 +711,7 @@ def solve_bvp(
         raise ValueError(f"scheme {scheme!r} takes no option {', '.join(unknown)}; it accepts "
                          f"{', '.join(_SCHEME_OPTIONS[scheme]) or 'none'}")
     if scheme == "unified":
-        interior = solve_dense(*assemble_unified(problem, n, field), field)
-        grid = _grid(problem, n, field)
+        grid, interior = _solve_unified(problem, n, field)
     else:
         grid, interior = _solve_band(problem, scheme, n, field, scheme_options)
     with field.context():

@@ -6,6 +6,7 @@ Numbered claims:
   2 non-compact squared generator      6 50-digit sine study at N=16
   3 closed form vs Cramer oracle       7 fractional power-law study
   4 operation-count ledger             8 property sweeps
+                                       9 cold 50-digit unified solve at N=128
 """
 
 import math
@@ -35,6 +36,7 @@ from diffgen import (
     solve_bvp,
     vandermonde_solve,
 )
+import diffgen.solvers as solvers
 from diffgen.oracle import OpCount, det_exact, esp_direct
 
 from reference_tables import (
@@ -219,3 +221,12 @@ def test_criterion_8_property_sweeps():
                 right = compact_stencil(d, p, p + d - 1)
                 assert right.weights == tuple(
                     (-1) ** d * w for w in reversed(left.weights))
+
+
+def test_criterion_9_cold_unified_solve():
+    # the first solve at an N computes the exact data bound of that N
+    solvers._data_bound.cache_clear()
+    with criterion(9, "cold 50-digit unified solve at N=128", budget=1.0):
+        rep = solve_bvp(sine_bvp(bigdecimal(50)), "unified", 128)
+        # dense decimal elimination of the scheme returned a max error of 1.3e-4
+        assert rep.max_error < 1e-19

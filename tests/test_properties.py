@@ -7,7 +7,9 @@ of the exact ones. And of the BVP problems' grid data: decimal values within
 one unit in the last place of mpmath's, f64 values within one ulp of Python's
 per-point functions. And of the correctly rounded integer quotient every
 coefficient is rounded through: equal to Decimal division, float(Fraction)
-and Fraction, string for string."""
+and Fraction, string for string. And of the unified scheme's collocation
+solve: equal to exact elimination of the dense system for random rational
+domains, boundary values and polynomial right-hand sides."""
 
 import math
 from decimal import Context, Decimal
@@ -21,6 +23,8 @@ from hypothesis import strategies as st
 from diffgen import (
     FLOAT64,
     RATIONAL,
+    BvpProblem,
+    assemble_unified,
     beta_coefficients,
     bigdecimal,
     consistency_moments,
@@ -30,6 +34,8 @@ from diffgen import (
     poly_power_int,
     power_law_fractional_bvp,
     sine_bvp,
+    solve_bvp,
+    solve_dense,
     vandermonde_solve,
 )
 from diffgen.solvers import _grid
@@ -301,3 +307,19 @@ def test_quotient_rounds_decimal_ties_to_even(digits, data):
     got = str(bigdecimal(digits)._quotient(num, den))
     assert got == _decimal_reference(num, den, digits)
     assert got == str(bigdecimal(digits).of(F(num, den)))
+
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@PROPERTY
+@given(small_rationals, st.fractions(min_value=F(1, 8), max_value=20, max_denominator=9),
+       small_rationals, small_rationals, st.lists(small_rationals, min_size=1, max_size=6),
+       st.integers(2, 20))
+def test_rational_unified_collocation_equals_dense_elimination(a, width, ua, ub, poly, n):
+    def rhs(grid):
+        return [sum(c * x**k for k, c in enumerate(poly)) for x in grid.x[1:-1]]
+
+    problem = BvpProblem(a=a, b=a + width, ua=ua, ub=ub, rhs=rhs, alpha=2, field=RATIONAL)
+    want = solve_dense(*assemble_unified(problem, n, RATIONAL), RATIONAL)
+    assert list(solve_bvp(problem, "unified", n).solution) == [ua, *want, ub]

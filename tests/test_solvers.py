@@ -180,8 +180,10 @@ def test_solve_dense_singular():
 
 
 def test_singular_float_unified_names_condition_and_fix():
+    # the data bound is 8.19e13 at N = 52 and 1.28e15 at N = 56, against 1e14
+    assert solve_bvp(sine_bvp(), "unified", 52).max_error < 1e-5
     with pytest.raises(SingularMatrixError, match=r"condition estimate .*--mode big --digits"):
-        solve_bvp(sine_bvp(), "unified", 40)
+        solve_bvp(sine_bvp(), "unified", 56)
 
 
 def test_unified_sine_errors_pinned():
@@ -633,11 +635,12 @@ def test_dense_systems_keep_lapack_lu(monkeypatch):
         return lu_factor(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
-    solve_bvp(sine_bvp(), "unified", 16)
+    solve_bvp(sine_bvp(), "unified", 16)  # collocation: no matrix
+    assert calls == []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # r = 2 is an experimental configuration
         solve_bvp(power_law_fractional_bvp(F(8, 5)), "fractional", 64, p=1, r=2)
-    assert calls == [(15, 15), (63, 63)]
+    assert calls == [(63, 63)]
 
 
 @pytest.mark.parametrize("matrix", [
@@ -954,18 +957,23 @@ def _plain(value):
     return value
 
 
-def _solver_digest():
-    h = hashlib.sha256()
+def _solver_digests():
+    """sha256 digests of the solver outputs, as reprs (the sign of a zero, a
+    Decimal's exponent): the unified solve_bvp records of the f64 and
+    decimal fields in the second, every other record in the first."""
+    kept, unified = hashlib.sha256(), hashlib.sha256()
 
-    def record(*parts):
-        h.update(repr(_plain(parts)).encode() + b"\n")
+    def record(*parts, into=kept):
+        into.update(repr(_plain(parts)).encode() + b"\n")
 
     for field in (RATIONAL, FLOAT64, bigdecimal(30), bigdecimal(50)):
         problem = cubic_problem() if field is RATIONAL else sine_bvp(field)
         for n in (2, 3, 4, 8, 16):
             for scheme in ("central", "unified"):
                 report = solve_bvp(problem, scheme, n, field)
-                record(field, scheme, n, report.solution, report.max_error, report.h)
+                moved = scheme == "unified" and field is not RATIONAL
+                record(field, scheme, n, report.solution, report.max_error, report.h,
+                       into=unified if moved else kept)
         for n in (4, 8):
             record(field, n, assemble_central(problem, n, field), assemble_unified(problem, n, field))
         if field is RATIONAL:
@@ -986,13 +994,166 @@ def _solver_digest():
             cv = beta_coefficients(derive_params(alpha, d, p, r, field))
             for count in (1, p, p + 2):
                 record(field, alpha, d, p, r, count, symbol_series(cv, count))
-    return h.hexdigest()
+    return kept.hexdigest(), unified.hexdigest()
 
 
 def test_solver_outputs_are_unchanged():
     # solve_bvp (solution, max_error, h), the assemble_* systems and
-    # symbol_series in the rational, f64 and 30- and 50-digit fields, as
-    # reprs (the sign of a zero, a Decimal's exponent); the digest was taken
-    # before Field became three types
-    digest = "3fac8a518e00df43f90eec3cf93f27cb0a726e0c223350bf09fabe0c962fb6b8"
-    assert _solver_digest() == digest
+    # symbol_series in the rational, f64 and 30- and 50-digit fields, except
+    # the unified solves outside the exact field; taken with the dense
+    # unified solver, which gave the same rational unified solutions
+    assert _solver_digests()[0] == "d25e00240188b342018c905522597c425167c526e59d4b254c232bf1af788a4a"
+
+
+def test_unified_float_and_decimal_outputs_are_pinned():
+    # the f64 and decimal unified solves, each the exact collocation of the
+    # field's data rounded once (checked against exact elimination below)
+    assert _solver_digests()[1] == "ec8378728fed2ecde8b9a8b48702be90d5b433c34634562f78fe19e8bf6519f5"
+
+
+# --- the unified scheme by exact collocation ---------------------------------
+
+
+def _random_rational_problem(rng, n):
+    """A rational problem on a random domain with random boundary values and
+    random data at the n - 1 interior points."""
+    a = F(rng.randint(-9, 9), rng.randint(1, 9))
+    values = [F(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(n - 1)]
+    return BvpProblem(a=a, b=a + F(rng.randint(1, 30), rng.randint(1, 7)),
+                      ua=F(rng.randint(-9, 9), rng.randint(1, 9)),
+                      ub=F(rng.randint(-9, 9), rng.randint(1, 9)),
+                      rhs=lambda g: values, alpha=2, field=RATIONAL)
+
+
+def test_rational_unified_equals_dense_elimination():
+    rng = random.Random(11)
+    for n in range(2, 21):
+        problem = _random_rational_problem(rng, n)
+        want = solve_dense(*assemble_unified(problem, n, RATIONAL), RATIONAL)
+        assert list(solve_bvp(problem, "unified", n).solution[1:-1]) == want, n
+
+
+def _same_data_in_rationals(problem, n, field):
+    """The rational problem whose unified system holds exactly the data that
+    ``field`` gives the solve: ua, ub, h and f at the interior points."""
+    grid = _grid(problem, n, field)
+    with field.context():
+        values = [F(f) for f in problem.rhs(grid)]
+    a = F(grid.a)
+    return BvpProblem(a=a, b=a + n * F(grid.h), ua=F(field.of(problem.ua)),
+                      ub=F(field.of(problem.ub)), rhs=lambda g: values, alpha=2, field=RATIONAL)
+
+
+@pytest.mark.parametrize("field", [FLOAT64, bigdecimal(50)], ids=lambda f: f.name)
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 24])
+def test_float_unified_is_the_rational_solve_of_its_data_rounded_once(field, n):
+    problem = sine_bvp(field)
+    exact = solve_dense(*assemble_unified(_same_data_in_rationals(problem, n, field), n, RATIONAL))
+    got = solve_bvp(problem, "unified", n).solution[1:-1]
+    assert [repr(u) for u in got] == [repr(field.of(u)) for u in exact]
+
+
+UNIFIED_DATA_BOUNDS = {16: 1.80e3, 32: 9.19e7, 40: 2.18e10, 52: 8.19e13, 56: 1.28e15, 64: 3.14e17}
+
+
+@pytest.mark.parametrize("n, bound", UNIFIED_DATA_BOUNDS.items())
+def test_unified_data_bound_is_pinned(n, bound):
+    assert float(solvers._data_bound(n)) == pytest.approx(bound, rel=5e-3)
+
+
+def _column_by_column_bound(n):
+    """||A_N||_inf from n - 1 rational unified solves with h = 1, zero
+    boundary values and a unit vector as the right-hand side."""
+    rows = np.zeros(n - 1, dtype=object)
+    for j in range(n - 1):
+        unit = [F(int(i == j)) for i in range(n - 1)]
+        problem = BvpProblem(a=F(0), b=F(n), ua=F(0), ub=F(0), rhs=lambda g, u=unit: u,
+                             alpha=2, field=RATIONAL)
+        rows += np.abs(np.array(solve_bvp(problem, "unified", n).solution[1:-1], dtype=object))
+    return max(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 16, 31, 40])
+def test_unified_data_bound_matches_column_by_column_solves(n):
+    assert solvers._data_bound(n) == _column_by_column_bound(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_unified_data_bound_matches_the_inverse_of_the_dense_system(n):
+    unit = BvpProblem(a=F(0), b=F(n), ua=F(0), ub=F(0), rhs=lambda g: [F(0)] * (n - 1),
+                      alpha=2, field=RATIONAL)
+    matrix, _ = assemble_unified(unit, n, RATIONAL)
+    columns = [solve_dense(matrix, [F(int(i == j)) for i in range(n - 1)]) for j in range(n - 1)]
+    assert solvers._data_bound(n) == max(sum(abs(c[i]) for c in columns) for i in range(n - 1))
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 16, 31, 32, 52, 53, 56, 64, 65])
+def test_unified_sign_bound_is_a_lower_bound_and_close_from_n_8(n):
+    low, exact = solvers._sign_bound(n), solvers._data_bound(n)
+    assert 0 < low <= exact
+    if n >= 8:
+        assert low == exact if n % 2 == 0 else low >= F(98, 100) * exact
+
+
+def test_unified_refuses_a_large_grid_without_the_exact_bound(monkeypatch):
+    def refuse(n):
+        raise AssertionError("O(N^3) exact bound computed for a grid the lower bound refuses")
+
+    monkeypatch.setattr(solvers, "_data_bound", refuse)
+    with pytest.raises(SingularMatrixError, match=r"condition estimate 1\.3e\+75\)"):
+        solve_bvp(sine_bvp(), "unified", 256)
+    with pytest.raises(SingularMatrixError, match=r"condition estimate"):
+        solve_bvp(sine_bvp(bigdecimal(50)), "unified", 1024)
+
+
+def test_unified_refusal_follows_the_digits():
+    # 10^(digits - 2) against the bound: 1e14 refuses N = 53 (1.6e14) in
+    # double precision, 30 digits carry N = 64 (3.1e17)
+    with pytest.raises(SingularMatrixError, match=r"above 1e\+14 \(condition estimate 1\.6e\+14\)"):
+        solve_bvp(sine_bvp(), "unified", 53)
+    with pytest.raises(SingularMatrixError, match=r"above 1e\+13 \(condition estimate 3\.1e\+17\)"):
+        solve_bvp(sine_bvp(bigdecimal(15)), "unified", 64)
+    assert solve_bvp(sine_bvp(bigdecimal(30)), "unified", 64).max_error < 1e-10
+
+
+def test_unified_solve_builds_no_matrix_and_one_grid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("unified solve reached the dense path")
+
+    for name in ("assemble_unified", "unified_coefficient_rows", "solve_dense"):
+        monkeypatch.setattr(solvers, name, refuse)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+    grids = []
+    grid = solvers._grid
+    monkeypatch.setattr(solvers, "_grid", lambda *args: grids.append(1) or grid(*args))
+    for field in (RATIONAL, FLOAT64, bigdecimal(50)):
+        problem = cubic_problem() if field is RATIONAL else sine_bvp(field)
+        solve_bvp(problem, "unified", 12, field)
+    assert len(grids) == 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_unified_solve_refuses_non_finite_data(bad):
+    problem = BvpProblem(a=0.0, b=1.0, ua=0.0, ub=1.0, rhs=lambda g: bad * g.x[1:-1],
+                         alpha=2.0, field=FLOAT64)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_bvp(problem, "unified", 8)
+
+
+@pytest.mark.parametrize("scheme", ["central", "unified"])
+def test_decimal_sine_data_are_built_once_per_solve(monkeypatch, scheme):
+    calls = []
+    sines = solvers._decimal_sines
+    monkeypatch.setattr(solvers, "_decimal_sines", lambda *args: calls.append(1) or sines(*args))
+    problem = sine_bvp(bigdecimal(50))
+    for n in (4, 8, 16):
+        before = solve_bvp(problem, scheme, n)
+        assert len(calls) == 1
+        calls.clear()
+        # the same values as a fresh evaluation for each of rhs and exact
+        grid = _grid(problem, n, problem.field)
+        assert list(problem.exact(grid)) == list(sines(grid, problem.field))
+        with problem.field.context():
+            assert list(problem.rhs(grid)) == list(-sines(grid, problem.field)[1:-1])
+        assert before.solution == solve_bvp(problem, scheme, n).solution
+        calls.clear()
