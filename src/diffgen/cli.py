@@ -20,7 +20,7 @@ from .explicit_form import beta_coefficients, derive_params, error_coefficients
 from .scalars import MIN_DIGITS, ExactnessError, field_from_name, parse_scalar
 from .series import grunwald_weights, miller_expand
 from .solvers import (
-    convergence_study,
+    iter_convergence_study,
     power_law_fractional_bvp,
     sine_bvp,
     study_csv,
@@ -165,6 +165,17 @@ def _n_list(args, start: int):
     return n_values
 
 
+def _print_study(reports, fmt: str) -> None:
+    """Print a study's rows, and when a grid is refused those solved before it."""
+    solved = []
+    try:
+        for report in reports:
+            solved.append(report)
+    finally:
+        if solved:
+            print(study_csv(solved) if fmt == "csv" else study_table(solved))
+
+
 def cmd_bvp(args) -> int:
     field = field_from_name(args.mode, args.digits)
     problem = sine_bvp(field)
@@ -173,12 +184,9 @@ def cmd_bvp(args) -> int:
     if args.format == "csv" and len(schemes) > 1:
         raise ValueError("csv output needs a single --scheme")
     for scheme in schemes:
-        reports = convergence_study(problem, scheme, n_values, field)
-        if args.format == "csv":
-            print(study_csv(reports))
-        else:
+        if args.format != "csv":
             print(f"scheme: {scheme}")
-            print(study_table(reports))
+        _print_study(iter_convergence_study(problem, scheme, n_values, field), args.format)
     return 0
 
 
@@ -186,13 +194,8 @@ def cmd_fbvp(args) -> int:
     field = field_from_name(args.mode, args.digits)
     problem = power_law_fractional_bvp(args.alpha, field)
     n_values = _n_list(args, 8)
-    reports = convergence_study(
-        problem, "fractional", n_values, field, p=args.p, d=args.d, r=args.r
-    )
-    if args.format == "table":
-        print(study_table(reports))
-    else:
-        print(study_csv(reports))
+    _print_study(iter_convergence_study(problem, "fractional", n_values, field,
+                                        p=args.p, d=args.d, r=args.r), args.format)
     return 0
 
 

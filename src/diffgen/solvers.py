@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -62,6 +63,7 @@ __all__ = [
     "solve_dense",
     "solve_bvp",
     "convergence_study",
+    "iter_convergence_study",
     "study_csv",
     "study_table",
 ]
@@ -207,22 +209,42 @@ def _smallest_prime_factors(n: int) -> list[int]:
 
 
 def _decimal_powers(grid: Grid, e: Decimal, field: Field) -> np.ndarray:
-    """x_i^e on a decimal grid from 0: h^e * i^e, with i^e multiplicative over
-    the smallest prime factors (one exp(e ln p) per prime p <= n, one product
-    per composite), times 1 + e * offset / x_i where x_i was rounded, each
-    rounded once into ``field``."""
+    """x_i^e on a decimal grid from 0: h^e * i^e, times 1 + e * offset / x_i
+    where x_i was rounded, each rounded once into ``field``.
+
+    h^e is the grid's one exp(e ln h). The i^e climb a ladder in fixed point
+    with ``bits`` >= guard + 3 digits: p^e (i/p)^e for a composite with least
+    prime factor p, (p-1)^e (1 + 1/(p-1))^e for a prime p >= 3, and 2^e =
+    (9/8)^e ((4/3)^e)^2. Each (1 + 1/m)^e is sum_k C(e, k) m^-k by Horner, up
+    to the first term below one unit past k > e (from there the terms alternate
+    and shrink). For 4 < e < 5 a series is within 6 units of 2^-bits relative
+    and a product within 1; a value passes through at most 37 of them at n = 128
+    (70 at 4096, 97 at 10^5), 147 units (275, 382): below 10^-(guard digits)."""
     if grid.a != 0:
         raise ValueError(f"power-law grid data need a grid starting at 0, got a = {grid.a}")
     wide = _guard(field, grid)
-    with wide.context():
-        def to_e(base: Decimal) -> Decimal:  # exp and ln cost less than ** here
-            return (e * base.ln()).exp()
+    bits = math.ceil((wide.digits + 3) * math.log2(10))
+    num, den = e.as_integer_ratio()
+    binomial = [1 << bits]  # C(e, k) 2^bits, to the first term of (3/2)^e below one unit past k > e
+    while (k := len(binomial)) <= e + 1 or abs(binomial[-1]) >> k - 1:
+        binomial.append(binomial[-1] * (num - (k - 1) * den) // (k * den))
 
-        powers = [wide.zero, wide.one]
-        for i, p in enumerate(_smallest_prime_factors(grid.n)[2:], start=2):
-            powers.append(to_e(Decimal(i)) if p == i else powers[p] * powers[i // p])
-        scale = to_e(grid.h)
-        values = [scale * power for power in powers]
+    def rise(m: int) -> int:  # (1 + 1/m)^e 2^bits; past k > e, |C(e, k)| 2^bits < m^k from one k on
+        stop = bisect_left(range(len(binomial)), True, lo=math.floor(e) + 1,
+                           key=lambda k: binomial[k].bit_length() <= k * math.log2(m))
+        total = 0
+        for c in reversed(binomial[:stop]):
+            total = c + total // m
+        return total
+
+    ladder = [0, 1 << bits, rise(8) * rise(3) ** 2 >> 2 * bits]
+    for i, p in enumerate(_smallest_prime_factors(grid.n)[3:], start=3):
+        power = ladder[p] * ladder[i // p] if p < i else ladder[i - 1] * rise(i - 1)
+        ladder.append(power >> bits)
+    with wide.context():
+        scale = (e * grid.h.ln()).exp()
+        unit = scale / (1 << bits)
+        values = [scale * wide.zero] + [unit * Decimal(power) for power in ladder[1:grid.n + 1]]
         for i, d in enumerate(_offsets(grid)):
             if d:
                 values[i] += e * values[i] * d / grid.x[i]
@@ -234,9 +256,10 @@ def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
 
     ``rhs(grid)`` is f at the interior points. ``exact(grid)`` is
     ``grid.x ** (3 + alpha)`` in double precision; in a decimal field it is
-    h^e * i^e with i^e built by multiplicativity (one power per prime <= n)
-    at digits + 10 + ceil(log10(n + 1)) digits and rounded once, and a grid
-    that does not start at 0 raises ValueError.
+    h^e * i^e, with h^e the grid's one logarithm and i^e from a binomial
+    ladder over the primes <= n (each prime from its predecessor), built at
+    digits + 10 + ceil(log10(n + 1)) digits and rounded once. A grid that
+    does not start at 0 raises ValueError.
     """
     with field.context():
         alpha = field.of(alpha)
@@ -744,25 +767,26 @@ def _order_between(prev: SolveReport, cur: SolveReport) -> float | None:
     return math.log(ratio) / math.log(step)
 
 
-def convergence_study(
-    problem: BvpProblem,
-    scheme: str,
-    n_values: Sequence[int],
-    field: Field | None = None,
-    **scheme_options,
-) -> list[SolveReport]:
+def convergence_study(problem: BvpProblem, scheme: str, n_values: Sequence[int],
+                      field: Field | None = None, **scheme_options) -> list[SolveReport]:
     """Solve on each grid in n_values and attach empirical orders between
     consecutive grids. Needs problem.exact for the error column."""
+    return list(iter_convergence_study(problem, scheme, n_values, field, **scheme_options))
+
+
+def iter_convergence_study(problem: BvpProblem, scheme: str, n_values: Sequence[int],
+                           field: Field | None = None, **scheme_options) -> Iterator[SolveReport]:
+    """``convergence_study``'s reports one at a time, each as soon as its grid
+    is solved, so a caller keeps the grids before one that is refused."""
     field = _resolve_field(problem, field)
     if problem.exact is None:
         raise ValueError("a convergence study needs the exact solution")
-    reports: list[SolveReport] = []
+    previous = None
     for n in n_values:
         report = solve_bvp(problem, scheme, n, field, **scheme_options)
-        if reports:
-            report = replace(report, empirical_order=_order_between(reports[-1], report))
-        reports.append(report)
-    return reports
+        order = _order_between(previous, report) if previous else None
+        previous = replace(report, empirical_order=order)
+        yield previous
 
 
 def _fmt_error(value) -> str:

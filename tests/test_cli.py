@@ -253,6 +253,25 @@ def test_fbvp_ill_conditioned_generator_exits_with_hint(capsys):
     assert "condition estimate 6.1e+24" in err and "--mode big --digits" in err
 
 
+def test_bvp_prints_the_solved_grids_before_a_refusal(capsys):
+    rc, out, err = invoke(capsys, "bvp", "--Nmax", "64", "--scheme", "unified")
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[0] == "scheme: unified"
+    assert [line.split()[0] for line in lines[2:]] == ["4", "8", "16", "32"]
+    assert "condition estimate" in err
+
+
+def test_fbvp_csv_prints_the_solved_grids_before_a_refusal(capsys):
+    with pytest.warns(RuntimeWarning, match="experimental"):
+        rc, out, err = invoke(capsys, "fbvp", "--alpha", "1.6", "--p", "3", "--Nmax", "128")
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[0] == "N,h,max_error,order"
+    assert [line.split(",")[0] for line in lines[1:]] == ["8", "16", "32", "64"]
+    assert "condition estimate 6.1e+24" in err
+
+
 def test_fbvp_alpha_out_of_range(capsys):
     rc, _, err = invoke(capsys, "fbvp", "--alpha", "2.5", "--N", "16")
     assert rc == 1

@@ -4,11 +4,13 @@ import dataclasses
 import hashlib
 import math
 import random
+import sys
 import warnings
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,12 +20,14 @@ from diffgen import (
     RATIONAL,
     BvpProblem,
     ExactnessError,
+    Grid,
     SingularMatrixError,
     assemble_central,
     assemble_fractional,
     assemble_unified,
     bigdecimal,
     convergence_study,
+    iter_convergence_study,
     power_law_fractional_bvp,
     sine_bvp,
     solve_bvp,
@@ -930,6 +934,18 @@ def test_rhs_singular_at_an_end_is_only_evaluated_inside():
     assert reports[-1].max_error < 1e-4 and reports[-1].empirical_order > 1.3
 
 
+def test_iter_convergence_study_yields_the_grids_before_a_refusal():
+    reports = iter_convergence_study(sine_bvp(), "unified", [4, 8, 16, 32, 64])
+    solved = [next(reports) for _ in range(4)]
+    assert [r.n_intervals for r in solved] == [4, 8, 16, 32]
+    assert solved[0].empirical_order is None and solved[-1].empirical_order < 0
+    with pytest.raises(SingularMatrixError, match="condition estimate"):
+        next(reports)
+    study = convergence_study(sine_bvp(), "unified", [4, 8, 16, 32])
+    assert [(r.max_error, r.empirical_order) for r in study] == \
+        [(r.max_error, r.empirical_order) for r in solved]
+
+
 def test_decimal_power_law_data_need_a_grid_from_zero():
     field = bigdecimal(50)
     problem = power_law_fractional_bvp(F(3, 2), field)
@@ -948,6 +964,110 @@ def test_decimal_power_law_exact_matches_per_point_powers(alpha):
         grid = _grid(problem, n, field)
         want = [field.power(x, 3 + field.of(alpha)) for x in grid.x]
         assert list(problem.exact(grid)) == want
+
+
+# --- the binomial ladder of the decimal power law -----------------------------
+
+LADDER_ALPHAS = [F(65, 64), F(7, 5), F(3, 2), F(127, 64)]
+
+
+def _ladder_points(n):
+    """Every point up to N = 1000; at N = 4096 every 31st, the prime 4093 and N."""
+    return range(n + 1) if n <= 1000 else [*range(0, n + 1, 31), 4093, n]
+
+
+@pytest.mark.parametrize("digits", [20, 50, 100])
+@pytest.mark.parametrize("alpha", LADDER_ALPHAS, ids=str)
+def test_decimal_power_law_is_within_half_an_ulp_and_the_guard_of_mpmath(digits, alpha):
+    # not equality with the correctly rounded x^e: see the near tie below
+    field = bigdecimal(digits)
+    problem = power_law_fractional_bvp(alpha, field)
+    for n in (2, 3, 5, 1000, 4096):
+        grid = _grid(problem, n, field)
+        guard = solvers._guard(field, grid).digits
+        values = problem.exact(grid)
+        with mpmath.workdps(digits + 40):
+            e = 3 + mpmath.mpf(alpha.numerator) / alpha.denominator
+            slack = mpmath.mpf(10) ** (3 - guard)
+            for i in _ladder_points(n):
+                want, value = mpmath.mpf(str(grid.x[i])) ** e, values[i]
+                if not want:
+                    assert value == 0
+                    continue
+                ulp = mpmath.mpf(10) ** (value.adjusted() + 1 - digits)
+                assert abs(mpmath.mpf(str(value)) - want) <= ulp / 2 + slack * want, (n, i)
+
+
+def test_decimal_power_law_ladder_alone_is_within_its_error_budget(monkeypatch):
+    # with h = 1 (so h^e = 1 exactly) and no guard digits, each value is the
+    # ladder's i^e 2^bits times 2^-bits, both rounded once to the field: two
+    # roundings of at most 10^(1 - digits)/2 relative, plus the ladder's own
+    # 275 units of 2^-bits at N = 4096, with 2^-bits <= 10^-(digits + 3)
+    monkeypatch.setattr(solvers, "_guard", lambda field, grid: field)
+    n = 4096
+    for digits in (20, 50, 100):
+        field = bigdecimal(digits)
+        grid = Grid(field.zero, field.one, n, field.vector(range(n + 1)))
+        for alpha in LADDER_ALPHAS:
+            values = power_law_fractional_bvp(alpha, field).exact(grid)
+            with mpmath.workdps(digits + 40):
+                e = 3 + mpmath.mpf(alpha.numerator) / alpha.denominator
+                bound = mpmath.mpf(10) ** (1 - digits) + 275 * mpmath.mpf(10) ** -(digits + 3)
+                for i in _ladder_points(n):
+                    want = mpmath.mpf(i) ** e
+                    assert abs(mpmath.mpf(str(values[i])) - want) <= bound * want, (digits, i)
+
+
+def _rounded_thirds(field, n):
+    """A grid of step h = 1/3 whose points are i/3 each rounded into the
+    field, so that x_i and i h differ in the last place for most i."""
+    x = field.vector([F(i, 3) for i in range(n + 1)])
+    return Grid(field.zero, field.of(F(1, 3)), n, x)
+
+
+@pytest.mark.parametrize("digits", [20, 50, 100])
+@pytest.mark.parametrize("alpha", LADDER_ALPHAS, ids=str)
+def test_decimal_power_law_small_and_rounded_grids_match_per_point_powers(digits, alpha):
+    # N = 2 and 3 have no composite to climb from; N = 11 and the thirds
+    # grid take the first-order correction at their rounded points
+    field = bigdecimal(digits)
+    problem = power_law_fractional_bvp(alpha, field)
+    e = 3 + field.of(alpha)
+    grids = [_grid(problem, n, field) for n in (2, 3, 11)] + [_rounded_thirds(field, 12)]
+    assert all(any(solvers._offsets(grid)) for grid in grids[2:])
+    with field.context():
+        u = Decimal(10) ** -digits
+        near_tie, neighbours = 1 - u, (1 - 5 * u, 1 - 4 * u)
+    for grid in grids:
+        for x, value in zip(grid.x, problem.exact(grid)):
+            if x == near_tie and e == Decimal("4.5"):
+                # x_3 = 3h = 1 - u at N = 3: x^(9/2) = 1 - 4.5 u + 7.875 u^2
+                # - ... lies 7.9e-digits ulp above a tie, which no guard
+                # width resolves; the ladder rounds it down at 20 and 100
+                # digits, as exp(e ln 3) did at 20
+                assert value in neighbours
+                continue
+            assert value == field.power(x, e), (grid.n, x)
+
+
+def test_decimal_power_law_takes_one_logarithm_per_grid():
+    # every Decimal.ln and Decimal.exp call, traced by the profiler hook
+    field = bigdecimal(50)
+    problem = power_law_fractional_bvp(F(8, 5), field)
+    for n in (2, 16, 128, 1024):
+        grid = _grid(problem, n, field)
+        calls = Counter()
+
+        def count_calls(frame, event, arg):
+            if event == "c_call":
+                calls[arg.__name__] += 1
+
+        sys.setprofile(count_calls)
+        try:
+            problem.exact(grid)
+        finally:
+            sys.setprofile(None)
+        assert (calls["ln"], calls["exp"]) == (1, 1), n
 
 
 def _plain(value):
