@@ -97,7 +97,8 @@ class Field:
     field with ``bigdecimal(digits)``. Each implementation writes ``of``
     (convert an int, Fraction, float, Decimal or literal string into the
     field), ``_quotient(num, den)`` (num/den for integers, den != 0, correctly
-    rounded with no need to reduce the pair first), ``format`` (num/den for
+    rounded with no need to reduce the pair first), ``finite(values)`` (whether
+    every one of a sequence of field values is finite), ``format`` (num/den for
     rationals, the shortest round-trip otherwise), ``power`` (exact or
     ExactnessError in the rational field; a fractional exponent needs a base
     >= 0 otherwise), ``sin`` and ``gamma`` (positive arguments in the float
@@ -143,6 +144,9 @@ class _Rational(Field):
     def _quotient(self, num: int, den: int) -> Fraction:
         return Fraction(num, den)
 
+    def finite(self, values) -> bool:
+        return True  # a Fraction has no infinity or NaN
+
     def format(self, x) -> str:
         return str(Fraction(x))
 
@@ -171,6 +175,9 @@ class _Float64(Field):
 
     def vector(self, values) -> np.ndarray:
         return np.array(values, dtype=float)
+
+    def finite(self, values) -> bool:
+        return bool(np.isfinite(values).all())
 
     def _quotient(self, num: int, den: int) -> float:
         # a positive denominator keeps 0/-3 a positive zero
@@ -213,6 +220,9 @@ class _BigDecimal(Field):
         if isinstance(value, (Decimal, int, float, str)):
             return self._context.plus(Decimal(value))
         return self._quotient(value.numerator, value.denominator)  # a Fraction
+
+    def finite(self, values) -> bool:
+        return all(v.is_finite() for v in values)
 
     def _quotient(self, num: int, den: int) -> Decimal:
         # equals Decimal division, from one integer division

@@ -80,40 +80,47 @@ def miller_expand(base, gamma, truncation: int, field: Field | None = None) -> W
     with field.context():
         base_f = tuple(_finite(f"base coefficient {k}", b, field) for k, b in enumerate(base))
         gamma_f = _finite("exponent gamma", gamma, field)
-        b0 = base_f[0]
-        integral = gamma_f == int(gamma_f)
-        if integral and gamma_f >= 0:
+        if gamma_f == int(gamma_f) and gamma_f >= 0:
             full = poly_power_int(base_f, int(gamma_f)) if gamma_f else (field.one,)
             weights = (full + (field.zero,) * truncation)[:truncation]
             return WeightSeries(gamma_f, base_f, weights, truncation)
-        if not integral and not b0 > 0:
-            raise ValueError("fractional exponent requires a positive leading base coefficient")
-        if integral and b0 == 0 and gamma_f < 0:
-            raise ZeroDivisionError("negative power of a polynomial with zero constant term")
-        w0 = field.power(b0, gamma_f)
-        deg = len(base_f) - 1
-        if field.name == "float64":
-            # band ab[k, j] = A[j + k, j] / (j + k): row m divided by m, so no partial
-            # sum holds m times a weight; the diagonal is beta_0, A[0, 0] = 1 the seed
-            j, k = np.arange(truncation), np.arange(deg + 1)[:, None]
-            ab = (j - k * gamma_f) * np.array(base_f)[:, None] / np.maximum(j + k, 1)
-            ab[0, 0], rhs = 1.0, np.zeros(truncation)
-            rhs[0] = w0
-            w = dtbsv(deg, ab, rhs, lower=1)
-            finite = np.isfinite(w)
-            if not finite.all():
-                raise OverflowError(
-                    f"double-precision weight {int(np.argmin(finite))} of P(z)^{gamma_f} is not "
-                    "finite; expand in a decimal field, e.g. bigdecimal(50) or --mode big")
-            w = w.tolist()
-        else:
-            w = [w0]
-            for m in range(1, truncation):
-                acc = field.zero
-                for k in range(1, min(m, deg) + 1):
-                    acc += (k * (gamma_f + 1) - m) * base_f[k] * w[m - k]
-                w.append(acc / (m * b0))
-    return WeightSeries(gamma_f, base_f, tuple(w), truncation)
+        weights = _expand(base_f, gamma_f, truncation, field)
+    return WeightSeries(gamma_f, base_f, tuple(weights.tolist()), truncation)
+
+
+def _expand(base, gamma, truncation: int, field: Field) -> np.ndarray:
+    """``truncation`` weights of P(z)**gamma, for gamma not an integer >= 0,
+    as the field's array (float64 in double precision, objects otherwise)
+    from ``base`` and ``gamma`` in ``field``, under ``field.context()``."""
+    b0 = base[0]
+    if gamma != int(gamma) and not b0 > 0:
+        raise ValueError("fractional exponent requires a positive leading base coefficient")
+    if b0 == 0:  # gamma is a negative integer here
+        raise ZeroDivisionError("negative power of a polynomial with zero constant term")
+    w0 = field.power(b0, gamma)
+    deg = len(base) - 1
+    if field.name == "float64":
+        # band ab[k, j] = A[j + k, j] / (j + k): row m divided by m, so no partial
+        # sum holds m times a weight; the diagonal is beta_0, A[0, 0] = 1 the seed
+        j, k = np.arange(truncation), np.arange(deg + 1)[:, None]
+        ab = (j - k * gamma) * np.array(base)[:, None] / np.maximum(j + k, 1)
+        ab[0, 0], rhs = 1.0, np.zeros(truncation)
+        rhs[0] = w0
+        w = dtbsv(deg, ab, rhs, lower=1)
+        finite = np.isfinite(w)
+        if not finite.all():
+            raise OverflowError(
+                f"double-precision weight {int(np.argmin(finite))} of P(z)^{gamma} is not "
+                "finite; expand in a decimal field, e.g. bigdecimal(50) or --mode big")
+        return w
+    rise = [k * (gamma + 1) for k in range(deg + 1)]
+    w = [w0]
+    for m in range(1, truncation):
+        acc = field.zero
+        for k in range(1, min(m, deg) + 1):
+            acc += (rise[k] - m) * base[k] * w[m - k]
+        w.append(acc / (m * b0))
+    return np.array(w, dtype=object)
 
 
 def poly_power_int(base, gamma: int) -> tuple[Scalar, ...]:

@@ -47,7 +47,7 @@ import scipy.linalg
 from . import decfun
 from .explicit_form import beta_coefficients, derive_params
 from .scalars import FLOAT64, RATIONAL, Field, Scalar, bigdecimal
-from .series import convergence_diagnostic, miller_expand
+from .series import _expand, convergence_diagnostic
 
 __all__ = [
     "BvpProblem",
@@ -316,19 +316,20 @@ def _band_rhs(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int) -> n
     """Right-hand side of the Toeplitz band whose row i puts coeff[k] on u at
     grid index i + r - k: f at the interior points, less the weights on grid
     points 0 and n times the boundary values (in that order in each row).
-    Call under ``field.context()``."""
+    Non-finite ua, ub or f raise ValueError. Call under ``field.context()``."""
     n, width = grid.n, len(coeff)
     ua, ub = field.of(problem.ua), field.of(problem.ub)
     rhs = _grid_values(problem, "rhs", grid, field)
+    if not (field.finite((ua, ub)) and field.finite(rhs)):
+        raise ValueError("problem data must not contain infs or NaNs")
     # rows i = n - r .. n - 1 put coeff[i + r - n] on grid point n, while
     # that is a weight; rows 1 .. width - r - 1 put coeff[i + r] on point 0
     first, last = max(1, n - r), min(n - 1, n - r + width - 1)
     if first <= last:
-        folded = np.array(coeff[first + r - n:last + r - n + 1])
-        rhs[first - 1:last] = rhs[first - 1:last] - folded * ub
+        rhs[first - 1:last] = rhs[first - 1:last] - coeff[first + r - n:last + r - n + 1] * ub
     last = min(n - 1, width - r - 1)
     if last >= 1:
-        rhs[:last] = rhs[:last] - np.array(coeff[r + 1:last + r + 1]) * ua
+        rhs[:last] = rhs[:last] - coeff[r + 1:last + r + 1] * ua
     return rhs
 
 
@@ -338,17 +339,18 @@ def _band_system(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int):
     rhs = _band_rhs(problem, grid, field, coeff, r)
     size, width = grid.n - 1, len(coeff)
     # padded[off - i + j - 1] is coeff[i + r - j], or zero out of range
-    padded = [field.zero] * size + coeff[::-1] + [field.zero] * size
+    padded = np.concatenate(([field.zero] * size, coeff[::-1], [field.zero] * size))
     off = size + width - r
     if field.name == "float64":
         first_col = padded[off - size:off][::-1]
         return scipy.linalg.toeplitz(first_col, padded[off - 1:off - 1 + size]), rhs
-    return [padded[off - i:off - i + size] for i in range(1, grid.n)], rhs.tolist()
+    return [padded[off - i:off - i + size].tolist() for i in range(1, grid.n)], rhs.tolist()
 
 
-def _central_band(problem: BvpProblem, n: int, field: Field):
-    """Grid, weights (s, -2s, s) with s = 1/h^2, and a function giving their
-    reciprocal series (k + 1)/s to n terms, of the central scheme."""
+def _central_band(problem: BvpProblem, n: int, field: Field, series: bool = False):
+    """Grid and weights (s, -2s, s) with s = 1/h^2 of the central scheme and,
+    with ``series``, their reciprocal series (k + 1)/s to n terms (else None),
+    each as the field's array."""
     if problem.alpha != 2:
         raise ValueError("central scheme handles the second derivative only")
     if not isinstance(n, int) or n < 2:
@@ -356,8 +358,9 @@ def _central_band(problem: BvpProblem, n: int, field: Field):
     with field.context():
         grid = _grid(problem, n, field)
         scale = field.one / grid.h**2
-        coeff = [scale, -2 * scale, scale]
-    return grid, coeff, lambda: [(k + 1) / scale for k in range(n)]
+        coeff = np.array([scale, -2 * scale, scale], dtype=grid.x.dtype)
+        inv = np.arange(1, n + 1, dtype=grid.x.dtype) / scale if series else None
+    return grid, coeff, inv
 
 
 def assemble_central(problem: BvpProblem, n: int, field: Field | None = None):
@@ -425,10 +428,11 @@ def assemble_fractional(
         return _band_system(problem, grid, field, coeff, r)
 
 
-def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int = 2, d: int = 2, r: int = 1):
+def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int = 2, d: int = 2, r: int = 1,
+                     series: bool = False):
     """Validate and warn as ``assemble_fractional`` documents; return the grid,
-    the weights w_k / h^alpha of the (d, p) generator at shift r, and a
-    function giving their reciprocal series h^alpha P(z)^(-alpha/d) to n terms."""
+    the weights w_k / h^alpha of the (d, p) generator at shift r and, with
+    ``series``, their reciprocal series h^alpha P(z)^(-alpha/d) to n terms."""
     with field.context():
         alpha = field.of(problem.alpha)
         if not (1 < alpha < 2):
@@ -447,12 +451,11 @@ def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int = 2, d: i
         warnings.warn(f"generator expansion diverges on the unit disk (edge ratio "
                       f"{diag.edge_ratio}); solving anyway", RuntimeWarning, stacklevel=3)
     with field.context():
-        weights = miller_expand(cv.beta, params.gamma, n + r, field).weights
+        weights = _expand(cv.beta, params.gamma, n + r, field)
         grid = _grid(problem, n, field)
         scale = field.one / field.power(grid.h, alpha)
-        coeff = [w * scale for w in weights]
-    return grid, coeff, lambda: [w / scale for w in miller_expand(
-        cv.beta, -params.gamma, n, field).weights]
+        inv = _expand(cv.beta, -params.gamma, n, field) / scale if series else None
+        return grid, weights * scale, inv
 
 
 def _solve_exact(matrix, rhs):
@@ -554,13 +557,12 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
     y = inv * (0, b), so c = -y[m] / inv[m]. Larger r take ``solve_dense``.
     """
     band = _central_band if scheme == "central" else _fractional_band
-    grid, coeff, reciprocal = band(problem, n, field, **options)
     r = options.get("r", 1)
+    grid, coeff, inv = band(problem, n, field, series=r <= 1, **options)
     with field.context():
         if r > 1:
             return grid, solve_dense(*_band_system(problem, grid, field, coeff, r), field)
         b = _band_rhs(problem, grid, field, coeff, r)
-        inv = np.array(reciprocal())  # float64, or objects in the exact and decimal fields
         limit = field.condition_limit
         if limit is not None:
             # ||L||_1 ||L^-1||_1, refused when it leaves fewer than two of the
@@ -573,7 +575,7 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
             raise SingularMatrixError(f"reciprocal series vanishes at term {n - 1}; singular system")
         b = np.concatenate(([field.zero] * r, b))
         if field.name == "float64":
-            if not np.isfinite(b).all():
+            if not np.isfinite(b).all():  # finite data whose folding overflowed
                 raise ValueError("right-hand side must not contain infs or NaNs")
             y = np.convolve(inv, b)[:len(b)]
         elif scheme == "central":
@@ -600,21 +602,23 @@ def _newton_interpolant(v: list[int]) -> np.ndarray:
     return np.array(poly, dtype=object)
 
 
-def _lagrange_basis(n: int) -> np.ndarray:
-    """Column c - 1 is (n-2)! l_c, the Lagrange basis polynomial of node c
-    on t = 1 .. n-1, as integer monomial coefficients: l_c is omega(t)/(t-c)
-    over omega'(c), with omega(t) = prod_i (t - i) and (n-2)!/omega'(c) =
-    (-1)^(n-1-c) C(n-2, c-1). One synthetic division serves every c at once."""
+def _lagrange_basis(n: int, block: int) -> Iterator[np.ndarray]:
+    """The columns, ``block`` at a time, of the matrix whose column c - 1 is
+    (n-2)! l_c, the Lagrange basis polynomial of node c on t = 1 .. n-1, as
+    integer monomial coefficients: l_c is omega(t)/(t-c) over omega'(c), with
+    omega(t) = prod_i (t - i) and (n-2)!/omega'(c) = (-1)^(n-1-c) C(n-2, c-1).
+    One synthetic division serves every c of a block at once."""
     omega = np.ones(1, dtype=object)
     for i in range(1, n):
         omega = np.concatenate(([0], omega)) - i * np.concatenate((omega, [0]))
-    nodes = np.arange(1, n).astype(object)
-    quotient = np.empty((n - 1, n - 1), dtype=object)
-    quotient[-1] = omega[-1]
-    for k in range(n - 2, 0, -1):
-        quotient[k - 1] = omega[k] + nodes * quotient[k]
-    return quotient * np.array([(-1) ** (n - 1 - c) * math.comb(n - 2, c - 1) for c in range(1, n)],
-                               dtype=object)
+    for first in range(1, n, block):
+        nodes = np.arange(first, min(first + block, n)).astype(object)
+        quotient = np.empty((n - 1, len(nodes)), dtype=object)
+        quotient[-1] = omega[-1]
+        for k in range(n - 2, 0, -1):
+            quotient[k - 1] = omega[k] + nodes * quotient[k]
+        yield quotient * np.array([(-1) ** (n - 1 - c) * math.comb(n - 2, c - 1) for c in nodes],
+                                  dtype=object)
 
 
 def _integrated_values(poly: np.ndarray, points) -> tuple[np.ndarray, int]:
@@ -638,13 +642,17 @@ def _integrated_values(poly: np.ndarray, points) -> tuple[np.ndarray, int]:
 
 
 @lru_cache(maxsize=None)
-def _data_bound(n: int) -> Fraction:
+def _data_bound(n: int, block: int = 32) -> Fraction:
     """||A_N||_inf exactly, A_N the map from v = h^2 f to the interior u of
     the unified scheme (zero boundary values, t = (x - a)/h): the columns
     of A_N are the double integrals of the Lagrange basis. Rows j and n - j
-    have equal absolute sums (reflect t to n - t), so rows j <= n/2 suffice."""
-    g, scale = _integrated_values(_lagrange_basis(n), range(1, n // 2 + 1))
-    return Fraction(max(np.abs(g).sum(axis=1)), n * scale)
+    have equal absolute sums (reflect t to n - t), so rows j <= n/2 suffice.
+    The row sums gather ``block`` columns at a time, so no N x N array is held."""
+    sums = 0
+    for columns in _lagrange_basis(n, block):
+        g, scale = _integrated_values(columns, range(1, n // 2 + 1))
+        sums = sums + np.abs(g).sum(axis=1)
+    return Fraction(max(sums), n * scale)
 
 
 @lru_cache(maxsize=None)

@@ -814,15 +814,16 @@ def test_divergent_generator_is_refused_by_condition(alpha, n):
 def _force_last_reciprocal_term(monkeypatch, value):
     """Make the reciprocal series' last term ``value``: no generator here has
     a vanishing or non-finite one, so the fault is injected."""
-    expand = solvers.miller_expand
+    expand = solvers._expand
 
     def expand_with_fault(base, gamma, truncation, field):
-        series = expand(base, gamma, truncation, field)
+        weights = expand(base, gamma, truncation, field)
         if gamma > 0:
-            return series
-        return dataclasses.replace(series, weights=series.weights[:-1] + (field.of(value),))
+            return weights
+        weights[-1] = field.of(value)
+        return weights
 
-    monkeypatch.setattr(solvers, "miller_expand", expand_with_fault)
+    monkeypatch.setattr(solvers, "_expand", expand_with_fault)
 
 
 @pytest.mark.parametrize("field", STRUCTURE_FIELDS, ids=lambda f: f.name)
@@ -856,6 +857,26 @@ def test_series_solve_refuses_non_finite_data(scheme):
                              alpha=2.0 if scheme == "central" else 1.5, field=FLOAT64)
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_bvp(problem, scheme, 8)
+
+
+@pytest.mark.parametrize("field", [FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
+@pytest.mark.parametrize("scheme, options", [("central", {}), ("fractional", {"r": 0}),
+                                             ("fractional", {"r": 1}),
+                                             ("fractional", {"p": 1, "r": 2})])
+@pytest.mark.parametrize("where", ["rhs", "ua", "ub"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_band_solves_refuse_non_finite_data_in_every_field(field, scheme, options, where, bad):
+    # checked once in the field before folding: at r = 0 ub never enters the
+    # right-hand side, and a decimal NaN or infinity otherwise gives a NaN
+    # solution or a bare InvalidOperation
+    data = {"rhs": field.one, "ua": field.zero, "ub": field.one, where: field.of(bad)}
+    rhs = [field.one] * 3 + [data["rhs"]] * 4  # the bad value from the middle on, N = 8
+    problem = BvpProblem(a=field.zero, b=field.one, ua=data["ua"], ub=data["ub"], rhs=lambda g: rhs,
+                         alpha=field.of(2 if scheme == "central" else F(3, 2)), field=field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # (p, r) = (1, 2) is experimental
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_bvp(problem, scheme, 8, **options)
 
 
 # --- problem data as grid functions ---------------------------------------
@@ -1131,6 +1152,24 @@ def test_unified_float_and_decimal_outputs_are_pinned():
     assert _solver_digests()[1] == "ec8378728fed2ecde8b9a8b48702be90d5b433c34634562f78fe19e8bf6519f5"
 
 
+def test_f64_series_solves_at_large_grids_are_pinned():
+    # reprs of solution and max_error of the f64 central and fractional
+    # (r = 1 and 0) series solves where the array path pays most; taken
+    # before the weight series became arrays from expansion to solution
+    digest = hashlib.sha256()
+    central, fractional = sine_bvp(), power_law_fractional_bvp(F(8, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for n in (256, 1024, 4096):
+            for problem, scheme, options in ((central, "central", {}),
+                                             (fractional, "fractional", {"r": 1}),
+                                             (fractional, "fractional", {"r": 0})):
+                report = solve_bvp(problem, scheme, n, **options)
+                digest.update(repr((scheme, options, n, report.solution, report.max_error)).encode()
+                              + b"\n")
+    assert digest.hexdigest() == "b0478da8601611f965a1f54a25d332365f7b81841e2e742eba63e883bb683415"
+
+
 # --- the unified scheme by exact collocation ---------------------------------
 
 
@@ -1196,6 +1235,13 @@ def _column_by_column_bound(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 16, 31, 40])
 def test_unified_data_bound_matches_column_by_column_solves(n):
     assert solvers._data_bound(n) == _column_by_column_bound(n)
+
+
+def test_unified_data_bound_in_column_blocks_equals_one_block():
+    # a block of 7 leaves a partial last block unless 7 divides N - 1
+    bound = solvers._data_bound.__wrapped__
+    for n in range(2, 71):
+        assert bound(n, 7) == bound(n, n), n
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
