@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--Nmax", type=_positive_int, default=256)
     f.add_argument("--p", type=_positive_int, default=2)
     f.add_argument("--d", type=_positive_int, default=2)
-    f.add_argument("--r", type=_nonnegative_int, default=1)
+    f.add_argument("--r", type=_nonnegative_int, default=1,
+                   help="shift r: 1 (configured) or 0; r >= 2 is refused (none converges)")
     f.add_argument("--format", choices=("table", "csv"), default="csv")
     _add_mode_flags(f, ("f64", "big"))
     f.set_defaults(func=cmd_fbvp)

@@ -48,14 +48,14 @@ def _reduce(x: Decimal) -> Decimal:
     return x
 
 
-def sin(x: Decimal) -> Decimal:
-    """Sine by Taylor series after argument reduction."""
+def _taylor(x: Decimal, odd: int) -> Decimal:
+    """sum_k (-1)^k x^(2k + odd) / (2k + odd)! after argument reduction: the
+    sine for odd = 1, the cosine for odd = 0."""
     with localcontext() as ctx:
         ctx.prec += 10
         x = _reduce(+x)
-        term, total, sign = x, x, 1
-        x2 = x * x
-        i = 1
+        term = total = x if odd else Decimal(1)
+        x2, i, sign = x * x, odd, 1
         while term:
             i += 2
             term = term * x2 / (i * (i - 1))
@@ -64,24 +64,16 @@ def sin(x: Decimal) -> Decimal:
             if term and total and term.adjusted() < total.adjusted() - ctx.prec:
                 break
     return +total
+
+
+def sin(x: Decimal) -> Decimal:
+    """Sine by Taylor series after argument reduction."""
+    return _taylor(x, 1)
 
 
 def cos(x: Decimal) -> Decimal:
     """Cosine by Taylor series after argument reduction."""
-    with localcontext() as ctx:
-        ctx.prec += 10
-        x = _reduce(+x)
-        term, total, sign = Decimal(1), Decimal(1), 1
-        x2 = x * x
-        i = 0
-        while term:
-            i += 2
-            term = term * x2 / (i * (i - 1))
-            sign = -sign
-            total += term if sign > 0 else -term
-            if term and total and term.adjusted() < total.adjusted() - ctx.prec:
-                break
-    return +total
+    return _taylor(x, 0)
 
 
 def gamma(x: Decimal) -> Decimal:

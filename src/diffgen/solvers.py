@@ -11,7 +11,7 @@
 
 Problem data are grid functions: each solve calls the problem's ``rhs`` and
 ``exact`` once on the ``Grid`` of its points. Boundary values are folded into
-the right-hand side. ``solve_bvp`` builds no matrix for three of them:
+the right-hand side. ``solve_bvp`` builds no matrix:
 
 * central and fractional (r <= 1): from the reciprocal series of the weights,
   refused when ||coeff||_1 ||inv||_1 is above the field's ``condition_limit``;
@@ -23,9 +23,9 @@ the right-hand side. ``solve_bvp`` builds no matrix for three of them:
   field's ``condition_limit`` (1e14 in double precision, which solves up to
   N = 52; 10^(digits - 2) in a decimal field).
 
-Fractional r >= 2 takes ``solve_dense``: LAPACK LU in double precision,
-elimination that stays in the band otherwise. ``assemble_unified`` still
-builds the dense unified system, for inspection and checks.
+Fractional shifts r >= 2 are refused before any work: none converges for
+1 < alpha < 2 (Meerschaert and Tadjeran 2004). The ``assemble_*`` functions
+still build the dense systems, for inspection and ``solve_dense``.
 """
 
 from __future__ import annotations
@@ -312,16 +312,24 @@ def _grid_values(problem: BvpProblem, name: str, grid: Grid, field: Field) -> np
     return field.vector(values)
 
 
-def _band_rhs(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int) -> np.ndarray:
-    """Right-hand side of the Toeplitz band whose row i puts coeff[k] on u at
-    grid index i + r - k: f at the interior points, less the weights on grid
-    points 0 and n times the boundary values (in that order in each row).
-    Non-finite ua, ub or f raise ValueError. Call under ``field.context()``."""
-    n, width = grid.n, len(coeff)
+def _problem_data(problem: BvpProblem, grid: Grid, field: Field):
+    """ua, ub and a new ``field.vector`` of f at the interior points, read
+    once; a non-finite value (or grid step) raises ValueError. Call under
+    ``field.context()``."""
     ua, ub = field.of(problem.ua), field.of(problem.ub)
-    rhs = _grid_values(problem, "rhs", grid, field)
-    if not (field.finite((ua, ub)) and field.finite(rhs)):
+    f = _grid_values(problem, "rhs", grid, field)
+    if not (field.finite((ua, ub, grid.h)) and field.finite(f)):
         raise ValueError("problem data must not contain infs or NaNs")
+    return ua, ub, f
+
+
+def _band_rhs(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int):
+    """ua, ub and the right-hand side of the Toeplitz band whose row i puts
+    coeff[k] on u at grid index i + r - k: f at the interior points, less the
+    weights on grid points 0 and n times the boundary values (in that order
+    in each row). Call under ``field.context()``."""
+    n, width = grid.n, len(coeff)
+    ua, ub, rhs = _problem_data(problem, grid, field)
     # rows i = n - r .. n - 1 put coeff[i + r - n] on grid point n, while
     # that is a weight; rows 1 .. width - r - 1 put coeff[i + r] on point 0
     first, last = max(1, n - r), min(n - 1, n - r + width - 1)
@@ -330,13 +338,13 @@ def _band_rhs(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int) -> n
     last = min(n - 1, width - r - 1)
     if last >= 1:
         rhs[:last] = rhs[:last] - coeff[r + 1:last + r + 1] * ua
-    return rhs
+    return ua, ub, rhs
 
 
 def _band_system(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int):
     """Interior matrix and right-hand side of that band. Call under
     ``field.context()``."""
-    rhs = _band_rhs(problem, grid, field, coeff, r)
+    _, _, rhs = _band_rhs(problem, grid, field, coeff, r)
     size, width = grid.n - 1, len(coeff)
     # padded[off - i + j - 1] is coeff[i + r - j], or zero out of range
     padded = np.concatenate(([field.zero] * size, coeff[::-1], [field.zero] * size))
@@ -396,11 +404,11 @@ def assemble_unified(problem: BvpProblem, n: int, field: Field | None = None):
     with field.context():
         grid = _grid(problem, n, field)
         scale = field.one / grid.h**2
-        ua, ub = field.of(problem.ua), field.of(problem.ub)
+        ua, ub, f = _problem_data(problem, grid, field)
         rows = [[field.of(c) for c in exact_row] for exact_row in exact_rows]
         matrix = [[c * scale for c in row[1:n]] for row in rows]
         first, last = np.array([row[0] for row in rows]), np.array([row[n] for row in rows])
-        rhs = _grid_values(problem, "rhs", grid, field) - (first * ua + last * ub) * scale
+        rhs = f - (first * ua + last * ub) * scale
     if field.name == "float64":
         return np.array(matrix), rhs
     return matrix, rhs.tolist()
@@ -420,7 +428,9 @@ def assemble_fractional(
     Row i applies weight w_k to u at grid index i + r - k, truncated at the
     left boundary (zero extension). The configured case is (p, d, r) =
     (2, 2, 1); anything else is accepted but flagged experimental. A
-    divergent generator (edge ratio >= 1) warns and solves anyway.
+    generator with beta_0 <= 0 has no real fractional power and raises
+    ValueError. A divergent generator (edge ratio >= 1) warns and solves
+    anyway. ``solve_bvp`` refuses r >= 2, which this still assembles.
     """
     field = _resolve_field(problem, field)
     grid, coeff, _ = _fractional_band(problem, n, field, p, d, r)
@@ -446,6 +456,9 @@ def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int = 2, d: i
                       "setup is (2, 2, 1)", RuntimeWarning, stacklevel=3)
     params = derive_params(problem.alpha, d, p, r, field)
     cv = beta_coefficients(params)
+    if not cv.beta[0] > 0:
+        raise ValueError(f"generator (p, d, r) = ({p}, {d}, {r}) has beta_0 = {cv.beta[0]} at "
+                         f"alpha = {alpha}; P(z)^(alpha/d) needs beta_0 > 0")
     diag = convergence_diagnostic(cv)
     if not diag.converges_on_unit_disk:
         warnings.warn(f"generator expansion diverges on the unit disk (edge ratio "
@@ -548,21 +561,23 @@ def solve_dense(matrix, rhs, field: Field | None = None):
 
 
 def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options):
-    """Grid and interior solution of the central or fractional scheme.
+    """Grid and solution values of the central or fractional scheme.
 
-    At r <= 1 the system is rows r..m+r-1, columns 0..m-1 of L, the m + 1 = n
-    square lower-triangular Toeplitz matrix of coeff, and L^-1 is Toeplitz
-    with the reciprocal series inv as symbol. At r = 0, x = inv * b. At
-    r = 1, L z = (c, b) with z[m] = 0 gives x = z[:m]; z = y + c inv with
-    y = inv * (0, b), so c = -y[m] / inv[m]. Larger r take ``solve_dense``.
+    The system is rows r..m+r-1, columns 0..m-1 of L, the m + 1 = n square
+    lower-triangular Toeplitz matrix of coeff, and L^-1 is Toeplitz with the
+    reciprocal series inv as symbol. At r = 0, x = inv * b. At r = 1,
+    L z = (c, b) with z[m] = 0 gives x = z[:m]; z = y + c inv with
+    y = inv * (0, b), so c = -y[m] / inv[m]. Larger r are refused first.
     """
-    band = _central_band if scheme == "central" else _fractional_band
     r = options.get("r", 1)
-    grid, coeff, inv = band(problem, n, field, series=r <= 1, **options)
+    if isinstance(r, int) and r > 1:
+        raise ValueError(f"shift r = {r}: no fractional scheme with r >= 2 converges for "
+                         "1 < alpha < 2 (Meerschaert and Tadjeran 2004); solve with r = 1 "
+                         "(or r = 0)")
+    band = _central_band if scheme == "central" else _fractional_band
+    grid, coeff, inv = band(problem, n, field, series=True, **options)
     with field.context():
-        if r > 1:
-            return grid, solve_dense(*_band_system(problem, grid, field, coeff, r), field)
-        b = _band_rhs(problem, grid, field, coeff, r)
+        ua, ub, b = _band_rhs(problem, grid, field, coeff, r)
         limit = field.condition_limit
         if limit is not None:
             # ||L||_1 ||L^-1||_1, refused when it leaves fewer than two of the
@@ -582,7 +597,8 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
             y = np.cumsum(np.cumsum(b)) / coeff[0]  # sum_i (k - i + 1) b[i] / s, in O(N)
         else:  # half the products of np.convolve's full one
             y = np.array([sum(map(mul, inv[k::-1], b), field.zero) for k in range(len(b))])
-        return grid, y if r == 0 else (y - y[-1] / inv[-1] * inv)[:-1]
+        interior = y if r == 0 else (y - y[-1] / inv[-1] * inv)[:-1]
+        return grid, np.concatenate(([ua], interior, [ub]))
 
 
 def _newton_interpolant(v: list[int]) -> np.ndarray:
@@ -666,7 +682,7 @@ def _sign_bound(n: int) -> Fraction:
 
 
 def _solve_unified(problem: BvpProblem, n: int, field: Field):
-    """Grid and interior solution of the unified scheme by exact collocation.
+    """Grid and solution values of the unified scheme by exact collocation.
 
     Row i of the scheme is the second derivative at x_i of the degree-n
     interpolant of the grid values, so its solution is the degree-n
@@ -692,31 +708,21 @@ def _solve_unified(problem: BvpProblem, n: int, field: Field):
                                    Context().divide(bound.numerator, bound.denominator))
     with field.context():
         grid = _grid(problem, n, field)
-        data = [field.of(problem.ua), field.of(problem.ub), grid.h]
-        f = _grid_values(problem, "rhs", grid, field)
-    try:  # exact: floats, Decimals and Fractions are ratios of integers
-        (an, ad), (bn, bd), (hn, hd), *ratios = (x.as_integer_ratio() for x in data + f.tolist())
-    except (OverflowError, ValueError):
-        raise ValueError("problem data must not contain infs or NaNs") from None
+        ua, ub, f = _problem_data(problem, grid, field)
+    # exact: floats, Decimals and Fractions are ratios of integers
+    (an, ad), (bn, bd), (hn, hd), *ratios = (x.as_integer_ratio()
+                                              for x in [ua, ub, grid.h, *f.tolist()])
     # ua, ub and v_i = h^2 f_i as integers over one common denominator
     den = math.lcm(ad, bd, hd * hd * math.lcm(*(d for _, d in ratios)))
-    ua, ub = an * (den // ad), bn * (den // bd)
+    ia, ib = an * (den // ad), bn * (den // bd)
     v = [hn * hn * num * (den // (hd * hd * d)) for num, d in ratios]
     g, scale = _integrated_values(_newton_interpolant(v), range(1, n))
     # u_j: the part that vanishes at both ends, plus the line from ua to ub
-    return grid, [field._quotient(gj + scale * (n * ua + j * (ub - ua)), n * scale * den)
-                  for j, gj in enumerate(g.tolist(), 1)]
+    return grid, [ua, *(field._quotient(gj + scale * (n * ia + j * (ib - ia)), n * scale * den)
+                        for j, gj in enumerate(g.tolist(), 1)), ub]
 
 
 _SCHEME_OPTIONS = {"central": (), "fractional": ("p", "d", "r"), "unified": ()}
-
-
-def _configured_order(scheme: str, n: int, p: int) -> int:
-    if scheme == "central":
-        return 2
-    if scheme == "unified":
-        return n - 1
-    return p
 
 
 def solve_bvp(
@@ -742,13 +748,12 @@ def solve_bvp(
         raise ValueError(f"scheme {scheme!r} takes no option {', '.join(unknown)}; it accepts "
                          f"{', '.join(_SCHEME_OPTIONS[scheme]) or 'none'}")
     if scheme == "unified":
-        grid, interior = _solve_unified(problem, n, field)
+        grid, values = _solve_unified(problem, n, field)
     else:
-        grid, interior = _solve_band(problem, scheme, n, field, scheme_options)
+        grid, values = _solve_band(problem, scheme, n, field, scheme_options)
     with field.context():
-        ua, ub = field.of(problem.ua), field.of(problem.ub)
         # through ``of``: a decimal -0 from elimination reads 0
-        solution = field.vector(np.concatenate(([ua], interior, [ub])))
+        solution = field.vector(values)
         max_error = None
         if problem.exact is not None:
             max_error = field.of(abs(solution - _grid_values(problem, "exact", grid, field)).max())
@@ -757,7 +762,7 @@ def solve_bvp(
         h=grid.h,
         solution=tuple(solution.tolist()),
         max_error=max_error,
-        approx_order=_configured_order(scheme, n, scheme_options.get("p", 2)),
+        approx_order={"central": 2, "unified": n - 1}.get(scheme, scheme_options.get("p", 2)),
     )
 
 

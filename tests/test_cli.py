@@ -272,6 +272,12 @@ def test_fbvp_csv_prints_the_solved_grids_before_a_refusal(capsys):
     assert "condition estimate 6.1e+24" in err
 
 
+def test_fbvp_refuses_shifts_from_two_without_a_table(capsys):
+    rc, out, err = invoke(capsys, "fbvp", "--alpha", "1.6", "--r", "2", "--N", "8")
+    assert rc == 1 and out == ""
+    assert "shift r = 2" in err
+
+
 def test_fbvp_alpha_out_of_range(capsys):
     rc, _, err = invoke(capsys, "fbvp", "--alpha", "2.5", "--N", "16")
     assert rc == 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -257,6 +258,61 @@ def test_bool_shift_is_refused():
         solve_bvp(prob, "fractional", 8, r=True)
     with pytest.raises(ValueError, match="shift r must be a non-negative integer.*False"):
         assemble_fractional(prob, 8, r=False)
+
+
+@pytest.mark.parametrize("field", [FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_shifts_from_two_are_refused_before_any_work(monkeypatch, field, r):
+    # no fractional scheme with r >= 2 converges for 1 < alpha < 2: the
+    # refusal comes before any expansion, warning or problem data
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused shift reached the expansion or the problem data")
+
+    monkeypatch.setattr(solvers, "_expand", refuse)
+    problem = dataclasses.replace(power_law_fractional_bvp(F(8, 5), field), rhs=refuse,
+                                  exact=refuse)
+    message = rf"^shift r = {r}: no fractional scheme with r >= 2 converges .*solve with r = 1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                solve_bvp(problem, "fractional", 8, p=p, r=r)
+            with pytest.raises(ValueError, match=message):
+                convergence_study(problem, "fractional", [4, 8], p=p, r=r)
+
+
+@pytest.mark.parametrize("alpha", [F(17, 16), F(3, 2), F(31, 16)], ids=str)
+def test_shifts_up_to_one_converge_whenever_they_solve(alpha):
+    # the convergence map in f64: every generator of d = 1..4, p = 1..5 at
+    # r = 0 or 1 is refused (beta_0 <= 0, condition), or its error falls from
+    # N = 32 to N = 128 at an order of at least 0.5
+    problem, solved = power_law_fractional_bvp(alpha), 0
+    for d, p, r in itertools.product(range(1, 5), range(1, 6), (0, 1)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                coarse, fine = convergence_study(problem, "fractional", [32, 128], p=p, d=d, r=r)
+        except (ValueError, ArithmeticError):
+            continue
+        assert fine.max_error < coarse.max_error and fine.empirical_order >= 0.5, (d, p, r)
+        solved += 1
+    assert solved >= 25  # 25, 28 and 35 of the 40
+
+
+def test_generator_without_positive_beta_0_names_its_configuration():
+    # (p, d, r) = (2, 2, 2) at alpha = 3/2 has beta_0 = -2/3, and (4, 2, 1)
+    # at 11/10 has -0.0203: both are refused before any expansion
+    with pytest.warns(RuntimeWarning, match="experimental"):
+        with pytest.raises(ValueError, match=r"^generator \(p, d, r\) = \(2, 2, 2\) has "
+                                             r"beta_0 = -0\.666\d* at alpha = 1\.5; "):
+            assemble_fractional(power_law_fractional_bvp(F(3, 2)), 8, r=2)
+        with pytest.raises(ValueError, match=r"^generator \(p, d, r\) = \(4, 2, 1\) has "
+                                             r"beta_0 = -0\.0203\d* at alpha = 1\.1; "):
+            solve_bvp(power_law_fractional_bvp(F(11, 10)), "fractional", 16, p=4)
+    # the series kernel keeps its own check for miller_expand
+    beta = beta_coefficients(derive_params(F(3, 2), 2, 2, 2)).beta
+    with pytest.raises(ValueError, match="^fractional exponent requires a positive leading base"):
+        miller_expand(beta, F(3, 4), 8)
 
 
 def test_solve_bvp_unknown_scheme():
@@ -643,7 +699,7 @@ def test_dense_systems_keep_lapack_lu(monkeypatch):
     assert calls == []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # r = 2 is an experimental configuration
-        solve_bvp(power_law_fractional_bvp(F(8, 5)), "fractional", 64, p=1, r=2)
+        solve_dense(*assemble_fractional(power_law_fractional_bvp(F(8, 5)), 64, p=1, r=2))
     assert calls == [(63, 63)]
 
 
@@ -758,7 +814,8 @@ def test_series_solves_build_no_matrix(monkeypatch, field, scheme, r):
         raise AssertionError("a matrix was built or factored for a series solve")
 
     for owner, name in ((solvers, "_band_system"), (solvers, "_solve_exact"),
-                        (scipy.linalg, "toeplitz"), (scipy.linalg, "lu_factor")):
+                        (solvers, "solve_dense"), (scipy.linalg, "toeplitz"),
+                        (scipy.linalg, "lu_factor")):
         monkeypatch.setattr(owner, name, refuse)
     if scheme == "central":
         report = solve_bvp(sine_bvp(field), "central", 256)
@@ -861,8 +918,7 @@ def test_series_solve_refuses_non_finite_data(scheme):
 
 @pytest.mark.parametrize("field", [FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
 @pytest.mark.parametrize("scheme, options", [("central", {}), ("fractional", {"r": 0}),
-                                             ("fractional", {"r": 1}),
-                                             ("fractional", {"p": 1, "r": 2})])
+                                             ("fractional", {"r": 1})])
 @pytest.mark.parametrize("where", ["rhs", "ua", "ub"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_band_solves_refuse_non_finite_data_in_every_field(field, scheme, options, where, bad):
@@ -874,7 +930,7 @@ def test_band_solves_refuse_non_finite_data_in_every_field(field, scheme, option
     problem = BvpProblem(a=field.zero, b=field.one, ua=data["ua"], ub=data["ub"], rhs=lambda g: rhs,
                          alpha=field.of(2 if scheme == "central" else F(3, 2)), field=field)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # (p, r) = (1, 2) is experimental
+        warnings.simplefilter("ignore", RuntimeWarning)  # r = 0 is experimental
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_bvp(problem, scheme, 8, **options)
 
@@ -910,15 +966,15 @@ def _counting(problem):
 
 @pytest.mark.parametrize("field", STRUCTURE_FIELDS, ids=lambda f: f.name)
 @pytest.mark.parametrize("scheme, options", [
-    ("central", {}), ("unified", {}), ("fractional", {"r": 1}), ("fractional", {"p": 1, "r": 2})],
-    ids=["central", "unified", "fractional-r1", "fractional-r2"])
+    ("central", {}), ("unified", {}), ("fractional", {"r": 1}), ("fractional", {"r": 0})],
+    ids=["central", "unified", "fractional-r1", "fractional-r0"])
 def test_each_solve_evaluates_rhs_and_exact_once(field, scheme, options):
     if scheme == "fractional":
         problem, calls = _counting(power_law_fractional_bvp(F(23, 16), field))
     else:
         problem, calls = _counting(sine_bvp(field))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # r = 2 is an experimental configuration
+        warnings.simplefilter("ignore")  # r = 0 is an experimental configuration
         convergence_study(problem, scheme, [4, 8, 16], **options)
     for name in ("rhs", "exact"):
         assert [grid.n for grid in calls[name]] == [4, 8, 16]
@@ -1124,8 +1180,9 @@ def _solver_digests():
             warnings.simplefilter("ignore", RuntimeWarning)
             for n in (2, 3, 4, 8, 16, 64):
                 for options in ({"r": 1}, {"r": 0}, {"p": 1, "r": 2}):
-                    report = solve_bvp(problem, "fractional", n, field, **options)
-                    record(field, options, n, report.solution, report.max_error, report.h)
+                    if options["r"] < 2:  # solve_bvp refuses r >= 2
+                        report = solve_bvp(problem, "fractional", n, field, **options)
+                        record(field, options, n, report.solution, report.max_error, report.h)
                     if n in (4, 8):
                         record(field, options, n, assemble_fractional(problem, n, field=field,
                                                                       **options))
@@ -1142,8 +1199,9 @@ def test_solver_outputs_are_unchanged():
     # solve_bvp (solution, max_error, h), the assemble_* systems and
     # symbol_series in the rational, f64 and 30- and 50-digit fields, except
     # the unified solves outside the exact field; taken with the dense
-    # unified solver, which gave the same rational unified solutions
-    assert _solver_digests()[0] == "d25e00240188b342018c905522597c425167c526e59d4b254c232bf1af788a4a"
+    # unified solver, which gave the same rational unified solutions. The
+    # fractional r = 2 system is assembled only, as solve_bvp refuses it.
+    assert _solver_digests()[0] == "292ae7c326fb9f22a84deb798a993d94356ccdeddad7c47835e640931ca5c4a0"
 
 
 def test_unified_float_and_decimal_outputs_are_pinned():
@@ -1304,6 +1362,22 @@ def test_unified_solve_refuses_non_finite_data(bad):
                          alpha=2.0, field=FLOAT64)
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_bvp(problem, "unified", 8)
+    # finite f on an infinite domain: the step h is refused with the data
+    problem = dataclasses.replace(problem, b=math.inf, rhs=lambda g: [1.0] * (g.n - 1))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        solve_bvp(problem, "unified", 8)  # grid point 0 is 0 * inf
+
+
+@pytest.mark.parametrize("field", [FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
+@pytest.mark.parametrize("where", ["rhs", "ua", "ub"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_assemble_unified_refuses_non_finite_data(field, where, bad):
+    # the unified system is built from the same checked data as the solves
+    data = {"rhs": field.one, "ua": field.zero, "ub": field.one, where: field.of(bad)}
+    problem = BvpProblem(a=field.zero, b=field.one, ua=data["ua"], ub=data["ub"],
+                         rhs=lambda g: [data["rhs"]] * (g.n - 1), alpha=2, field=field)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        assemble_unified(problem, 8)
 
 
 @pytest.mark.parametrize("scheme", ["central", "unified"])
