@@ -88,16 +88,19 @@ def miller_expand(base, gamma, truncation: int, field: Field | None = None) -> W
     return WeightSeries(gamma_f, base_f, tuple(weights.tolist()), truncation)
 
 
-def _expand(base, gamma, truncation: int, field: Field) -> np.ndarray:
+def _expand(base, gamma, truncation: int, field: Field, head=None) -> np.ndarray:
     """``truncation`` weights of P(z)**gamma, for gamma not an integer >= 0,
     as the field's array (float64 in double precision, objects otherwise)
-    from ``base`` and ``gamma`` in ``field``, under ``field.context()``."""
+    from ``base`` and ``gamma`` in ``field``, under ``field.context()``.
+    ``head``, a shorter expansion of the same series, gives the seed; the exact
+    and decimal fields continue after it, and f64 solves the band again (a
+    ``dtbsv`` term has the same bits at every length)."""
     b0 = base[0]
     if gamma != int(gamma) and not b0 > 0:
         raise ValueError("fractional exponent requires a positive leading base coefficient")
     if b0 == 0:  # gamma is a negative integer here
         raise ZeroDivisionError("negative power of a polynomial with zero constant term")
-    w0 = field.power(b0, gamma)
+    w0 = field.power(b0, gamma) if head is None else head[0]
     deg = len(base) - 1
     if field.name == "float64":
         # band ab[k, j] = A[j + k, j] / (j + k): row m divided by m, so no partial
@@ -114,8 +117,8 @@ def _expand(base, gamma, truncation: int, field: Field) -> np.ndarray:
                 "finite; expand in a decimal field, e.g. bigdecimal(50) or --mode big")
         return w
     rise = [k * (gamma + 1) for k in range(deg + 1)]
-    w = [w0]
-    for m in range(1, truncation):
+    w = [w0] if head is None else head.tolist()
+    for m in range(len(w), truncation):
         acc = field.zero
         for k in range(1, min(m, deg) + 1):
             acc += (rise[k] - m) * base[k] * w[m - k]

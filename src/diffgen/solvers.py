@@ -14,7 +14,9 @@ Problem data are grid functions: each solve calls the problem's ``rhs`` and
 the right-hand side. ``solve_bvp`` builds no matrix:
 
 * central and fractional (r <= 1): from the reciprocal series of the weights,
-  refused when ||coeff||_1 ||inv||_1 is above the field's ``condition_limit``;
+  refused when ||coeff||_1 ||inv||_1 is above the field's ``condition_limit``.
+  The fractional generator's coefficients, verdict and unscaled series are
+  kept for the last 16 generators and grown or sliced to each grid;
 * unified: by exact collocation. Its solution is the degree-N polynomial with
   the boundary values whose second derivative is f at the interior points,
   built on integers from the field's data and rounded once per value. The
@@ -31,6 +33,8 @@ still build the dense systems, for inspection and ``solve_dense``.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -45,7 +49,7 @@ import numpy as np
 import scipy.linalg
 
 from . import decfun
-from .explicit_form import beta_coefficients, derive_params
+from .explicit_form import ApproxParams, beta_coefficients, derive_params
 from .scalars import FLOAT64, RATIONAL, Field, Scalar, bigdecimal
 from .series import _expand, convergence_diagnostic
 
@@ -452,23 +456,52 @@ def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int = 2, d: i
     if isinstance(r, bool) or not isinstance(r, int) or r < 0:
         raise ValueError(f"shift r must be a non-negative integer (grid alignment), got {r!r}")
     if (p, d, r) != (2, 2, 1):
-        warnings.warn(f"configuration (p={p}, d={d}, r={r}) is experimental; the validated "
-                      "setup is (2, 2, 1)", RuntimeWarning, stacklevel=3)
+        _warn(f"configuration (p={p}, d={d}, r={r}) is experimental; the validated setup is "
+              "(2, 2, 1)")
     params = derive_params(problem.alpha, d, p, r, field)
-    cv = beta_coefficients(params)
+    cv, diag, _ = generator = _generator(params, str(params.alpha))
     if not cv.beta[0] > 0:
         raise ValueError(f"generator (p, d, r) = ({p}, {d}, {r}) has beta_0 = {cv.beta[0]} at "
                          f"alpha = {alpha}; P(z)^(alpha/d) needs beta_0 > 0")
-    diag = convergence_diagnostic(cv)
     if not diag.converges_on_unit_disk:
-        warnings.warn(f"generator expansion diverges on the unit disk (edge ratio "
-                      f"{diag.edge_ratio}); solving anyway", RuntimeWarning, stacklevel=3)
+        _warn(f"generator expansion diverges on the unit disk (edge ratio {diag.edge_ratio}); "
+              "solving anyway")
     with field.context():
-        weights = _expand(cv.beta, params.gamma, n + r, field)
+        weights = _series(generator, params.gamma, n + r)
         grid = _grid(problem, n, field)
         scale = field.one / field.power(grid.h, alpha)
-        inv = _expand(cv.beta, -params.gamma, n, field) / scale if series else None
+        inv = _series(generator, -params.gamma, n) / scale if series else None
         return grid, weights * scale, inv
+
+
+@lru_cache(maxsize=16)
+def _generator(params: ApproxParams, alpha_text: str):
+    """The coefficients, the convergence verdict (None unless beta_0 > 0) and
+    a dict gamma -> P(z)^gamma (unscaled, read-only, grown by ``_series``) of
+    the generator of ``params``. ``alpha_text`` tells apart equal decimal
+    alphas of different exponents, whose series differ in their reprs."""
+    cv = beta_coefficients(params)
+    return cv, convergence_diagnostic(cv) if cv.beta[0] > 0 else None, {}
+
+
+def _series(generator, gamma, length: int) -> np.ndarray:
+    """The first ``length`` terms of the generator's P(z)^gamma, expanded past
+    the kept ones if needed. Call under the field's context."""
+    cv, _, kept = generator
+    # a race between two growths only repeats work: every expansion has the same terms
+    head = kept.get(gamma)
+    if head is None or len(head) < length:
+        head = kept[gamma] = _expand(cv.beta, gamma, length, cv.params.field, head)
+        head.flags.writeable = False
+    return head[:length]
+
+
+def _warn(message: str) -> None:
+    """A RuntimeWarning attributed to the first caller outside this package."""
+    frame, level, package = sys._getframe(1), 2, os.path.dirname(__file__) + os.sep
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 def _solve_exact(matrix, rhs):

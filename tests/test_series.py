@@ -245,6 +245,21 @@ def test_float64_expansion_is_one_banded_solve(monkeypatch):
         assert gap <= 4096 * decimal.Decimal(2) ** -53 * max(map(abs, ref))
 
 
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
+@pytest.mark.parametrize("gamma", [F(1, 2), F(-1, 2), F(-5, 2)], ids=str)
+def test_expansion_grown_from_a_head_is_the_full_expansion(field, gamma):
+    # a kept prefix seeds the longer expansion (and the exact and decimal
+    # fields continue the recurrence after it): the terms are those of one
+    # expansion at the full length, to the repr (f64: to the bit)
+    with field.context():
+        base = tuple(field.of(b) for b in (F(9, 4), -3, 1, F(-1, 8)))
+        gamma = field.of(gamma)
+        full = series._expand(base, gamma, 48, field)
+        for k in (1, 2, 3, 4, 17, 47, 48):
+            grown = series._expand(base, gamma, 48, field, series._expand(base, gamma, k, field))
+            assert repr(grown.tolist()) == repr(full.tolist()), k
+
+
 def _expansions_digest():
     big = bigdecimal(50)
     series_list = []

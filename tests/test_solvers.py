@@ -1,6 +1,7 @@
 """Boundary-value assembly and dense solves in all three arithmetics."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -268,6 +269,7 @@ def test_shifts_from_two_are_refused_before_any_work(monkeypatch, field, r):
     def refuse(*args, **kwargs):
         raise AssertionError("a refused shift reached the expansion or the problem data")
 
+    _fresh_generator_memo(monkeypatch)
     monkeypatch.setattr(solvers, "_expand", refuse)
     problem = dataclasses.replace(power_law_fractional_bvp(F(8, 5), field), rhs=refuse,
                                   exact=refuse)
@@ -868,13 +870,22 @@ def test_divergent_generator_is_refused_by_condition(alpha, n):
             solve_bvp(power_law_fractional_bvp(alpha), "fractional", n, p=3)
 
 
+def _fresh_generator_memo(monkeypatch):
+    """An empty generator memo for this test, so that a patched ``_expand``
+    is reached and what it returns is dropped with the test."""
+    memo = solvers._generator
+    monkeypatch.setattr(solvers, "_generator",
+                        functools.lru_cache(memo.cache_info().maxsize)(memo.__wrapped__))
+
+
 def _force_last_reciprocal_term(monkeypatch, value):
     """Make the reciprocal series' last term ``value``: no generator here has
     a vanishing or non-finite one, so the fault is injected."""
+    _fresh_generator_memo(monkeypatch)
     expand = solvers._expand
 
-    def expand_with_fault(base, gamma, truncation, field):
-        weights = expand(base, gamma, truncation, field)
+    def expand_with_fault(base, gamma, truncation, field, head=None):
+        weights = expand(base, gamma, truncation, field, head)
         if gamma > 0:
             return weights
         weights[-1] = field.of(value)
@@ -895,6 +906,115 @@ def test_non_finite_reciprocal_series_is_refused(monkeypatch):
     _force_last_reciprocal_term(monkeypatch, math.nan)
     with pytest.raises(SingularMatrixError, match="condition estimate nan"):
         solve_bvp(power_law_fractional_bvp(F(23, 16)), "fractional", 16)
+
+
+def _memo_generators(field):
+    """More (alpha, p, d, r) generators than the memo holds: p = 1 in the
+    exact field, whose beta_0 = 1 has exact powers."""
+    if field is RATIONAL:
+        return [(alpha, 1, d, r) for alpha in (F(17, 16), F(3, 2), F(29, 16))
+                for d in (1, 2, 3) for r in (0, 1)]
+    return [(F(k, 16), p, 2, r) for k in range(21, 32, 2) for p, r in ((2, 1), (2, 0), (3, 0))]
+
+
+def _memo_solve(field, alpha, p, d, r, n):
+    """The repr of one fractional solve of D^alpha u = x^2; in the exact field on
+    [0, N], so that h = 1 and h^alpha are exact."""
+    problem = BvpProblem(a=field.zero, b=field.of(n if field is RATIONAL else 1), ua=field.zero,
+                         ub=field.one, rhs=lambda g: g.x[1:-1] ** 2, alpha=alpha, field=field)
+    return repr(solve_bvp(problem, "fractional", n, p=p, d=d, r=r))
+
+
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(30), bigdecimal(50)],
+                         ids=lambda f: f"{f.name}{f.digits or ''}")
+def test_solves_do_not_depend_on_the_generator_memo(monkeypatch, field):
+    # each solve equals a cold one, whether its series are new, grown from a
+    # shorter grid's, a slice of a longer grid's, or built again after the
+    # generator was evicted (interleaved: every generator between its grids)
+    _fresh_generator_memo(monkeypatch)
+    generators, grids = _memo_generators(field), (8, 16, 32)
+    assert len(generators) > solvers._generator.cache_info().maxsize
+    orders = {"ascending": [(g, n) for g in generators for n in grids],
+              "descending": [(g, n) for g in generators for n in reversed(grids)],
+              "interleaved": [(g, n) for n in (16, 8, 32) for g in generators]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cold = {}
+        for generator, n in orders["ascending"]:
+            solvers._generator.cache_clear()
+            cold[generator, n] = _memo_solve(field, *generator, n)
+        for name, order in orders.items():
+            solvers._generator.cache_clear()
+            for generator, n in order:
+                assert _memo_solve(field, *generator, n) == cold[generator, n], (name, generator, n)
+            assert solvers._generator.cache_info().currsize == solvers._generator.cache_info().maxsize
+
+
+def test_generator_is_built_once_and_its_series_grown(monkeypatch):
+    # a 50-digit study of one generator on 4 grids: one coefficient vector,
+    # one correctly rounded beta_0^(+-gamma) per sign, and each larger grid
+    # continues the kept series; a repeated study expands nothing
+    _fresh_generator_memo(monkeypatch)
+    field, calls, expansions = bigdecimal(50), Counter(), []
+    beta, expand, power = solvers.beta_coefficients, solvers._expand, type(field).power
+
+    def counted_beta(params):
+        calls["beta_coefficients"] += 1
+        return beta(params)
+
+    def counted_expand(base, gamma, truncation, field, head=None):
+        expansions.append((gamma > 0, truncation, 0 if head is None else len(head)))
+        return expand(base, gamma, truncation, field, head)
+
+    def counted_power(self, base, exponent):
+        calls[base, exponent] += 1
+        return power(self, base, exponent)
+
+    monkeypatch.setattr(solvers, "beta_coefficients", counted_beta)
+    monkeypatch.setattr(solvers, "_expand", counted_expand)
+    monkeypatch.setattr(type(field), "power", counted_power)
+    params = derive_params(F(8, 5), 2, 2, 1, field)
+    b0, gamma = beta_coefficients(params).beta[0], params.gamma
+    problem = power_law_fractional_bvp(F(8, 5), field)
+    first = convergence_study(problem, "fractional", [16, 32, 64, 128])
+    assert calls["beta_coefficients"] == 1
+    assert calls[b0, gamma] == 1 and calls[b0, -gamma] == 1
+    assert expansions == [(True, 17, 0), (False, 16, 0), (True, 33, 17), (False, 32, 16),
+                          (True, 65, 33), (False, 64, 32), (True, 129, 65), (False, 128, 64)]
+    calls.clear()
+    expansions.clear()
+    assert convergence_study(problem, "fractional", [16, 32, 64, 128]) == first
+    solve_bvp(problem, "fractional", 8)
+    assemble_fractional(problem, 64, field=field)
+    assert not calls["beta_coefficients"] and not expansions
+    assert not calls[b0, gamma] and not calls[b0, -gamma]
+    # the kept series are read-only
+    kept = solvers._generator(params, str(params.alpha))[2]
+    assert sorted(map(len, kept.values())) == [128, 129]
+    for series in kept.values():
+        with pytest.raises(ValueError, match="read-only"):
+            series[0] = series[1]
+        with pytest.raises(ValueError, match="read-only"):
+            series[:4] *= 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda problem: solve_bvp(problem, "fractional", 8, p=1),
+    lambda problem: convergence_study(problem, "fractional", [8, 16], p=1),
+    lambda problem: list(iter_convergence_study(problem, "fractional", [8, 16], p=1)),
+    lambda problem: assemble_fractional(problem, 8, p=1),
+], ids=["solve_bvp", "convergence_study", "iter_convergence_study", "assemble_fractional"])
+def test_solver_warnings_point_at_the_caller(monkeypatch, call):
+    # (p, d, r) = (1, 2, 1) is experimental and its edge ratio is 1: both
+    # warnings name this file, on a memo miss and on a hit
+    _fresh_generator_memo(monkeypatch)
+    problem = power_law_fractional_bvp(F(8, 5))
+    for memo in ("miss", "hit"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(problem)
+        assert sorted({str(w.message).split(" ")[0] for w in caught}) == ["configuration", "generator"]
+        assert {w.filename for w in caught} == {__file__}, memo
 
 
 def test_decimal_series_solve_follows_its_digits():
