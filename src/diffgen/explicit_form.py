@@ -14,14 +14,17 @@ solving a linear system.
 
 All of it runs exactly on Python ints, from the node polynomial prod_m (x + X_m)
 on the integer nodes X_m = q*(lam - m), lam = a/q: numerators are its quotients
-by synthetic division, error moments the remainders of powers modulo it. Each
-result is rounded once into the field from an unreduced integer pair, so float
-and decimal outputs are correctly rounded.
+by division from the constant term, error moments the remainders of powers
+modulo it. Each result is rounded once into the field from an unreduced integer
+pair, so float and decimal outputs are correctly rounded.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -79,6 +82,14 @@ def _finite(name: str, value, field: Field) -> Scalar:
     return converted
 
 
+def _warn(message: str, category: type[Warning]) -> None:
+    """Warn with ``category``, attributed to the first caller outside this package."""
+    frame, level, package = sys._getframe(1), 2, os.path.dirname(__file__) + os.sep
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
 def derive_params(alpha, d: int, p: int, r, field: Field = RATIONAL) -> ApproxParams:
     """Validate inputs and precompute lam and the coefficient count.
 
@@ -113,13 +124,12 @@ def denominators(d: int, p: int, field: Field = RATIONAL) -> tuple[Scalar, ...]:
 
 
 @lru_cache(maxsize=32)
-def _node_polynomial(params: ApproxParams) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def _node_polynomial(a: int, q: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """With lam = a/q the nodes lam - m are X_m/q on the integers X_m = a - m*q:
-    the X_m, the coefficients (lowest first) of Pi(x) = prod_m (x + X_m), and q.
-    The last few are kept, so the numerators, ``exact_beta`` and the error
-    terms of one request build Pi once."""
-    a, q = Fraction(params.lam).as_integer_ratio()
-    nodes = [a - m * q for m in range(params.n_coeffs)]
+    the X_m (m < n), the coefficients (lowest first) of Pi(x) = prod_m (x + X_m),
+    and q. The last few are kept, keyed on integers: one request, and requests of
+    equal lam and n in any field, build Pi once."""
+    nodes = [a - m * q for m in range(n)]
     poly = [nodes[0], 1]
     for x in nodes[1:]:
         poly = [x * poly[0]] + [lo + x * hi for lo, hi in zip(poly, poly[1:])] + [1]
@@ -128,20 +138,25 @@ def _node_polynomial(params: ApproxParams) -> tuple[tuple[int, ...], tuple[int, 
 
 def _numerator_pairs(params: ApproxParams, tally: "OpCount | None") -> list[tuple[int, int]]:
     # N_j = c_j / q^(p-1) with c_j = [x^d] Pi(x)/(x + X_j), the degree-(p-1)
-    # elementary symmetric polynomial of the other X_m; synthetic division from
-    # the top reaches it in p-1 steps
-    nodes, poly, q = _node_polynomial(params)
-    n, p, scale = params.n_coeffs, params.p, q ** (params.p - 1)
-    top = poly[n - 1 : params.d : -1]
+    # elementary symmetric polynomial of the other X_m. Pi = (x + X_j) Q gives
+    # Q_0 = Pi_0 / X_j and Q_k = (Pi_k - Q_{k-1}) / X_j, exact divisions, so
+    # c_j = Q_d takes d + 1 steps from the bottom; a zero node leaves Q_d = Pi_{d+1}
+    nodes, poly, q = _node_polynomial(*params.lam.as_integer_ratio(), params.n_coeffs)
+    d, n, scale = params.d, params.n_coeffs, q ** (params.p - 1)
+    low = poly[1 : d + 1]
     nums = []
     for x in nodes:
-        c = 1
-        for coeff in top:
-            c = coeff - x * c
+        if x:
+            c = poly[0] // x
+            for coeff in low:
+                c = (coeff - c) // x
+        else:
+            c = poly[d + 1]
         nums.append((c, scale))
-    if tally is not None:  # building Pi, then the divisions
-        tally.additions += n * (n - 1) // 2 + n * (p - 1)
-        tally.multiplications += n * (n - 1) // 2 + n - 1 + n * (p - 1)
+    if tally is not None:  # building Pi, then the divisions by the nonzero nodes
+        divided = sum(1 for x in nodes if x)
+        tally.additions += n * (n - 1) // 2 + divided * d
+        tally.multiplications += n * (n - 1) // 2 + n - 1 + divided * (d + 1)
     return nums
 
 
@@ -150,23 +165,30 @@ def numerators(params: ApproxParams, tally: "OpCount | None" = None) -> tuple[Sc
     node sets {lam - k : k != j}.
 
     Builds the node polynomial prod_{m=0}^{N-1} (x + lam - m) once, on integer
-    nodes, then divides each node out of it by p-1 steps of synthetic division:
-    O(N^2) operations instead of N * C(N-1, p-1). ``tally`` (if given)
-    accumulates the adds and multiplies of both steps, also when the node
-    polynomial was kept from an earlier call with these params.
+    nodes, then divides each node out of it by d+1 exact divisions from its
+    constant term: O(N^2) operations instead of N * C(N-1, p-1). ``tally`` (if
+    given) accumulates the adds and multiplies (divisions among them) of both
+    steps, also when the node polynomial was kept from an earlier call.
     """
     return tuple(params.field._quotient(*nv) for nv in _numerator_pairs(params, tally))
 
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """Base-polynomial coefficients beta_j = N_j / D_j with their parts, in
-    ``params.field``; ``exact_beta``, computed when read, holds the exact betas."""
+    """Base-polynomial coefficients beta_j = N_j / D_j of ``params`` in its field;
+    computed when first read, ``numerators`` equals ``numerators(params)``,
+    ``denominators`` equals ``denominators(d, p, field)``, ``exact_beta`` is exact."""
 
     params: ApproxParams
     beta: tuple[Scalar, ...]
-    numerators: tuple[Scalar, ...]
-    denominators: tuple[Scalar, ...]
+
+    @cached_property
+    def numerators(self) -> tuple[Scalar, ...]:
+        return numerators(self.params)
+
+    @cached_property
+    def denominators(self) -> tuple[Scalar, ...]:
+        return _denominators(self.params.d, self.params.p, self.params.field)
 
     @cached_property
     def exact_beta(self) -> tuple[Fraction, ...]:
@@ -180,8 +202,7 @@ def beta_coefficients(params: ApproxParams, tally: "OpCount | None" = None) -> C
     quotient, nums = params.field._quotient, _numerator_pairs(params, tally)
     exact_den = _denominators(params.d, params.p, RATIONAL)
     beta = (quotient(c * dj.denominator, s * dj.numerator) for (c, s), dj in zip(nums, exact_den))
-    return CoefficientVector(params, tuple(beta), tuple(quotient(*nv) for nv in nums),
-                             _denominators(params.d, params.p, params.field))
+    return CoefficientVector(params, tuple(beta))
 
 
 @dataclass(frozen=True)
@@ -218,7 +239,7 @@ def error_coefficients(cv: CoefficientVector, count: int = 1) -> ErrorCoefficien
     if not isinstance(count, int) or count < 1 or count > p:
         raise ValueError(f"count must be in 1..p = {p}, got {count!r}")
     alpha = Fraction(params.alpha)
-    _, poly, q = _node_polynomial(params)
+    _, poly, q = _node_polynomial(*params.lam.as_integer_ratio(), n)
     # s_k = delta_{k,d} for k < N, then s_k = -sum_{i<N} Pi_i s_{k-N+i} (Pi is monic of
     # degree N): the delta and the s_j found so far, times Pi's small top coefficients
     s: list[int] = []

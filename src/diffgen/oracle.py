@@ -186,7 +186,7 @@ def symbol_series(cv: CoefficientVector, count: int | None = None, digits: int =
     with fb.context():
         # consistency_moments reads only the params and the betas
         decimal_cv = CoefficientVector(replace(params, lam=fb.of(params.lam), field=fb),
-                                       tuple(fb.of(b) for b in cv.beta), (), ())
+                                       tuple(fb.of(b) for b in cv.beta))
         b = consistency_moments(decimal_cv, max(count + params.d, params.n_coeffs - 1))
         # negative-degree moments b_0..b_{d-1} vanish by consistency; the
         # residue is roundoff from the decimal conversion, safe to drop

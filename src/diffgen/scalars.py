@@ -325,6 +325,14 @@ def parse_scalar(text: str, field: Field = RATIONAL) -> Scalar:
     return field.of(value)
 
 
+def _over_common_denominator(values) -> tuple[list[int], int] | None:
+    """Ints and Fractions as (integers, their least common denominator); None if not all are."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return None
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _realization(x) -> str:
     return "any" if isinstance(x, int) else field_of(x).name
 

@@ -16,12 +16,13 @@ forward-substitute it. The Grünwald weights are the P(z) = 1 - z case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
 
 from .explicit_form import CoefficientVector, _finite, _positive_int
-from .scalars import Field, Scalar, field_of
+from .scalars import Field, Scalar, _over_common_denominator, field_of
 
 __all__ = [
     "WeightSeries",
@@ -127,10 +128,12 @@ def _expand(base, gamma, truncation: int, field: Field, head=None) -> np.ndarray
 
 
 def poly_power_int(base, gamma: int) -> tuple[Scalar, ...]:
-    """Exact coefficients of P(z)**gamma for integer gamma >= 1."""
+    """Exact coefficients of P(z)**gamma for integer gamma >= 1, convolved as
+    integers over one denominator (one Fraction out each) if ints and Fractions."""
     if not isinstance(gamma, int) or gamma < 1:
         raise ValueError("gamma must be a positive integer")
     base = tuple(base)
+    base, den = _over_common_denominator(base) or (base, None)
     out = list(base)
     for _ in range(gamma - 1):
         acc = [0 * base[0]] * (len(out) + len(base) - 1)
@@ -138,6 +141,8 @@ def poly_power_int(base, gamma: int) -> tuple[Scalar, ...]:
             for j, bv in enumerate(base):
                 acc[i + j] += av * bv
         out = acc
+    if den is not None:
+        out = [Fraction(c, den**gamma) for c in out]
     return tuple(out)
 
 

@@ -33,9 +33,6 @@ still build the dense systems, for inspection and ``solve_dense``.
 from __future__ import annotations
 
 import math
-import os
-import sys
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
@@ -49,7 +46,7 @@ import numpy as np
 import scipy.linalg
 
 from . import decfun
-from .explicit_form import ApproxParams, beta_coefficients, derive_params
+from .explicit_form import ApproxParams, _warn, beta_coefficients, derive_params
 from .scalars import FLOAT64, RATIONAL, Field, Scalar, bigdecimal
 from .series import _expand, convergence_diagnostic
 
@@ -457,7 +454,7 @@ def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int = 2, d: i
         raise ValueError(f"shift r must be a non-negative integer (grid alignment), got {r!r}")
     if (p, d, r) != (2, 2, 1):
         _warn(f"configuration (p={p}, d={d}, r={r}) is experimental; the validated setup is "
-              "(2, 2, 1)")
+              "(2, 2, 1)", RuntimeWarning)
     params = derive_params(problem.alpha, d, p, r, field)
     cv, diag, _ = generator = _generator(params, str(params.alpha))
     if not cv.beta[0] > 0:
@@ -465,7 +462,7 @@ def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int = 2, d: i
                          f"alpha = {alpha}; P(z)^(alpha/d) needs beta_0 > 0")
     if not diag.converges_on_unit_disk:
         _warn(f"generator expansion diverges on the unit disk (edge ratio {diag.edge_ratio}); "
-              "solving anyway")
+              "solving anyway", RuntimeWarning)
     with field.context():
         weights = _series(generator, params.gamma, n + r)
         grid = _grid(problem, n, field)
@@ -494,14 +491,6 @@ def _series(generator, gamma, length: int) -> np.ndarray:
         head = kept[gamma] = _expand(cv.beta, gamma, length, cv.params.field, head)
         head.flags.writeable = False
     return head[:length]
-
-
-def _warn(message: str) -> None:
-    """A RuntimeWarning attributed to the first caller outside this package."""
-    frame, level, package = sys._getframe(1), 2, os.path.dirname(__file__) + os.sep
-    while frame.f_back is not None and frame.f_code.co_filename.startswith(package):
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 def _solve_exact(matrix, rhs):

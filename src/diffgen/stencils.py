@@ -11,17 +11,17 @@ gamma*(p+d-1)+1 points.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .explicit_form import (
     ApproxParams,
+    _warn,
     beta_coefficients,
     derive_params,
     error_coefficients,
 )
-from .scalars import RATIONAL, Field, Scalar
+from .scalars import RATIONAL, Field, Scalar, _over_common_denominator
 from .series import poly_power_int
 
 __all__ = [
@@ -65,7 +65,8 @@ def shift_for_kind(kind: str, d: int, p: int, r=None) -> Scalar:
 
     left -> 0, right -> p+d-1, central -> (p+d-1)/2 (a half-integer when
     p+d-1 is odd: the staggered-central formula), shifted -> the given
-    integer r, staggered -> the given non-integer r.
+    integer r, staggered -> the given non-integer r. A shifted r outside
+    [0, p+d-1] is kept, with a UserWarning naming the caller's line.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown stencil kind {kind!r}; expected one of {KINDS}")
@@ -83,11 +84,8 @@ def shift_for_kind(kind: str, d: int, p: int, r=None) -> Scalar:
         if r.denominator != 1:
             raise ValueError("shifted stencils need an integer shift; use 'staggered'")
         if not 0 <= r <= span:
-            warnings.warn(
-                f"shift {r} lies outside the stencil support [0, {span}]; "
-                "the formula is extrapolative",
-                stacklevel=2,
-            )
+            _warn(f"shift {r} lies outside the stencil support [0, {span}]; "
+                  "the formula is extrapolative", UserWarning)
         return r
     if r.denominator == 1:
         raise ValueError("staggered stencils need a non-integer shift")
@@ -149,7 +147,8 @@ def apply_stencil(st: Stencil, samples, x, h) -> Scalar:
     """Evaluate the formula at x with spacing h.
 
     ``samples`` is either a callable f (sampled at x + offset*h) or a
-    sequence of precomputed values aligned with ``st.offsets``.
+    sequence of precomputed values aligned with ``st.offsets``. Exact weights
+    and samples are summed as integers over their denominators, divided once.
     """
     field = st.base_params.field
     with field.context():
@@ -165,10 +164,15 @@ def apply_stencil(st: Stencil, samples, x, h) -> Scalar:
                 raise ValueError(
                     f"need {len(st.weights)} samples, got {len(values)}"
                 )
-        acc = field.zero
-        for w, v in zip(st.weights, values):
+        weights, acc, scale = st.weights, field.zero, h**st.derivative_order
+        exact_w = _over_common_denominator(weights)
+        exact_v = exact_w and _over_common_denominator(values)
+        if exact_v:
+            (weights, w_den), (values, v_den) = exact_w, exact_v
+            acc, scale = 0, scale * w_den * v_den
+        for w, v in zip(weights, values):
             acc += w * v
-        return acc / h**st.derivative_order
+        return acc / scale
 
 
 def _json_value(value, field: Field):

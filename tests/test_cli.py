@@ -1,6 +1,8 @@
 """End-to-end CLI checks through diffgen.cli.run."""
 
 import json
+import os
+import warnings
 
 import pytest
 
@@ -312,3 +314,19 @@ def test_parser_is_built_once_and_shared(capsys):
     args = build_parser().parse_args(list(weights))
     fresh = (args.func(args),) + tuple(capsys.readouterr())
     assert shared == fresh
+
+
+def test_stencil_shift_warning_names_the_caller(capsys):
+    # the extrapolation warning is raised three calls deep in the package; it
+    # names the first frame outside it, here the helper that calls run
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, _ = invoke(capsys, "stencil", "--kind", "shifted", "--d", "2", "--p", "2",
+                            "--r", "7")
+    assert rc == 0 and out.startswith("-5, 16, -17, 6")
+    [warning] = caught
+    assert warning.category is UserWarning
+    assert "outside the stencil support [0, 3]" in str(warning.message)
+    package = os.path.dirname(cli.__file__) + os.sep
+    assert not warning.filename.startswith(package)
+    assert warning.filename == __file__

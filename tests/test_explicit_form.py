@@ -131,6 +131,18 @@ def test_numerators_tally_quadratic():
     assert tally.additions > 0
 
 
+def test_numerators_tally_counts_the_divisions():
+    # building Pi takes N(N-1)/2 additions; each nonzero node then takes d
+    # subtractions and d + 1 divisions (tallied as multiplications), a zero
+    # node none
+    tally = OpCount()
+    numerators(derive_params(10, 10, 10, 1), tally)  # nodes 1 - m, one of them zero
+    assert (tally.additions, tally.multiplications) == (190 + 19 * 10, 209 + 19 * 11)
+    tally = OpCount()
+    numerators(derive_params(2, 2, 3, F(1, 2)), tally)  # no zero node
+    assert (tally.additions, tally.multiplications) == (10 + 5 * 2, 14 + 5 * 3)
+
+
 def test_beta_examples():
     cv = beta_coefficients(derive_params(3, 3, 4, 3))
     assert cv.beta == (F(-1, 8), 1, F(-13, 8), 0, F(13, 8), -1, F(1, 8))
@@ -314,6 +326,23 @@ def test_node_polynomial_is_built_once_per_request():
         error_coefficients(cv, 30)
         numerators(cv.params)
         assert build.cache_info().misses == 1
+
+
+def test_equal_lams_share_one_node_polynomial():
+    # the memo is keyed on lam = a/q and N, so requests that differ in alpha
+    # and r, or in the field, but agree in lam and N build Pi once
+    build = explicit_form._node_polynomial
+    for requests in (
+        [(2, 2, 6, 1, RATIONAL), (4, 2, 6, 2, RATIONAL)],
+        [(2, 2, 6, 1, RATIONAL), (2, 2, 6, 1, FLOAT64), (2, 2, 6, 1, bigdecimal(50))],
+        [(F(3, 2), 2, 5, F(3, 4), RATIONAL), (3, 2, 5, F(3, 2), FLOAT64)],
+    ):
+        build.cache_clear()
+        for alpha, d, p, r, field in requests:
+            params = derive_params(alpha, d, p, r, field)
+            error_coefficients(beta_coefficients(params), p)
+        assert params.lam == 1
+        assert build.cache_info().misses == 1, requests
 
 
 def test_error_coefficients_equal_oracle_moments():

@@ -9,7 +9,12 @@ per-point functions. And of the correctly rounded integer quotient every
 coefficient is rounded through: equal to Decimal division, float(Fraction)
 and Fraction, string for string. And of the unified scheme's collocation
 solve: equal to exact elimination of the dense system for random rational
-domains, boundary values and polynomial right-hand sides."""
+domains, boundary values and polynomial right-hand sides. And of the integer
+paths of exact sums: integer powers of Fraction bases and rational stencils
+applied to exact samples equal Fraction arithmetic, float samples keep their
+float result bit for bit, and a coefficient vector's parts read on demand equal
+the public functions in every field, and requests of equal lam share one node
+polynomial."""
 
 import math
 from decimal import Context, Decimal
@@ -26,11 +31,16 @@ from diffgen import (
     BvpProblem,
     assemble_unified,
     beta_coefficients,
+    apply_stencil,
     bigdecimal,
+    compact_stencil,
     consistency_moments,
+    denominators,
     derive_params,
     error_coefficients,
     miller_expand,
+    noncompact_stencil,
+    numerators,
     poly_power_int,
     power_law_fractional_bvp,
     sine_bvp,
@@ -38,6 +48,7 @@ from diffgen import (
     solve_dense,
     vandermonde_solve,
 )
+from diffgen import explicit_form
 from diffgen.solvers import _grid
 
 # derandomized and without an example database, so every run checks the
@@ -323,3 +334,73 @@ def test_rational_unified_collocation_equals_dense_elimination(a, width, ua, ub,
     problem = BvpProblem(a=a, b=a + width, ua=ua, ub=ub, rhs=rhs, alpha=2, field=RATIONAL)
     want = solve_dense(*assemble_unified(problem, n, RATIONAL), RATIONAL)
     assert list(solve_bvp(problem, "unified", n).solution) == [ua, *want, ub]
+
+
+def _fraction_power(base, gamma):
+    """P(z)^gamma by repeated convolution in Fraction arithmetic."""
+    out = [F(1)]
+    for _ in range(gamma):
+        out = [sum((out[i] * base[k - i] for i in range(len(out)) if 0 <= k - i < len(base)), F(0))
+               for k in range(len(out) + len(base) - 1)]
+    return out
+
+
+# zero and negative entries, and a zero constant term, among them
+power_bases = st.tuples(st.just(F(0)) | small_rationals,
+                        st.lists(st.just(F(0)) | small_rationals, max_size=5))
+
+
+@PROPERTY
+@given(power_bases, st.integers(1, 4))
+def test_integer_power_of_fractions_is_fraction_convolution(base, gamma):
+    base = (base[0], *base[1])
+    got = poly_power_int(base, gamma)
+    assert list(got) == _fraction_power(base, gamma)
+    assert all(type(c) is F for c in got)
+
+
+stencil_shapes = st.tuples(st.integers(1, 4), st.integers(1, 6),
+                           st.fractions(min_value=-2, max_value=8, max_denominator=2))
+
+
+@PROPERTY
+@given(stencil_shapes, st.integers(1, 3), st.fractions(min_value=F(1, 16), max_value=4), st.data())
+def test_rational_stencil_on_exact_samples_is_fraction_dot_product(shape, gamma, h, data):
+    d, p, r = shape
+    st_ = compact_stencil(d, p, r) if gamma == 1 else noncompact_stencil(gamma * d, d, p, r)
+    size = len(st_.weights)
+    samples = data.draw(st.lists(small_rationals | st.integers(-50, 50), min_size=size,
+                                 max_size=size))
+    want = sum((w * F(v) for w, v in zip(st_.weights, samples)), F(0)) / h**st_.derivative_order
+    got = apply_stencil(st_, samples, 0, h)
+    assert got == want and type(got) is F
+    # float samples take the field's own loop: the old float, bit for bit
+    floats = [float(v) / 3 for v in samples]
+    acc = RATIONAL.zero
+    for w, v in zip(st_.weights, floats):
+        acc += w * v
+    want = acc / h**st_.derivative_order
+    assert apply_stencil(st_, floats, 0, h).hex() == want.hex()
+
+
+@PROPERTY
+@given(orders, accuracies, shifts, alphas, st.sampled_from([RATIONAL, FLOAT64, bigdecimal(50)]))
+def test_coefficient_parts_read_on_demand_equal_the_functions(d, p, r, alpha, field):
+    params = derive_params(alpha, d, p, r, field)
+    cv = beta_coefficients(params)
+    assert not {"numerators", "denominators", "exact_beta"} & vars(cv).keys()
+    assert repr(cv.numerators) == repr(numerators(params))
+    assert cv.denominators is denominators(d, p, field)
+
+
+@PROPERTY
+@given(orders, accuracies, shifts, alphas, alphas)
+def test_equal_lams_share_one_node_polynomial(d, p, lam, alpha, other):
+    # different (alpha, r) of one lam = r d / alpha and one N build Pi once
+    build = explicit_form._node_polynomial
+    build.cache_clear()
+    for a in (alpha, other):
+        params = derive_params(a, d, p, lam * a / d)
+        error_coefficients(beta_coefficients(params), p)
+        assert params.lam == lam
+    assert build.cache_info().misses == 1
