@@ -221,6 +221,15 @@ class _BigDecimal(Field):
             return self._context.plus(Decimal(value))
         return self._quotient(value.numerator, value.denominator)  # a Fraction
 
+    def vector(self, values) -> np.ndarray:
+        # Decimals and ints in one pass of the context's rounding, as ``of``
+        # rounds them; the context refuses anything else (floats, numpy ints,
+        # Fractions, strings) with TypeError, and those take ``of`` one by one
+        try:
+            return np.array(list(map(self._context.plus, values)), dtype=object)
+        except TypeError:
+            return super().vector(values)
+
     def finite(self, values) -> bool:
         return all(v.is_finite() for v in values)
 

@@ -16,7 +16,9 @@ the right-hand side. ``solve_bvp`` builds no matrix:
 * central and fractional (r <= 1): from the reciprocal series of the weights,
   refused when ||coeff||_1 ||inv||_1 is above the field's ``condition_limit``.
   The fractional generator's coefficients, verdict and unscaled series are
-  kept for the last 16 generators and grown or sliced to each grid;
+  kept for the last 16 generators and grown or sliced to each grid. In the
+  exact and decimal fields the series product is one exact integer product,
+  each term rounded once;
 * unified: by exact collocation. Its solution is the degree-N polynomial with
   the boundary values whose second derivative is f at the interior points,
   built on integers from the field's data and rounded once per value. The
@@ -39,7 +41,6 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
-from operator import mul
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ import scipy.linalg
 
 from . import decfun
 from .explicit_form import ApproxParams, _warn, beta_coefficients, derive_params
-from .scalars import FLOAT64, RATIONAL, Field, Scalar, bigdecimal
+from .scalars import FLOAT64, RATIONAL, Field, Scalar, _over_common_denominator, bigdecimal
 from .series import _expand, convergence_diagnostic
 
 __all__ = [
@@ -209,7 +210,45 @@ def _smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
-def _decimal_powers(grid: Grid, e: Decimal, field: Field) -> np.ndarray:
+def _rise(binomial: list[int], e: Decimal, m: int) -> int:
+    """(1 + 1/m)^e 2^bits by Horner over ``binomial``; past k > e,
+    |C(e, k)| 2^bits < m^k from one k on."""
+    stop = bisect_left(range(len(binomial)), True, lo=math.floor(e) + 1,
+                       key=lambda k: binomial[k].bit_length() <= k * math.log2(m))
+    total = 0
+    for c in reversed(binomial[:stop]):
+        total = c + total // m
+    return total
+
+
+def _ladder(e: Decimal, bits: int, n: int, kept: dict) -> list[int]:
+    """i^e 2^bits for 0 <= i <= n (and past it, if ``kept`` holds more).
+    ``kept[bits]`` holds the binomial table C(e, k) 2^bits, to the first term
+    of (3/2)^e below one unit past k > e, and the ladder; a larger n climbs
+    on from its last rung."""
+    if bits not in kept:
+        num, den = e.as_integer_ratio()
+        binomial, last = [1 << bits], math.floor(e) + 1
+        while (k := len(binomial)) <= last or abs(binomial[-1]) >> k - 1:
+            binomial.append(binomial[-1] * (num - (k - 1) * den) // (k * den))
+        two = _rise(binomial, e, 8) * _rise(binomial, e, 3) ** 2 >> 2 * bits
+        kept[bits] = binomial, [0, 1 << bits, two]
+    binomial, ladder = kept[bits]
+    if len(ladder) <= n:
+        ladder = ladder.copy()  # a race between two climbs only repeats work
+        spf = _smallest_prime_factors(n)
+        for i in range(len(ladder), n + 1):
+            p = spf[i]
+            if p < i:
+                power = ladder[p] * ladder[i // p]
+            else:
+                power = ladder[i - 1] * _rise(binomial, e, i - 1)
+            ladder.append(power >> bits)
+        kept[bits] = binomial, ladder
+    return ladder
+
+
+def _decimal_powers(grid: Grid, e: Decimal, field: Field, kept: dict) -> np.ndarray:
     """x_i^e on a decimal grid from 0: h^e * i^e, times 1 + e * offset / x_i
     where x_i was rounded, each rounded once into ``field``.
 
@@ -220,28 +259,13 @@ def _decimal_powers(grid: Grid, e: Decimal, field: Field) -> np.ndarray:
     to the first term below one unit past k > e (from there the terms alternate
     and shrink). For 4 < e < 5 a series is within 6 units of 2^-bits relative
     and a product within 1; a value passes through at most 37 of them at n = 128
-    (70 at 4096, 97 at 10^5), 147 units (275, 382): below 10^-(guard digits)."""
+    (70 at 4096, 97 at 10^5), 147 units (275, 382): below 10^-(guard digits).
+    ``kept`` keeps the ladder of each ``bits`` (see ``_ladder``)."""
     if grid.a != 0:
         raise ValueError(f"power-law grid data need a grid starting at 0, got a = {grid.a}")
     wide = _guard(field, grid)
     bits = math.ceil((wide.digits + 3) * math.log2(10))
-    num, den = e.as_integer_ratio()
-    binomial = [1 << bits]  # C(e, k) 2^bits, to the first term of (3/2)^e below one unit past k > e
-    while (k := len(binomial)) <= e + 1 or abs(binomial[-1]) >> k - 1:
-        binomial.append(binomial[-1] * (num - (k - 1) * den) // (k * den))
-
-    def rise(m: int) -> int:  # (1 + 1/m)^e 2^bits; past k > e, |C(e, k)| 2^bits < m^k from one k on
-        stop = bisect_left(range(len(binomial)), True, lo=math.floor(e) + 1,
-                           key=lambda k: binomial[k].bit_length() <= k * math.log2(m))
-        total = 0
-        for c in reversed(binomial[:stop]):
-            total = c + total // m
-        return total
-
-    ladder = [0, 1 << bits, rise(8) * rise(3) ** 2 >> 2 * bits]
-    for i, p in enumerate(_smallest_prime_factors(grid.n)[3:], start=3):
-        power = ladder[p] * ladder[i // p] if p < i else ladder[i - 1] * rise(i - 1)
-        ladder.append(power >> bits)
+    ladder = _ladder(e, bits, grid.n, kept)
     with wide.context():
         scale = (e * grid.h.ln()).exp()
         unit = scale / (1 << bits)
@@ -259,8 +283,10 @@ def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
     ``grid.x ** (3 + alpha)`` in double precision; in a decimal field it is
     h^e * i^e, with h^e the grid's one logarithm and i^e from a binomial
     ladder over the primes <= n (each prime from its predecessor), built at
-    digits + 10 + ceil(log10(n + 1)) digits and rounded once. A grid that
-    does not start at 0 raises ValueError.
+    digits + 10 + ceil(log10(n + 1)) digits and rounded once. The problem
+    keeps the binomial table and the ladder of each working precision, so a
+    study climbs each rung once. A grid that does not start at 0 raises
+    ValueError.
     """
     with field.context():
         alpha = field.of(alpha)
@@ -268,6 +294,7 @@ def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
             raise ValueError("fractional order must satisfy 1 < alpha < 2")
         gamma_factor = field.gamma(4 + alpha) / 6
         exponent = 3 + alpha
+    ladders = {}  # bits -> (C(e, k) 2^bits, i^e 2^bits up to the largest n yet)
 
     def rhs(grid):
         with field.context():
@@ -276,7 +303,7 @@ def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
     def exact(grid):
         if field.name == "float64":
             return grid.x ** exponent
-        return _decimal_powers(grid, exponent, field)
+        return _decimal_powers(grid, exponent, field, ladders)
 
     return BvpProblem(
         a=field.zero,
@@ -582,6 +609,54 @@ def solve_dense(matrix, rhs, field: Field | None = None):
     return _solve_exact(matrix, rhs)
 
 
+def _on_integers(values, field: Field) -> tuple[list[int], int]:
+    """Exact integers n_i and one e with values[i] = n_i / e (Fractions over
+    their least common denominator) or n_i 10^e (Decimals on their least
+    exponent, or 0 if that is positive)."""
+    if field.digits is None:
+        return _over_common_denominator(values)
+    exponent = min(min((v.as_tuple().exponent for v in values if v), default=0), 0)
+    shift = Decimal(-exponent)
+    return [int(_EXACT.scaleb(v, shift)) for v in values], exponent
+
+
+def _pack(ints: list[int], width: int) -> int:
+    """sum_i ints[i] 2^(8 width i), for |ints[i]| < 2^(8 width - 1): each
+    slot in two's complement, less the 2^(8 width) that a negative slot
+    borrows from the next."""
+    pad = bytes(width)
+    body = b"".join(i.to_bytes(width, "little", signed=True) for i in ints)
+    borrow = b"".join(b"\1" + pad[1:] if i < 0 else pad for i in ints)
+    return int.from_bytes(body, "little") - (int.from_bytes(borrow, "little") << 8 * width)
+
+
+def _convolve(a, b, field: Field) -> np.ndarray:
+    """The first len(b) terms of the convolution of the rational or decimal
+    sequences a and b, each the exact sum rounded once into ``field``.
+
+    Both go exactly onto integers (``_on_integers``) and each into one int
+    with signed slots wide enough for every exact sum, so that one
+    multiplication gives them all (Kronecker substitution); each slot is
+    read from the low end, with the borrow of a negative one."""
+    m = len(b)
+    (ia, ea), (ib, eb) = _on_integers(a[:m], field), _on_integers(b, field)
+    # |sum_j ia_j ib_(k-j)| < 2^(bits - 1), with at most min(len(ia), m) terms
+    bits = (max(map(abs, ia)).bit_length() + max(map(abs, ib)).bit_length()
+            + min(len(ia), m).bit_length() + 1)
+    width = -(-bits // 8)
+    product = _pack(ia, width) * _pack(ib, width) & (1 << 8 * width * m) - 1
+    data = product.to_bytes(width * m, "little")
+    sums, carry, full = [], 0, 1 << 8 * width
+    for k in range(0, width * m, width):
+        c = int.from_bytes(data[k:k + width], "little") + carry
+        carry = 2 * c >= full  # a negative sum, which borrowed from the next slot
+        sums.append(c - full if carry else c)
+    if field.digits is None:
+        return np.array([Fraction(c, ea * eb) for c in sums], dtype=object)
+    round_, scale = field._context.create_decimal, field._context.scaleb
+    return np.array([scale(round_(c), ea + eb) for c in sums], dtype=object)
+
+
 def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options):
     """Grid and solution values of the central or fractional scheme.
 
@@ -590,6 +665,8 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
     reciprocal series inv as symbol. At r = 0, x = inv * b. At r = 1,
     L z = (c, b) with z[m] = 0 gives x = z[:m]; z = y + c inv with
     y = inv * (0, b), so c = -y[m] / inv[m]. Larger r are refused first.
+    The product inv * b is ``np.convolve`` in double precision, two running
+    sums for the central scheme elsewhere, and ``_convolve`` otherwise.
     """
     r = options.get("r", 1)
     if isinstance(r, int) and r > 1:
@@ -617,8 +694,8 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
             y = np.convolve(inv, b)[:len(b)]
         elif scheme == "central":
             y = np.cumsum(np.cumsum(b)) / coeff[0]  # sum_i (k - i + 1) b[i] / s, in O(N)
-        else:  # half the products of np.convolve's full one
-            y = np.array([sum(map(mul, inv[k::-1], b), field.zero) for k in range(len(b))])
+        else:
+            y = _convolve(inv, b, field)
         interior = y if r == 0 else (y - y[-1] / inv[-1] * inv)[:-1]
         return grid, np.concatenate(([ua], interior, [ub]))
 

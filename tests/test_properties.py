@@ -14,7 +14,9 @@ paths of exact sums: integer powers of Fraction bases and rational stencils
 applied to exact samples equal Fraction arithmetic, float samples keep their
 float result bit for bit, and a coefficient vector's parts read on demand equal
 the public functions in every field, and requests of equal lam share one node
-polynomial."""
+polynomial. And of the exact series product of the rational and decimal
+series solves: every term is the exact sum rounded once, for signed values
+across many decades and with more digits than the field."""
 
 import math
 from decimal import Context, Decimal
@@ -22,7 +24,7 @@ from fractions import Fraction as F
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffgen import (
@@ -49,7 +51,7 @@ from diffgen import (
     vandermonde_solve,
 )
 from diffgen import explicit_form
-from diffgen.solvers import _grid
+from diffgen.solvers import _convolve, _grid
 
 # derandomized and without an example database, so every run checks the
 # same examples
@@ -404,3 +406,45 @@ def test_equal_lams_share_one_node_polynomial(d, p, lam, alpha, other):
         error_coefficients(beta_coefficients(params), p)
         assert params.lam == lam
     assert build.cache_info().misses == 1
+
+
+def _exact_convolution(a, b):
+    """The first len(b) terms of the convolution of a and b, in Fractions."""
+    return [sum((F(a[j]) * F(b[k - j]) for j in range(min(k + 1, len(a)))), F(0))
+            for k in range(len(b))]
+
+
+# signed decimals from 0 to 111 digits whose exponents span 130 decades
+wide_decimals = st.just(Decimal(0)) | st.builds(lambda c, e: Decimal(f"{c}E{e}"),
+                                                st.integers(-10**111, 10**111),
+                                                st.integers(-90, 40))
+decimal_series = st.lists(wide_decimals, min_size=1, max_size=80)
+_PI = "3.14159265358979323846264338327950288419716939937510582097494459230781640628"
+
+
+@PROPERTY
+@example(15, [Decimal(_PI)], [Decimal(1), Decimal("-1E-60")], False)
+@example(100, [Decimal("-" + _PI), Decimal("1E-90")], [Decimal(_PI + "1"), Decimal(0)], False)
+@example(50, [Decimal(1)] * 80, [Decimal("1E-40")] * 80, True)
+@given(st.integers(15, 100), decimal_series, decimal_series, st.booleans())
+def test_decimal_series_product_is_each_exact_sum_rounded_once(digits, a, b, zero_b):
+    field = bigdecimal(digits)
+    if zero_b:
+        b = [Decimal(0)] * len(b)
+    got = _convolve(np.array(a, dtype=object), np.array(b, dtype=object), field)
+    assert got.dtype == object and len(got) == len(b)
+    want = _exact_convolution(a, b)
+    assert all(type(y) is Decimal and y == field.of(w) for y, w in zip(got, want))
+
+
+wide_fractions = st.just(F(0)) | st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**30))
+
+
+@PROPERTY
+@given(st.lists(wide_fractions, min_size=1, max_size=80),
+       st.lists(wide_fractions, min_size=1, max_size=80), st.booleans())
+def test_rational_series_product_is_the_exact_sum(a, b, zero_b):
+    if zero_b:
+        b = [F(0)] * len(b)
+    got = _convolve(np.array(a, dtype=object), np.array(b, dtype=object), RATIONAL)
+    assert list(got) == _exact_convolution(a, b) and all(type(y) is F for y in got)

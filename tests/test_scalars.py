@@ -180,6 +180,35 @@ def test_field_vector_holds_the_fields_scalars(field, dtype):
         assert field_of(field.one) == field and type(field_of(field.one)) is type(field)
 
 
+_LONG = "3.14159265358979323846264338327950288419716939937510582097494459"
+
+
+@pytest.mark.parametrize("inputs", [
+    [Decimal("-0"), Decimal("0E-30"), Decimal("-0E+5"), Decimal("1.5"), Decimal("-2.5E-40"),
+     Decimal(_LONG), Decimal("-" + _LONG), Decimal("9.99999999999999999999999999999999E+12")],
+    [0, -7, 10**40 + 1, -(10**25)],
+    np.arange(-3, 4),
+    np.array([2**62, -(2**40)], dtype=np.int64),
+    [0.1, -0.0, 1e300, 2.5],
+    np.array([0.1, -0.0, 1e-300]),
+    [Fraction(1, 3), Fraction(-22, 7), Fraction(0)],
+    ["0.5", "-1E-3", "-0", _LONG],
+    [Decimal(_LONG), 3, Fraction(1, 3), 0.1, "2.75", -4, Decimal("-0")],
+    [Decimal("1.25"), Fraction(1, 4)],
+    [],
+], ids=["decimals", "ints", "numpy-arange", "numpy-int64", "floats", "numpy-floats",
+        "fractions", "strings", "mixed", "decimal-then-fraction", "empty"])
+@pytest.mark.parametrize("digits", [15, 30])
+def test_decimal_vector_equals_of_by_repr(inputs, digits):
+    # the vector rounds Decimals and ints in one pass and falls back to
+    # ``of`` one value at a time for anything else: the same values, exponents
+    # and signs of zero either way
+    field = bigdecimal(digits)
+    values = field.vector(inputs)
+    assert values.dtype == object and values.shape == (len(inputs),)
+    assert repr(values.tolist()) == repr([field.of(v) for v in np.asarray(inputs, dtype=object)])
+
+
 def test_float64_quotient_of_zero_is_a_positive_zero():
     for den in (-3, 3, -(10**400)):
         zero = FLOAT64._quotient(0, den)

@@ -1267,6 +1267,32 @@ def test_decimal_power_law_takes_one_logarithm_per_grid():
         assert (calls["ln"], calls["exp"]) == (1, 1), n
 
 
+def test_decimal_power_law_climbs_each_rung_once_per_problem(monkeypatch):
+    # N = 10 .. 99 share one working precision (ceil(log10(N + 1)) = 2 guard
+    # digits for the grid), so one binomial table and one ladder: (1 + 1/m)^e
+    # once for m = 8 and 3 (for 2^e) and once for m = p - 1 at each prime
+    # 3 <= p <= 64
+    field = bigdecimal(50)
+    rises, rise = Counter(), solvers._rise
+    monkeypatch.setattr(solvers, "_rise",
+                        lambda table, e, m: rises.update([m]) or rise(table, e, m))
+    problem = power_law_fractional_bvp(F(8, 5), field)
+    study = convergence_study(problem, "fractional", [16, 32, 64])
+    primes = [p for p in range(3, 65) if all(p % q for q in range(2, p))]
+    assert rises == Counter([8, 3] + [p - 1 for p in primes])
+    # solving a grid again, or a smaller one, climbs nothing
+    rises.clear()
+    again = solve_bvp(problem, "fractional", 32)
+    assert again == dataclasses.replace(study[1], empirical_order=None)
+    problem.exact(_grid(problem, 12, field))
+    assert not rises
+    # every grid's data equal those of a problem built afresh for it
+    for n in (8, 16, 32, 64, 128, 5, 100):
+        grid = _grid(problem, n, field)
+        fresh = power_law_fractional_bvp(F(8, 5), field)
+        assert repr(problem.exact(grid).tolist()) == repr(fresh.exact(grid).tolist()), n
+
+
 def _plain(value):
     """Nested lists of the values of arrays and tuples, for an exact repr."""
     if isinstance(value, (np.ndarray, list, tuple)):
@@ -1277,8 +1303,9 @@ def _plain(value):
 def _solver_digests():
     """sha256 digests of the solver outputs, as reprs (the sign of a zero, a
     Decimal's exponent): the unified solve_bvp records of the f64 and
-    decimal fields in the second, every other record in the first."""
-    kept, unified = hashlib.sha256(), hashlib.sha256()
+    decimal fields in the second, the fractional solve_bvp records of the
+    decimal fields in the third, every other record in the first."""
+    kept, unified, fractional = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
 
     def record(*parts, into=kept):
         into.update(repr(_plain(parts)).encode() + b"\n")
@@ -1302,7 +1329,8 @@ def _solver_digests():
                 for options in ({"r": 1}, {"r": 0}, {"p": 1, "r": 2}):
                     if options["r"] < 2:  # solve_bvp refuses r >= 2
                         report = solve_bvp(problem, "fractional", n, field, **options)
-                        record(field, options, n, report.solution, report.max_error, report.h)
+                        record(field, options, n, report.solution, report.max_error, report.h,
+                               into=kept if field is FLOAT64 else fractional)
                     if n in (4, 8):
                         record(field, options, n, assemble_fractional(problem, n, field=field,
                                                                       **options))
@@ -1312,22 +1340,31 @@ def _solver_digests():
             cv = beta_coefficients(derive_params(alpha, d, p, r, field))
             for count in (1, p, p + 2):
                 record(field, alpha, d, p, r, count, symbol_series(cv, count))
-    return kept.hexdigest(), unified.hexdigest()
+    return kept.hexdigest(), unified.hexdigest(), fractional.hexdigest()
 
 
 def test_solver_outputs_are_unchanged():
     # solve_bvp (solution, max_error, h), the assemble_* systems and
     # symbol_series in the rational, f64 and 30- and 50-digit fields, except
-    # the unified solves outside the exact field; taken with the dense
-    # unified solver, which gave the same rational unified solutions. The
-    # fractional r = 2 system is assembled only, as solve_bvp refuses it.
-    assert _solver_digests()[0] == "292ae7c326fb9f22a84deb798a993d94356ccdeddad7c47835e640931ca5c4a0"
+    # the unified solves outside the exact field and the decimal fractional
+    # solves; taken with the dense unified solver, which gave the same
+    # rational unified solutions, and with the decimal fractional records
+    # split off before their series products became exact. The fractional
+    # r = 2 system is assembled only, as solve_bvp refuses it.
+    assert _solver_digests()[0] == "b63175c40fa90efed91adae4796095dc078189d569a4a8fb46fbf5f8d2d52e2c"
 
 
 def test_unified_float_and_decimal_outputs_are_pinned():
     # the f64 and decimal unified solves, each the exact collocation of the
     # field's data rounded once (checked against exact elimination below)
     assert _solver_digests()[1] == "ec8378728fed2ecde8b9a8b48702be90d5b433c34634562f78fe19e8bf6519f5"
+
+
+def test_decimal_fractional_outputs_are_pinned():
+    # the 30- and 50-digit fractional solves, whose series products are the
+    # exact sums rounded once (checked against exact sums in
+    # test_properties.py and against elimination above)
+    assert _solver_digests()[2] == "96055049c64246097e61c01a736136e36863a52e42e406506cf4c9b24a24f905"
 
 
 def test_f64_series_solves_at_large_grids_are_pinned():
