@@ -175,20 +175,12 @@ def numerators(params: ApproxParams, tally: "OpCount | None" = None) -> tuple[Sc
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """Base-polynomial coefficients beta_j = N_j / D_j of ``params`` in its field;
-    computed when first read, ``numerators`` equals ``numerators(params)``,
-    ``denominators`` equals ``denominators(d, p, field)``, ``exact_beta`` is exact."""
+    """Base-polynomial coefficients beta_j = N_j / D_j of ``params`` in its field
+    (the N_j are ``numerators(params)``, the D_j ``denominators(d, p, field)``);
+    ``exact_beta``, computed when first read, holds the exact betas."""
 
     params: ApproxParams
     beta: tuple[Scalar, ...]
-
-    @cached_property
-    def numerators(self) -> tuple[Scalar, ...]:
-        return numerators(self.params)
-
-    @cached_property
-    def denominators(self) -> tuple[Scalar, ...]:
-        return _denominators(self.params.d, self.params.p, self.params.field)
 
     @cached_property
     def exact_beta(self) -> tuple[Fraction, ...]:

@@ -95,19 +95,19 @@ class Field:
 
     Use the module constants ``RATIONAL`` and ``FLOAT64``, or build a decimal
     field with ``bigdecimal(digits)``. Each implementation writes ``of``
-    (convert an int, Fraction, float, Decimal or literal string into the
-    field), ``_quotient(num, den)`` (num/den for integers, den != 0, correctly
-    rounded with no need to reduce the pair first), ``finite(values)`` (whether
-    every one of a sequence of field values is finite), ``format`` (num/den for
-    rationals, the shortest round-trip otherwise), ``power`` (exact or
-    ExactnessError in the rational field; a fractional exponent needs a base
-    >= 0 otherwise), ``sin`` and ``gamma`` (positive arguments in the float
-    fields). All of them honour the field's precision: decimal work runs
-    inside ``context()``. ``zero`` and ``one`` are the field's constants,
-    built once. ``condition_limit`` is the largest condition estimate a solve
-    accepts, 10^(digits - 2) so that two significant digits survive (1e14 in
-    double precision, None in the exact field). Fields compare and hash by
-    ``name`` and ``digits``.
+    (convert an int, Fraction, float, Decimal, numpy integer or float scalar
+    or literal string into the field), ``_quotient(num, den)`` (num/den for
+    integers, den != 0, correctly rounded with no need to reduce the pair
+    first), ``finite(values)`` (whether every one of a sequence of field
+    values is finite), ``format`` (num/den for rationals, the shortest
+    round-trip otherwise), ``power`` (exact or ExactnessError in the rational
+    field; a fractional exponent needs a base >= 0 otherwise), ``sin`` and
+    ``gamma`` (positive arguments in the float fields). All of them honour the
+    field's precision: decimal work runs inside ``context()``. ``zero`` and
+    ``one`` are the field's constants, built once. ``condition_limit`` is the
+    largest condition estimate a solve accepts, 10^(digits - 2) so that two
+    significant digits survive (1e14 in double precision, None in the exact
+    field). Fields compare and hash by ``name`` and ``digits``.
     """
 
     name: str
@@ -129,7 +129,8 @@ class Field:
     def vector(self, values) -> np.ndarray:
         """A new 1-D array of ``values`` converted into this field: float64 in
         double precision, objects (each value through ``of``) otherwise."""
-        # an object array holds numpy integers as Python ints, which ``of`` takes
+        # an object array holds a numpy array's integers as Python ints, which
+        # ``of`` takes on its fast path (the grids' ``np.arange``)
         return np.array([self.of(v) for v in np.asarray(values, dtype=object)], dtype=object)
 
 
@@ -139,7 +140,10 @@ class _Rational(Field):
     condition_limit = None
 
     def of(self, value) -> Fraction:
-        return value if type(value) is Fraction else Fraction(value)
+        if type(value) is Fraction:
+            return value
+        # Fraction refuses a numpy float32 and keeps a numpy int, which wraps on overflow
+        return Fraction(value.item() if isinstance(value, np.generic) else value)
 
     def _quotient(self, num: int, den: int) -> Fraction:
         return Fraction(num, den)
@@ -219,6 +223,8 @@ class _BigDecimal(Field):
     def of(self, value) -> Decimal:
         if isinstance(value, (Decimal, int, float, str)):
             return self._context.plus(Decimal(value))
+        if isinstance(value, np.generic):  # a numpy int or float, as the Python one it equals
+            return self._context.plus(Decimal(value.item()))
         return self._quotient(value.numerator, value.denominator)  # a Fraction
 
     def vector(self, values) -> np.ndarray:

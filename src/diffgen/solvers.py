@@ -29,7 +29,11 @@ the right-hand side. ``solve_bvp`` builds no matrix:
 
 Fractional shifts r >= 2 are refused before any work: none converges for
 1 < alpha < 2 (Meerschaert and Tadjeran 2004). The ``assemble_*`` functions
-still build the dense systems, for inspection and ``solve_dense``.
+still build the dense systems, for inspection and ``solve_dense``: a band's
+rows are slices of one padded weight array in every field.
+
+``iter_convergence_study`` yields one report per grid; ``study_csv`` and
+``study_table`` format any iterable of reports.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -64,7 +68,6 @@ __all__ = [
     "unified_coefficient_rows",
     "solve_dense",
     "solve_bvp",
-    "convergence_study",
     "iter_convergence_study",
     "study_csv",
     "study_table",
@@ -377,10 +380,10 @@ def _band_system(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int):
     # padded[off - i + j - 1] is coeff[i + r - j], or zero out of range
     padded = np.concatenate(([field.zero] * size, coeff[::-1], [field.zero] * size))
     off = size + width - r
+    rows = [padded[off - i:off - i + size] for i in range(1, grid.n)]
     if field.name == "float64":
-        first_col = padded[off - size:off][::-1]
-        return scipy.linalg.toeplitz(first_col, padded[off - 1:off - 1 + size]), rhs
-    return [padded[off - i:off - i + size].tolist() for i in range(1, grid.n)], rhs.tolist()
+        return np.array(rows), rhs
+    return [row.tolist() for row in rows], rhs.tolist()
 
 
 def _central_band(problem: BvpProblem, n: int, field: Field, series: bool = False):
@@ -879,17 +882,12 @@ def _order_between(prev: SolveReport, cur: SolveReport) -> float | None:
     return math.log(ratio) / math.log(step)
 
 
-def convergence_study(problem: BvpProblem, scheme: str, n_values: Sequence[int],
-                      field: Field | None = None, **scheme_options) -> list[SolveReport]:
-    """Solve on each grid in n_values and attach empirical orders between
-    consecutive grids. Needs problem.exact for the error column."""
-    return list(iter_convergence_study(problem, scheme, n_values, field, **scheme_options))
-
-
 def iter_convergence_study(problem: BvpProblem, scheme: str, n_values: Sequence[int],
                            field: Field | None = None, **scheme_options) -> Iterator[SolveReport]:
-    """``convergence_study``'s reports one at a time, each as soon as its grid
-    is solved, so a caller keeps the grids before one that is refused."""
+    """Solve on each grid in n_values and yield its report, with the empirical
+    order against the previous grid, as soon as the grid is solved, so a
+    caller keeps the grids before one that is refused. Needs problem.exact
+    for the error column."""
     field = _resolve_field(problem, field)
     if problem.exact is None:
         raise ValueError("a convergence study needs the exact solution")
@@ -913,7 +911,7 @@ def _fmt_order(value) -> str:
     return "--" if value is None else f"{value:.4f}"
 
 
-def study_csv(reports: Sequence[SolveReport]) -> str:
+def study_csv(reports: Iterable[SolveReport]) -> str:
     """CSV lines N,h,max_error,order."""
     lines = ["N,h,max_error,order"]
     for rep in reports:
@@ -924,9 +922,9 @@ def study_csv(reports: Sequence[SolveReport]) -> str:
     return "\n".join(lines)
 
 
-def study_table(reports: Sequence[SolveReport], label: str = "error") -> str:
+def study_table(reports: Iterable[SolveReport]) -> str:
     """Aligned text table: N, h, error, measured order, configured order."""
-    header = f"{'N':>6} {'h':>12} {label:>14} {'order':>9} {'p':>5}"
+    header = f"{'N':>6} {'h':>12} {'error':>14} {'order':>9} {'p':>5}"
     lines = [header]
     for rep in reports:
         conf = "--" if rep.approx_order is None else str(rep.approx_order)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .explicit_form import (
     ApproxParams,
@@ -48,8 +47,6 @@ class Stencil:
     shift (nonzero means the evaluation point sits between grid points) and
     ``leading_error`` the coefficient of h**accuracy_order times the
     derivative of order ``error_derivative_order`` in the truncation error.
-    ``exact_weights``, read on first use, holds exact weights as integers
-    over their common denominator (None for float and decimal weights).
     """
 
     derivative_order: int
@@ -61,10 +58,6 @@ class Stencil:
     leading_error: Scalar
     error_derivative_order: int
     base_params: ApproxParams
-
-    @cached_property
-    def exact_weights(self) -> tuple[list[int], int] | None:
-        return _over_common_denominator(self.weights)
 
 
 def shift_for_kind(kind: str, d: int, p: int, r=None) -> Scalar:
@@ -172,7 +165,7 @@ def apply_stencil(st: Stencil, samples, x, h) -> Scalar:
                     f"need {len(st.weights)} samples, got {len(values)}"
                 )
         weights, acc, scale = st.weights, field.zero, h**st.derivative_order
-        exact_w = st.exact_weights
+        exact_w = _over_common_denominator(weights)
         exact_v = exact_w and _over_common_denominator(values)
         if exact_v:
             (weights, w_den), (values, v_den) = exact_w, exact_v

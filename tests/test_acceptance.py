@@ -23,9 +23,9 @@ from diffgen import (
     compact_stencil,
     consistency_moments,
     convergence_diagnostic,
-    convergence_study,
     derive_params,
     error_coefficients,
+    iter_convergence_study,
     miller_expand,
     noncompact_stencil,
     numerators,
@@ -140,10 +140,10 @@ def test_criterion_4_operation_counts():
 def test_criterion_5_sine_double_precision():
     with criterion(5, "double-precision sine study", budget=5.0):
         prob = sine_bvp()
-        reports = convergence_study(prob, "unified", [4, 8])
+        reports = list(iter_convergence_study(prob, "unified", [4, 8]))
         assert abs(reports[0].max_error / 0.00123815 - 1) < 0.01
         assert abs(reports[1].max_error / 1.85125e-07 - 1) < 0.01
-        central = convergence_study(prob, "central", [4, 8, 16, 32, 64, 128])
+        central = list(iter_convergence_study(prob, "central", [4, 8, 16, 32, 64, 128]))
         for rep in central[1:]:
             assert abs(rep.empirical_order - 2.0) < 0.05, rep.n_intervals
 
@@ -158,8 +158,8 @@ def test_criterion_6_sine_high_precision():
 
 def test_criterion_7_fractional_study():
     with criterion(7, "fractional power-law study", budget=60.0):
-        reports = convergence_study(
-            power_law_fractional_bvp(1.6), "fractional", [32, 64, 128, 256])
+        reports = list(iter_convergence_study(
+            power_law_fractional_bvp(1.6), "fractional", [32, 64, 128, 256]))
         pinned = {64: 2.8309e-04, 128: 7.0856e-05, 256: 1.7725e-05}
         for rep in reports[1:]:
             assert abs(rep.max_error / pinned[rep.n_intervals] - 1) < 0.05

@@ -13,6 +13,7 @@ from diffgen import (
     BudgetError,
     beta_coefficients,
     consistency_moments,
+    denominators,
     derive_params,
     error_coefficients,
     numerators,
@@ -90,7 +91,7 @@ def test_closed_form_matches_cramer():
 def test_numerators_direct_values():
     nums, _ = numerators_direct(derive_params(1, 1, 2, 0))
     assert nums == (-3, -2, -1)
-    dens = beta_coefficients(derive_params(1, 1, 2, 0)).denominators
+    dens = denominators(1, 2)
     assert tuple(n / dd for n, dd in zip(nums, dens)) == (F(3, 2), -2, F(1, 2))
 
 

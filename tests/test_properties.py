@@ -37,12 +37,10 @@ from diffgen import (
     bigdecimal,
     compact_stencil,
     consistency_moments,
-    denominators,
     derive_params,
     error_coefficients,
     miller_expand,
     noncompact_stencil,
-    numerators,
     poly_power_int,
     power_law_fractional_bvp,
     sine_bvp,
@@ -387,12 +385,11 @@ def test_rational_stencil_on_exact_samples_is_fraction_dot_product(shape, gamma,
 
 @PROPERTY
 @given(orders, accuracies, shifts, alphas, st.sampled_from([RATIONAL, FLOAT64, bigdecimal(50)]))
-def test_coefficient_parts_read_on_demand_equal_the_functions(d, p, r, alpha, field):
+def test_exact_betas_are_read_on_demand(d, p, r, alpha, field):
     params = derive_params(alpha, d, p, r, field)
     cv = beta_coefficients(params)
-    assert not {"numerators", "denominators", "exact_beta"} & vars(cv).keys()
-    assert repr(cv.numerators) == repr(numerators(params))
-    assert cv.denominators is denominators(d, p, field)
+    assert "exact_beta" not in vars(cv)
+    assert cv.beta == tuple(field.of(b) for b in cv.exact_beta)
 
 
 @PROPERTY

@@ -209,6 +209,21 @@ def test_decimal_vector_equals_of_by_repr(inputs, digits):
     assert repr(values.tolist()) == repr([field.of(v) for v in np.asarray(inputs, dtype=object)])
 
 
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
+@pytest.mark.parametrize("values", [
+    [np.int32(-7)], [np.int64(2**62 + 1)], [np.float32(0.1)], [np.float64(-2.5e-300)],
+    [Decimal(1), np.int64(5), np.float32(0.5), Fraction(1, 3)],
+], ids=["int32", "int64", "float32", "float64", "mixed"])
+def test_fields_take_numpy_scalars_at_their_exact_value(field, values):
+    # a numpy int or float converts as the Python int or float it equals
+    python = [v.item() if isinstance(v, np.generic) else v for v in values]
+    converted = [field.of(v) for v in values]
+    assert repr(converted) == repr([field.of(v) for v in python])
+    assert repr(field.vector(values).tolist()) == repr(field.vector(python).tolist())
+    if field is RATIONAL:  # a numpy int64 numerator would wrap on overflow
+        assert all(type(v.numerator) is int for v in converted)
+
+
 def test_float64_quotient_of_zero_is_a_positive_zero():
     for den in (-3, 3, -(10**400)):
         zero = FLOAT64._quotient(0, den)

@@ -28,7 +28,6 @@ from diffgen import (
     assemble_fractional,
     assemble_unified,
     bigdecimal,
-    convergence_study,
     iter_convergence_study,
     power_law_fractional_bvp,
     sine_bvp,
@@ -194,7 +193,7 @@ def test_singular_float_unified_names_condition_and_fix():
 
 def test_unified_sine_errors_pinned():
     prob = sine_bvp()
-    reports = convergence_study(prob, "unified", [4, 8])
+    reports = list(iter_convergence_study(prob, "unified", [4, 8]))
     assert reports[0].max_error == pytest.approx(0.0012381461252706782, rel=1e-9)
     assert reports[1].max_error == pytest.approx(1.851251920648167e-07, rel=1e-9)
     assert reports[1].empirical_order == pytest.approx(12.7, abs=0.2)
@@ -203,7 +202,7 @@ def test_unified_sine_errors_pinned():
 
 def test_central_sine_second_order():
     prob = sine_bvp()
-    reports = convergence_study(prob, "central", [8, 16, 32])
+    reports = list(iter_convergence_study(prob, "central", [8, 16, 32]))
     orders = [rep.empirical_order for rep in reports[1:]]
     for order in orders:
         assert order == pytest.approx(2.0, abs=0.05)
@@ -217,7 +216,7 @@ def test_unified_sine_bigdecimal():
 
 def test_fractional_pinned_errors():
     prob = power_law_fractional_bvp(1.6)
-    reports = convergence_study(prob, "fractional", [64, 128])
+    reports = list(iter_convergence_study(prob, "fractional", [64, 128]))
     assert reports[0].max_error == pytest.approx(2.83087e-04, rel=1e-3)
     assert reports[1].max_error == pytest.approx(7.08555e-05, rel=1e-3)
     assert reports[1].empirical_order == pytest.approx(2.0, abs=0.05)
@@ -280,7 +279,7 @@ def test_shifts_from_two_are_refused_before_any_work(monkeypatch, field, r):
             with pytest.raises(ValueError, match=message):
                 solve_bvp(problem, "fractional", 8, p=p, r=r)
             with pytest.raises(ValueError, match=message):
-                convergence_study(problem, "fractional", [4, 8], p=p, r=r)
+                list(iter_convergence_study(problem, "fractional", [4, 8], p=p, r=r))
 
 
 @pytest.mark.parametrize("alpha", [F(17, 16), F(3, 2), F(31, 16)], ids=str)
@@ -293,7 +292,7 @@ def test_shifts_up_to_one_converge_whenever_they_solve(alpha):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                coarse, fine = convergence_study(problem, "fractional", [32, 128], p=p, d=d, r=r)
+                coarse, fine = iter_convergence_study(problem, "fractional", [32, 128], p=p, d=d, r=r)
         except (ValueError, ArithmeticError):
             continue
         assert fine.max_error < coarse.max_error and fine.empirical_order >= 0.5, (d, p, r)
@@ -330,21 +329,21 @@ def test_unknown_scheme_option_names_what_the_scheme_accepts(scheme, option, acc
     with pytest.raises(ValueError, match=message):
         solve_bvp(problem, scheme, 8, **{option: 1})
     with pytest.raises(ValueError, match=message):
-        convergence_study(problem, scheme, [4, 8], **{option: 1})
+        list(iter_convergence_study(problem, scheme, [4, 8], **{option: 1}))
 
 
 def test_convergence_study_needs_exact():
     prob = BvpProblem(a=0.0, b=1.0, ua=0.0, ub=0.0,
                       rhs=lambda g: g.x[1:-1], alpha=2, field=FLOAT64)
     with pytest.raises(ValueError):
-        convergence_study(prob, "central", [4, 8])
+        list(iter_convergence_study(prob, "central", [4, 8]))
     # solve_bvp itself is fine without an exact solution
     rep = solve_bvp(prob, "central", 4)
     assert rep.max_error is None
 
 
 def test_study_csv_format():
-    reports = convergence_study(sine_bvp(), "central", [4, 8])
+    reports = iter_convergence_study(sine_bvp(), "central", [4, 8])
     lines = study_csv(reports).splitlines()
     assert lines[0] == "N,h,max_error,order"
     assert lines[1].startswith("4,0.5,")
@@ -356,7 +355,7 @@ def test_study_csv_format():
 
 
 def test_study_table_format():
-    reports = convergence_study(sine_bvp(), "central", [4, 8])
+    reports = iter_convergence_study(sine_bvp(), "central", [4, 8])
     lines = study_table(reports).splitlines()
     assert lines[0].split() == ["N", "h", "error", "order", "p"]
     assert lines[1].split()[0] == "4"
@@ -976,14 +975,14 @@ def test_generator_is_built_once_and_its_series_grown(monkeypatch):
     params = derive_params(F(8, 5), 2, 2, 1, field)
     b0, gamma = beta_coefficients(params).beta[0], params.gamma
     problem = power_law_fractional_bvp(F(8, 5), field)
-    first = convergence_study(problem, "fractional", [16, 32, 64, 128])
+    first = list(iter_convergence_study(problem, "fractional", [16, 32, 64, 128]))
     assert calls["beta_coefficients"] == 1
     assert calls[b0, gamma] == 1 and calls[b0, -gamma] == 1
     assert expansions == [(True, 17, 0), (False, 16, 0), (True, 33, 17), (False, 32, 16),
                           (True, 65, 33), (False, 64, 32), (True, 129, 65), (False, 128, 64)]
     calls.clear()
     expansions.clear()
-    assert convergence_study(problem, "fractional", [16, 32, 64, 128]) == first
+    assert list(iter_convergence_study(problem, "fractional", [16, 32, 64, 128])) == first
     solve_bvp(problem, "fractional", 8)
     assemble_fractional(problem, 64, field=field)
     assert not calls["beta_coefficients"] and not expansions
@@ -1000,10 +999,10 @@ def test_generator_is_built_once_and_its_series_grown(monkeypatch):
 
 @pytest.mark.parametrize("call", [
     lambda problem: solve_bvp(problem, "fractional", 8, p=1),
-    lambda problem: convergence_study(problem, "fractional", [8, 16], p=1),
+    lambda problem: study_csv(iter_convergence_study(problem, "fractional", [8, 16], p=1)),
     lambda problem: list(iter_convergence_study(problem, "fractional", [8, 16], p=1)),
     lambda problem: assemble_fractional(problem, 8, p=1),
-], ids=["solve_bvp", "convergence_study", "iter_convergence_study", "assemble_fractional"])
+], ids=["solve_bvp", "study_csv", "iter_convergence_study", "assemble_fractional"])
 def test_solver_warnings_point_at_the_caller(monkeypatch, call):
     # (p, d, r) = (1, 2, 1) is experimental and its edge ratio is 1: both
     # warnings name this file, on a memo miss and on a hit
@@ -1095,7 +1094,7 @@ def test_each_solve_evaluates_rhs_and_exact_once(field, scheme, options):
         problem, calls = _counting(sine_bvp(field))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # r = 0 is an experimental configuration
-        convergence_study(problem, scheme, [4, 8, 16], **options)
+        list(iter_convergence_study(problem, scheme, [4, 8, 16], **options))
     for name in ("rhs", "exact"):
         assert [grid.n for grid in calls[name]] == [4, 8, 16]
     # both see the same points
@@ -1126,7 +1125,7 @@ def test_rhs_singular_at_an_end_is_only_evaluated_inside():
     problem = BvpProblem(a=0.0, b=1.0, ua=0.0, ub=1.0, alpha=2,
                          rhs=lambda g: 0.75 * g.x[1:-1] ** -0.5, exact=lambda g: g.x**1.5,
                          field=FLOAT64)
-    reports = convergence_study(problem, "central", [16, 64, 256])
+    reports = list(iter_convergence_study(problem, "central", [16, 64, 256]))
     assert all(np.isfinite(report.solution).all() for report in reports)
     assert reports[-1].max_error < 1e-4 and reports[-1].empirical_order > 1.3
 
@@ -1138,7 +1137,7 @@ def test_iter_convergence_study_yields_the_grids_before_a_refusal():
     assert solved[0].empirical_order is None and solved[-1].empirical_order < 0
     with pytest.raises(SingularMatrixError, match="condition estimate"):
         next(reports)
-    study = convergence_study(sine_bvp(), "unified", [4, 8, 16, 32])
+    study = list(iter_convergence_study(sine_bvp(), "unified", [4, 8, 16, 32]))
     assert [(r.max_error, r.empirical_order) for r in study] == \
         [(r.max_error, r.empirical_order) for r in solved]
 
@@ -1277,7 +1276,7 @@ def test_decimal_power_law_climbs_each_rung_once_per_problem(monkeypatch):
     monkeypatch.setattr(solvers, "_rise",
                         lambda table, e, m: rises.update([m]) or rise(table, e, m))
     problem = power_law_fractional_bvp(F(8, 5), field)
-    study = convergence_study(problem, "fractional", [16, 32, 64])
+    study = list(iter_convergence_study(problem, "fractional", [16, 32, 64]))
     primes = [p for p in range(3, 65) if all(p % q for q in range(2, p))]
     assert rises == Counter([8, 3] + [p - 1 for p in primes])
     # solving a grid again, or a smaller one, climbs nothing

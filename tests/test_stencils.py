@@ -133,30 +133,16 @@ def test_apply_sequence_and_validation():
         apply_stencil(st, [1, 2], 0, -1)
 
 
-def test_rational_weights_are_converted_once_per_stencil(monkeypatch):
-    # the weights' integers over their common denominator are kept on the
-    # stencil; each application converts only its samples
-    from diffgen import stencils
-
-    converted = []
-
-    def counting(values):
-        converted.append(tuple(values))
-        return over_common_denominator(values)
-
-    over_common_denominator = stencils._over_common_denominator
-    monkeypatch.setattr(stencils, "_over_common_denominator", counting)
+def test_rational_stencil_applications_are_exact():
+    # a callable and a sequence of samples, on one stencil; applying it
+    # leaves the stencil equal to a fresh one
     st = compact_stencil(2, 8, 3)
     first = apply_stencil(st, lambda x: x**4, F(1, 5), F(1, 7))
     second = apply_stencil(st, [F(k, 3) for k in range(len(st.weights))], 0, F(1, 2))
-    assert converted.count(st.weights) == 1 and len(converted) == 3
-    assert st.exact_weights == over_common_denominator(st.weights)
     assert first == 12 * F(1, 5) ** 2
     assert second == sum(w * F(k, 3) for k, w in enumerate(st.weights)) * 4
-    # the cache is no field of the stencil: equality, hashing and repr ignore it
     fresh = compact_stencil(2, 8, 3)
     assert st == fresh and hash(st) == hash(fresh) and repr(st) == repr(fresh)
-    assert compact_stencil(2, 8, 3, FLOAT64).exact_weights is None
 
 
 def test_apply_float_error_magnitude():
