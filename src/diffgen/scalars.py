@@ -41,11 +41,11 @@ __all__ = [
     "field_from_name",
     "field_of",
     "parse_scalar",
-    "approx_equal",
     "ExactnessError",
 ]
 
 MIN_DIGITS = 15
+_NO_CONTEXT = nullcontext()  # stateless, so one serves every call, nested or not
 
 
 class ExactnessError(ArithmeticError):
@@ -65,6 +65,15 @@ def _integer_nth_root(n: int, k: int) -> tuple[int, bool]:
             break
         x = y
     return x, x**k == n
+
+
+def _python_number(value: np.generic):
+    """A numpy scalar as the Python number it equals: an int or a bool by
+    ``item``, a finite float of any width as its exact Fraction (the ``item``
+    of a long double is itself), an inf or a NaN as a float."""
+    if not isinstance(value, np.floating):
+        return value.item()
+    return Fraction(*value.as_integer_ratio()) if np.isfinite(value) else float(value)
 
 
 def _exact_fraction_power(base: Fraction, exponent: Fraction) -> Fraction:
@@ -124,7 +133,7 @@ class Field:
 
     def context(self):
         """Context manager activating this field's decimal precision (no-op otherwise)."""
-        return nullcontext()
+        return _NO_CONTEXT
 
     def vector(self, values) -> np.ndarray:
         """A new 1-D array of ``values`` converted into this field: float64 in
@@ -143,7 +152,7 @@ class _Rational(Field):
         if type(value) is Fraction:
             return value
         # Fraction refuses a numpy float32 and keeps a numpy int, which wraps on overflow
-        return Fraction(value.item() if isinstance(value, np.generic) else value)
+        return Fraction(_python_number(value) if isinstance(value, np.generic) else value)
 
     def _quotient(self, num: int, den: int) -> Fraction:
         return Fraction(num, den)
@@ -223,14 +232,17 @@ class _BigDecimal(Field):
     def of(self, value) -> Decimal:
         if isinstance(value, (Decimal, int, float, str)):
             return self._context.plus(Decimal(value))
-        if isinstance(value, np.generic):  # a numpy int or float, as the Python one it equals
-            return self._context.plus(Decimal(value.item()))
+        if isinstance(value, np.generic):
+            return self.of(_python_number(value))
         return self._quotient(value.numerator, value.denominator)  # a Fraction
 
     def vector(self, values) -> np.ndarray:
         # Decimals and ints in one pass of the context's rounding, as ``of``
         # rounds them; the context refuses anything else (floats, numpy ints,
-        # Fractions, strings) with TypeError, and those take ``of`` one by one
+        # Fractions, strings) with TypeError, and those take ``of`` one by one.
+        # A numpy array of numbers goes in as Python ints (or bools, or floats).
+        if isinstance(values, np.ndarray) and values.dtype != object:
+            values = values.tolist()
         try:
             return np.array(list(map(self._context.plus, values)), dtype=object)
         except TypeError:
@@ -346,38 +358,3 @@ def _over_common_denominator(values) -> tuple[list[int], int] | None:
         return None
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _realization(x) -> str:
-    return "any" if isinstance(x, int) else field_of(x).name
-
-
-def _as_decimal(v) -> Decimal:
-    if isinstance(v, Decimal):
-        return v
-    if isinstance(v, Fraction):
-        return Decimal(v.numerator) / Decimal(v.denominator)
-    return Decimal(repr(float(v))) if isinstance(v, float) else Decimal(v)
-
-
-def approx_equal(a, b, rel_tol=None) -> bool:
-    """Equality test respecting the realization of the operands.
-
-    Exact operands compare with ``==`` (rel_tol ignored); float64 and
-    bigdecimal operands compare as |a-b| <= rel_tol * max(1, |b|). Mixing
-    realizations raises TypeError.
-    """
-    ra, rb = _realization(a), _realization(b)
-    kinds = {ra, rb} - {"any"}
-    if len(kinds) > 1:
-        raise TypeError(f"mixed scalar realizations: {ra} vs {rb}")
-    kind = kinds.pop() if kinds else "rational"
-    if kind == "rational":
-        return a == b
-    if rel_tol is None or not rel_tol > 0:
-        raise ValueError("float comparisons need rel_tol > 0")
-    if kind == "float64":
-        a, b = float(a), float(b)
-        return abs(a - b) <= float(rel_tol) * max(1.0, abs(b))
-    a, b, tol = _as_decimal(a), _as_decimal(b), _as_decimal(rel_tol)
-    return abs(a - b) <= tol * max(Decimal(1), abs(b))

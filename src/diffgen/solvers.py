@@ -324,6 +324,36 @@ def _resolve_field(problem: BvpProblem, field: Field | None) -> Field:
     return field if field is not None else (problem.field or FLOAT64)
 
 
+# each scheme's options and their defaults: (p, d, r) = (2, 2, 1) is the validated generator
+_SCHEME_OPTIONS = {"central": {}, "fractional": {"p": 2, "d": 2, "r": 1}, "unified": {}}
+
+
+def _checked(problem: BvpProblem, scheme: str, n: int, field: Field, options) -> dict:
+    """The scheme's ``options`` over its defaults, once the scheme and the
+    option names, alpha (2, or 1 < alpha < 2 for the fractional scheme), the
+    number of intervals n (an int >= 2) and the shift r (a non-negative int)
+    are checked, in that order; each failure raises ValueError."""
+    if scheme not in _SCHEME_OPTIONS:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_SCHEME_OPTIONS)}")
+    defaults = _SCHEME_OPTIONS[scheme]
+    if not options.keys() <= defaults.keys():
+        unknown = ", ".join(sorted(options.keys() - defaults.keys()))
+        raise ValueError(f"scheme {scheme!r} takes no option {unknown}; it accepts "
+                         f"{', '.join(defaults) or 'none'}")
+    if scheme == "fractional":
+        if not 1 < field.of(problem.alpha) < 2:
+            raise ValueError("fractional order must satisfy 1 < alpha < 2")
+    elif problem.alpha != 2:
+        raise ValueError(f"{scheme} scheme handles the second derivative only")
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"need an int number of intervals N >= 2, got {n!r}")
+    options = {**defaults, **options}
+    r = options.get("r", 0)  # a scheme without the option has no shift to check
+    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+        raise ValueError(f"shift r must be a non-negative integer (grid alignment), got {r!r}")
+    return options
+
+
 def _grid(problem: BvpProblem, n: int, field: Field) -> Grid:
     with field.context():
         a = field.of(problem.a)
@@ -358,17 +388,19 @@ def _band_rhs(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int):
     """ua, ub and the right-hand side of the Toeplitz band whose row i puts
     coeff[k] on u at grid index i + r - k: f at the interior points, less the
     weights on grid points 0 and n times the boundary values (in that order
-    in each row). Call under ``field.context()``."""
+    in each row); an f64 fold that overflows gives an inf, with no warning.
+    Call under ``field.context()``."""
     n, width = grid.n, len(coeff)
     ua, ub, rhs = _problem_data(problem, grid, field)
     # rows i = n - r .. n - 1 put coeff[i + r - n] on grid point n, while
     # that is a weight; rows 1 .. width - r - 1 put coeff[i + r] on point 0
     first, last = max(1, n - r), min(n - 1, n - r + width - 1)
-    if first <= last:
-        rhs[first - 1:last] = rhs[first - 1:last] - coeff[first + r - n:last + r - n + 1] * ub
-    last = min(n - 1, width - r - 1)
-    if last >= 1:
-        rhs[:last] = rhs[:last] - coeff[r + 1:last + r + 1] * ua
+    with np.errstate(over="ignore"):
+        if first <= last:
+            rhs[first - 1:last] = rhs[first - 1:last] - coeff[first + r - n:last + r - n + 1] * ub
+        last = min(n - 1, width - r - 1)
+        if last >= 1:
+            rhs[:last] = rhs[:last] - coeff[r + 1:last + r + 1] * ua
     return ua, ub, rhs
 
 
@@ -390,10 +422,6 @@ def _central_band(problem: BvpProblem, n: int, field: Field, series: bool = Fals
     """Grid and weights (s, -2s, s) with s = 1/h^2 of the central scheme and,
     with ``series``, their reciprocal series (k + 1)/s to n terms (else None),
     each as the field's array."""
-    if problem.alpha != 2:
-        raise ValueError("central scheme handles the second derivative only")
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("need at least 2 intervals")
     with field.context():
         grid = _grid(problem, n, field)
         scale = field.one / grid.h**2
@@ -405,6 +433,7 @@ def _central_band(problem: BvpProblem, n: int, field: Field, series: bool = Fals
 def assemble_central(problem: BvpProblem, n: int, field: Field | None = None):
     """Tridiagonal interior system for u'' = f: the band (1, -2, 1)/h^2."""
     field = _resolve_field(problem, field)
+    _checked(problem, "central", n, field, {})
     grid, coeff, _ = _central_band(problem, n, field)
     with field.context():
         return _band_system(problem, grid, field, coeff, 1)
@@ -429,8 +458,7 @@ def assemble_unified(problem: BvpProblem, n: int, field: Field | None = None):
     converted into ``field``; only the solve arithmetic is approximate.
     """
     field = _resolve_field(problem, field)
-    if problem.alpha != 2:
-        raise ValueError("unified scheme handles the second derivative only")
+    _checked(problem, "unified", n, field, {})
     exact_rows = unified_coefficient_rows(n)
     with field.context():
         grid = _grid(problem, n, field)
@@ -445,58 +473,45 @@ def assemble_unified(problem: BvpProblem, n: int, field: Field | None = None):
     return matrix, rhs.tolist()
 
 
-def assemble_fractional(
-    problem: BvpProblem,
-    n: int,
-    p: int = 2,
-    d: int = 2,
-    r: int = 1,
-    field: Field | None = None,
-):
+def assemble_fractional(problem: BvpProblem, n: int, field: Field | None = None, **options):
     """Interior system for D^alpha u = f, 1 < alpha < 2, from the expanded
-    (d, p) generator at shift r.
+    (d, p) generator at shift r, the options p, d and r (default 2, 2, 1).
 
     Row i applies weight w_k to u at grid index i + r - k, truncated at the
     left boundary (zero extension). The configured case is (p, d, r) =
-    (2, 2, 1); anything else is accepted but flagged experimental. A
-    generator with beta_0 <= 0 has no real fractional power and raises
+    (2, 2, 1); anything else is accepted but flagged experimental. Any other
+    option, or a bad alpha, N or r, raises ValueError, as in ``solve_bvp``.
+    A generator with beta_0 <= 0 has no real fractional power and raises
     ValueError. A divergent generator (edge ratio >= 1) warns and solves
     anyway. ``solve_bvp`` refuses r >= 2, which this still assembles.
     """
     field = _resolve_field(problem, field)
-    grid, coeff, _ = _fractional_band(problem, n, field, p, d, r)
+    options = _checked(problem, "fractional", n, field, options)
+    grid, coeff, _ = _fractional_band(problem, n, field, **options)
     with field.context():
-        return _band_system(problem, grid, field, coeff, r)
+        return _band_system(problem, grid, field, coeff, options["r"])
 
 
-def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int = 2, d: int = 2, r: int = 1,
+def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int, d: int, r: int,
                      series: bool = False):
-    """Validate and warn as ``assemble_fractional`` documents; return the grid,
-    the weights w_k / h^alpha of the (d, p) generator at shift r and, with
+    """Warn as ``assemble_fractional`` documents; return the grid, the
+    weights w_k / h^alpha of the (d, p) generator at shift r and, with
     ``series``, their reciprocal series h^alpha P(z)^(-alpha/d) to n terms."""
-    with field.context():
-        alpha = field.of(problem.alpha)
-        if not (1 < alpha < 2):
-            raise ValueError("fractional order must satisfy 1 < alpha < 2")
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("need at least 2 intervals")
-    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
-        raise ValueError(f"shift r must be a non-negative integer (grid alignment), got {r!r}")
-    if (p, d, r) != (2, 2, 1):
+    if {"p": p, "d": d, "r": r} != _SCHEME_OPTIONS["fractional"]:
         _warn(f"configuration (p={p}, d={d}, r={r}) is experimental; the validated setup is "
               "(2, 2, 1)", RuntimeWarning)
     params = derive_params(problem.alpha, d, p, r, field)
     cv, diag, _ = generator = _generator(params, str(params.alpha))
     if not cv.beta[0] > 0:
         raise ValueError(f"generator (p, d, r) = ({p}, {d}, {r}) has beta_0 = {cv.beta[0]} at "
-                         f"alpha = {alpha}; P(z)^(alpha/d) needs beta_0 > 0")
+                         f"alpha = {params.alpha}; P(z)^(alpha/d) needs beta_0 > 0")
     if not diag.converges_on_unit_disk:
         _warn(f"generator expansion diverges on the unit disk (edge ratio {diag.edge_ratio}); "
               "solving anyway", RuntimeWarning)
     with field.context():
         weights = _series(generator, params.gamma, n + r)
         grid = _grid(problem, n, field)
-        scale = field.one / field.power(grid.h, alpha)
+        scale = field.one / field.power(grid.h, params.alpha)
         inv = _series(generator, -params.gamma, n) / scale if series else None
         return grid, weights * scale, inv
 
@@ -671,8 +686,8 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
     The product inv * b is ``np.convolve`` in double precision, two running
     sums for the central scheme elsewhere, and ``_convolve`` otherwise.
     """
-    r = options.get("r", 1)
-    if isinstance(r, int) and r > 1:
+    r = options.get("r", 1)  # the central band (s, -2s, s) sits at shift 1
+    if r > 1:
         raise ValueError(f"shift r = {r}: no fractional scheme with r >= 2 converges for "
                          "1 < alpha < 2 (Meerschaert and Tadjeran 2004); solve with r = 1 "
                          "(or r = 0)")
@@ -795,10 +810,6 @@ def _solve_unified(problem: BvpProblem, n: int, field: Field):
     ``_data_bound(n)`` is above ``field.condition_limit``; ``_sign_bound(n)``
     decides alone when it is already above.
     """
-    if problem.alpha != 2:
-        raise ValueError("unified scheme handles the second derivative only")
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("need at least 2 intervals")
     limit = field.condition_limit
     if limit is not None:
         bound = _sign_bound(n)
@@ -824,9 +835,6 @@ def _solve_unified(problem: BvpProblem, n: int, field: Field):
                         for j, gj in enumerate(g.tolist(), 1)), ub]
 
 
-_SCHEME_OPTIONS = {"central": (), "fractional": ("p", "d", "r"), "unified": ()}
-
-
 def solve_bvp(
     problem: BvpProblem,
     scheme: str,
@@ -835,27 +843,21 @@ def solve_bvp(
     **scheme_options,
 ) -> SolveReport:
     """Solve one grid; scheme is central, unified, or fractional. Only the
-    fractional scheme takes options (p, d, r of ``assemble_fractional``);
-    any other raises ValueError. Outside the exact field a series solve and
-    the unified collocation (see the module docstring) raise
-    ``SingularMatrixError`` when their bound leaves fewer than two of the
-    field's digits: the unified scheme from N = 53 in double precision. The
-    unified result is the exact solution of the scheme on the field's ua,
-    ub, h and f, correctly rounded."""
+    fractional scheme takes options (p, d, r of ``assemble_fractional``).
+    A bad scheme, option, alpha, N or r raises ValueError before any work.
+    Outside the exact field a series solve and the unified collocation (see
+    the module docstring) raise ``SingularMatrixError`` when their bound
+    leaves fewer than two of the field's digits: the unified scheme from
+    N = 53 in double precision. The unified result is the exact solution of
+    the scheme on the field's ua, ub, h and f, correctly rounded."""
     field = _resolve_field(problem, field)
-    if scheme not in _SCHEME_OPTIONS:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_SCHEME_OPTIONS)}")
-    unknown = sorted(set(scheme_options) - set(_SCHEME_OPTIONS[scheme]))
-    if unknown:
-        raise ValueError(f"scheme {scheme!r} takes no option {', '.join(unknown)}; it accepts "
-                         f"{', '.join(_SCHEME_OPTIONS[scheme]) or 'none'}")
+    options = _checked(problem, scheme, n, field, scheme_options)
     if scheme == "unified":
         grid, values = _solve_unified(problem, n, field)
     else:
-        grid, values = _solve_band(problem, scheme, n, field, scheme_options)
+        grid, values = _solve_band(problem, scheme, n, field, options)
     with field.context():
-        # through ``of``: a decimal -0 from elimination reads 0
-        solution = field.vector(values)
+        solution = field.vector(values)  # the field's array: the unified solve returns a list
         max_error = None
         if problem.exact is not None:
             max_error = field.of(abs(solution - _grid_values(problem, "exact", grid, field)).max())
@@ -864,7 +866,7 @@ def solve_bvp(
         h=grid.h,
         solution=tuple(solution.tolist()),
         max_error=max_error,
-        approx_order={"central": 2, "unified": n - 1}.get(scheme, scheme_options.get("p", 2)),
+        approx_order={"central": 2, "unified": n - 1}.get(scheme, options.get("p")),
     )
 
 

@@ -13,7 +13,6 @@ from diffgen import (
     FLOAT64,
     RATIONAL,
     ExactnessError,
-    approx_equal,
     bigdecimal,
     field_from_name,
     parse_scalar,
@@ -50,37 +49,6 @@ def test_parse_format_round_trip_rational():
     for _ in range(50):
         x = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
         assert parse_scalar(RATIONAL.format(x)) == x
-
-
-def test_approx_equal_rational_is_exact():
-    assert approx_equal(Fraction(1, 3), Fraction(1, 3))
-    assert not approx_equal(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))
-
-
-def test_approx_equal_float_tolerance():
-    assert approx_equal(0.333333, float(Fraction(1, 3)), 1e-5)
-    assert approx_equal(float(Fraction(-1, 4)), -0.25, 1e-12)
-    assert not approx_equal(0.333, float(Fraction(1, 3)), 1e-6)
-    # |a-b| <= tol * max(1, |b|): absolute near zero, relative for large b
-    assert approx_equal(1e-9, 0.0, 1e-8)
-    assert approx_equal(1.0e6 + 1.0, 1.0e6, 1e-5)
-
-
-def test_approx_equal_mixed_realizations_raise():
-    with pytest.raises(TypeError):
-        approx_equal(Fraction(1, 2), 0.5, 1e-12)
-    with pytest.raises(TypeError):
-        approx_equal(Decimal("0.5"), 0.5, 1e-12)
-    # plain ints are neutral and combine with anything
-    assert approx_equal(2, Fraction(2))
-    assert approx_equal(2, 2.0, 1e-12)
-
-
-def test_approx_equal_needs_tolerance_for_floats():
-    with pytest.raises(ValueError):
-        approx_equal(0.5, 0.5)
-    with pytest.raises(ValueError):
-        approx_equal(0.5, 0.5, -1e-3)
 
 
 def test_field_lookup():
@@ -191,20 +159,28 @@ _LONG = "3.14159265358979323846264338327950288419716939937510582097494459"
     np.array([2**62, -(2**40)], dtype=np.int64),
     [0.1, -0.0, 1e300, 2.5],
     np.array([0.1, -0.0, 1e-300]),
+    np.array([0, 7, 255], dtype=np.uint8),
+    np.array([True, False]),
     [Fraction(1, 3), Fraction(-22, 7), Fraction(0)],
     ["0.5", "-1E-3", "-0", _LONG],
     [Decimal(_LONG), 3, Fraction(1, 3), 0.1, "2.75", -4, Decimal("-0")],
     [Decimal("1.25"), Fraction(1, 4)],
     [],
 ], ids=["decimals", "ints", "numpy-arange", "numpy-int64", "floats", "numpy-floats",
-        "fractions", "strings", "mixed", "decimal-then-fraction", "empty"])
+        "numpy-uint8", "numpy-bool", "fractions", "strings", "mixed", "decimal-then-fraction",
+        "empty"])
 @pytest.mark.parametrize("digits", [15, 30])
-def test_decimal_vector_equals_of_by_repr(inputs, digits):
+def test_decimal_vector_equals_of_by_repr(monkeypatch, inputs, digits):
     # the vector rounds Decimals and ints in one pass and falls back to
     # ``of`` one value at a time for anything else: the same values, exponents
     # and signs of zero either way
-    field = bigdecimal(digits)
+    field, calls = bigdecimal(digits), []
+    of = type(field).of
+    monkeypatch.setattr(type(field), "of", lambda self, v: calls.append(v) or of(self, v))
     values = field.vector(inputs)
+    monkeypatch.undo()
+    if isinstance(inputs, np.ndarray) and inputs.dtype.kind in "biu":
+        assert not calls  # a numpy integer array (the grids' np.arange) takes the one pass
     assert values.dtype == object and values.shape == (len(inputs),)
     assert repr(values.tolist()) == repr([field.of(v) for v in np.asarray(inputs, dtype=object)])
 
@@ -212,11 +188,14 @@ def test_decimal_vector_equals_of_by_repr(inputs, digits):
 @pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
 @pytest.mark.parametrize("values", [
     [np.int32(-7)], [np.int64(2**62 + 1)], [np.float32(0.1)], [np.float64(-2.5e-300)],
+    [np.longdouble("0.1")], [np.float16(0.1), np.float16(-6.1e-5)],
     [Decimal(1), np.int64(5), np.float32(0.5), Fraction(1, 3)],
-], ids=["int32", "int64", "float32", "float64", "mixed"])
+], ids=["int32", "int64", "float32", "float64", "longdouble", "float16", "mixed"])
 def test_fields_take_numpy_scalars_at_their_exact_value(field, values):
-    # a numpy int or float converts as the Python int or float it equals
-    python = [v.item() if isinstance(v, np.generic) else v for v in values]
+    # a numpy int converts as the Python int it equals, and a numpy float of
+    # any width as its exact ratio of integers
+    python = [Fraction(*v.as_integer_ratio()) if isinstance(v, np.floating)
+              else v.item() if isinstance(v, np.generic) else v for v in values]
     converted = [field.of(v) for v in values]
     assert repr(converted) == repr([field.of(v) for v in python])
     assert repr(field.vector(values).tolist()) == repr(field.vector(python).tolist())

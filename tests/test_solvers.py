@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import sys
 import warnings
 from collections import Counter
@@ -330,6 +331,70 @@ def test_unknown_scheme_option_names_what_the_scheme_accepts(scheme, option, acc
         solve_bvp(problem, scheme, 8, **{option: 1})
     with pytest.raises(ValueError, match=message):
         list(iter_convergence_study(problem, scheme, [4, 8], **{option: 1}))
+
+
+_ENTRY_POINTS = {
+    "solve_bvp-central": ("central", lambda problem, n, **o: solve_bvp(problem, "central", n, **o)),
+    "solve_bvp-fractional": ("fractional",
+                             lambda problem, n, **o: solve_bvp(problem, "fractional", n, **o)),
+    "solve_bvp-unified": ("unified", lambda problem, n, **o: solve_bvp(problem, "unified", n, **o)),
+    "assemble_central": ("central", assemble_central),
+    "assemble_fractional": ("fractional", assemble_fractional),
+    "assemble_unified": ("unified", assemble_unified),
+}
+_ALPHA_MESSAGES = {"central": "^central scheme handles the second derivative only$",
+                   "unified": "^unified scheme handles the second derivative only$",
+                   "fractional": r"^fractional order must satisfy 1 < alpha < 2$"}
+_N_MESSAGE = r"^need an int number of intervals N >= 2, got "
+_R_MESSAGE = r"^shift r must be a non-negative integer \(grid alignment\), got "
+_GATE_CASES = {  # name: (N, wrong alpha, options, message, or None for the scheme's alpha one)
+    "N=1": (1, False, {}, _N_MESSAGE + "1$"),
+    "N=2.5": (2.5, False, {}, _N_MESSAGE + r"2\.5$"),
+    "N=int64": (np.int64(8), False, {}, _N_MESSAGE + re.escape(repr(np.int64(8))) + "$"),
+    "alpha": (8, True, {}, None),
+    "alpha-before-N": (1, True, {}, None),
+    "option": (8, False, {"q": 1}, r"^scheme '\w+' takes no option q; it accepts "),
+    "option-before-alpha": (1, True, {"q": 1}, r"^scheme '\w+' takes no option q; "),
+    "r=-1": (8, False, {"r": -1}, _R_MESSAGE + "-1$"),
+    "r=True": (8, False, {"r": True}, _R_MESSAGE + "True$"),
+    "r=2.5": (8, False, {"r": 2.5}, _R_MESSAGE + r"2\.5$"),
+    "N-before-r": (1, False, {"r": -1}, _N_MESSAGE + "1$"),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in _ENTRY_POINTS for case in _GATE_CASES
+    # assemble_central and assemble_unified take no options: Python refuses them
+    if not (_GATE_CASES[case][2] and entry in ("assemble_central", "assemble_unified"))])
+def test_every_entry_point_checks_its_request_in_one_gate(monkeypatch, entry, case):
+    # every check comes before the problem data, the expansion and any warning;
+    # for central and unified, r is an option they do not take
+    scheme, call = _ENTRY_POINTS[entry]
+    n, wrong_alpha, options, message = _GATE_CASES[case]
+    if "r" in options and scheme != "fractional":
+        message = rf"^scheme '{scheme}' takes no option r; it accepts none$"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused request reached the expansion or the problem data")
+
+    _fresh_generator_memo(monkeypatch)
+    monkeypatch.setattr(solvers, "_expand", refuse)
+    problem = power_law_fractional_bvp(F(8, 5)) if scheme == "fractional" else sine_bvp()
+    alpha = (2 if scheme == "fractional" else F(8, 5)) if wrong_alpha else problem.alpha
+    problem = dataclasses.replace(problem, alpha=alpha, rhs=refuse, exact=refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message or _ALPHA_MESSAGES[scheme]):
+            call(problem, n, **options)
+
+
+def test_f64_fold_that_overflows_is_refused_without_a_warning():
+    # ua / h^2 overflows at N = 1024: the folded right-hand side holds an inf
+    problem = dataclasses.replace(sine_bvp(), ua=1e303)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^right-hand side must not contain infs or NaNs$"):
+            solve_bvp(problem, "central", 1024)
 
 
 def test_convergence_study_needs_exact():
