@@ -116,7 +116,7 @@ class Field:
     ``one`` are the field's constants, built once. ``condition_limit`` is the
     largest condition estimate a solve accepts, 10^(digits - 2) so that two
     significant digits survive (1e14 in double precision, None in the exact
-    field). Fields compare and hash by ``name`` and ``digits``.
+    field), also built once. Fields compare and hash by ``name`` and ``digits``.
     """
 
     name: str
@@ -190,7 +190,9 @@ class _Float64(Field):
         return np.array(values, dtype=float)
 
     def finite(self, values) -> bool:
-        return bool(np.isfinite(values).all())
+        if isinstance(values, np.ndarray):
+            return bool(np.isfinite(values).all())
+        return all(map(math.isfinite, values))  # a few scalars: no array to build
 
     def _quotient(self, num: int, den: int) -> float:
         # a positive denominator keeps 0/-3 a positive zero
@@ -220,14 +222,11 @@ class _BigDecimal(Field):
     def __post_init__(self):
         # built once: a Context costs more than rounding one value in it
         object.__setattr__(self, "_context", Context(prec=self.digits))
+        object.__setattr__(self, "condition_limit", self._context.power(10, self.digits - 2))
         super().__post_init__()
 
     def context(self):
         return localcontext(self._context)
-
-    @property
-    def condition_limit(self) -> Decimal:
-        return Decimal(10) ** (self.digits - 2)
 
     def of(self, value) -> Decimal:
         if isinstance(value, (Decimal, int, float, str)):

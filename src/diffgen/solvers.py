@@ -43,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, count
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -51,8 +51,9 @@ import numpy as np
 import scipy.linalg
 
 from . import decfun
-from .explicit_form import ApproxParams, _warn, beta_coefficients, derive_params
-from .scalars import FLOAT64, RATIONAL, Field, Scalar, _over_common_denominator, bigdecimal
+from .explicit_form import _warn, beta_coefficients, derive_params
+from .scalars import (_NO_CONTEXT, FLOAT64, RATIONAL, Field, Scalar, _over_common_denominator,
+                      bigdecimal)
 from .series import _expand, convergence_diagnostic
 
 __all__ = [
@@ -320,19 +321,17 @@ def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
     )
 
 
-def _resolve_field(problem: BvpProblem, field: Field | None) -> Field:
-    return field if field is not None else (problem.field or FLOAT64)
-
-
 # each scheme's options and their defaults: (p, d, r) = (2, 2, 1) is the validated generator
 _SCHEME_OPTIONS = {"central": {}, "fractional": {"p": 2, "d": 2, "r": 1}, "unified": {}}
 
 
-def _checked(problem: BvpProblem, scheme: str, n: int, field: Field, options) -> dict:
-    """The scheme's ``options`` over its defaults, once the scheme and the
-    option names, alpha (2, or 1 < alpha < 2 for the fractional scheme), the
-    number of intervals n (an int >= 2) and the shift r (a non-negative int)
-    are checked, in that order; each failure raises ValueError."""
+def _checked(problem: BvpProblem, scheme: str, n: int, field: Field | None, options):
+    """The field (``field``, else the problem's, else FLOAT64) and the
+    scheme's ``options`` over its defaults, once the scheme and the option
+    names, alpha (2, or 1 < alpha < 2 for the fractional scheme), the number
+    of intervals n (an int >= 2) and the shift r (a non-negative int) are
+    checked, in that order; each failure raises ValueError."""
+    field = field if field is not None else (problem.field or FLOAT64)
     if scheme not in _SCHEME_OPTIONS:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_SCHEME_OPTIONS)}")
     defaults = _SCHEME_OPTIONS[scheme]
@@ -351,14 +350,15 @@ def _checked(problem: BvpProblem, scheme: str, n: int, field: Field, options) ->
     r = options.get("r", 0)  # a scheme without the option has no shift to check
     if isinstance(r, bool) or not isinstance(r, int) or r < 0:
         raise ValueError(f"shift r must be a non-negative integer (grid alignment), got {r!r}")
-    return options
+    return field, options
 
 
 def _grid(problem: BvpProblem, n: int, field: Field) -> Grid:
     with field.context():
         a = field.of(problem.a)
         h = (field.of(problem.b) - a) / n
-        x = a + field.vector(np.arange(n + 1)) * h
+        points = np.arange(n + 1)  # each int64 is a float64 exactly
+        x = a + (points if field.name == "float64" else field.vector(points)) * h
     return Grid(a, h, n, x)
 
 
@@ -384,30 +384,36 @@ def _problem_data(problem: BvpProblem, grid: Grid, field: Field):
     return ua, ub, f
 
 
-def _band_rhs(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int):
-    """ua, ub and the right-hand side of the Toeplitz band whose row i puts
-    coeff[k] on u at grid index i + r - k: f at the interior points, less the
-    weights on grid points 0 and n times the boundary values (in that order
-    in each row); an f64 fold that overflows gives an inf, with no warning.
-    Call under ``field.context()``."""
+def _band_rhs(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int, norm=math.inf):
+    """ua, ub, the right-hand side of the Toeplitz band whose row i puts
+    coeff[k] on u at grid index i + r - k (f at the interior points, less the
+    weights on grid points 0 and n times the boundary values, in that order
+    in each row) and whether the fold was guarded: an f64 fold runs under
+    ``np.errstate(over="ignore")`` (an overflow gives an inf, no warning) unless
+    ``norm`` = |coeff|_1 (unknown by default) times max(|ua|, |ub|) is below
+    2^960, in Python floats, which do not warn. Each product is then at most
+    about 2^960, far under half an ulp (2^970) at the top of the double range,
+    so subtracting it from finite data cannot round to inf. Call under
+    ``field.context()``."""
     n, width = grid.n, len(coeff)
     ua, ub, rhs = _problem_data(problem, grid, field)
+    guarded = field.name == "float64" and not float(norm) * max(abs(ua), abs(ub)) < 2.0**960
     # rows i = n - r .. n - 1 put coeff[i + r - n] on grid point n, while
     # that is a weight; rows 1 .. width - r - 1 put coeff[i + r] on point 0
     first, last = max(1, n - r), min(n - 1, n - r + width - 1)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore") if guarded else _NO_CONTEXT:
         if first <= last:
             rhs[first - 1:last] = rhs[first - 1:last] - coeff[first + r - n:last + r - n + 1] * ub
         last = min(n - 1, width - r - 1)
         if last >= 1:
             rhs[:last] = rhs[:last] - coeff[r + 1:last + r + 1] * ua
-    return ua, ub, rhs
+    return ua, ub, rhs, guarded
 
 
 def _band_system(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int):
     """Interior matrix and right-hand side of that band. Call under
     ``field.context()``."""
-    _, _, rhs = _band_rhs(problem, grid, field, coeff, r)
+    _, _, rhs, _ = _band_rhs(problem, grid, field, coeff, r)
     size, width = grid.n - 1, len(coeff)
     # padded[off - i + j - 1] is coeff[i + r - j], or zero out of range
     padded = np.concatenate(([field.zero] * size, coeff[::-1], [field.zero] * size))
@@ -430,10 +436,10 @@ def _central_band(problem: BvpProblem, n: int, field: Field, series: bool = Fals
     return grid, coeff, inv
 
 
-def assemble_central(problem: BvpProblem, n: int, field: Field | None = None):
-    """Tridiagonal interior system for u'' = f: the band (1, -2, 1)/h^2."""
-    field = _resolve_field(problem, field)
-    _checked(problem, "central", n, field, {})
+def assemble_central(problem: BvpProblem, n: int, field: Field | None = None, **options):
+    """Tridiagonal interior system for u'' = f: the band (1, -2, 1)/h^2. Any
+    option (the scheme takes none), or a bad alpha or N, raises ValueError."""
+    field, _ = _checked(problem, "central", n, field, options)
     grid, coeff, _ = _central_band(problem, n, field)
     with field.context():
         return _band_system(problem, grid, field, coeff, 1)
@@ -450,15 +456,15 @@ def unified_coefficient_rows(n: int) -> list[tuple[Fraction, ...]]:
     return half + [tuple(reversed(row)) for row in reversed(half[: (n - 1) // 2])]
 
 
-def assemble_unified(problem: BvpProblem, n: int, field: Field | None = None):
+def assemble_unified(problem: BvpProblem, n: int, field: Field | None = None, **options):
     """Full (N-1)x(N-1) interior system whose row i carries the
     maximal-order second-derivative formula shifted to grid point i.
 
     Coefficients are generated exactly (the shifts are integers) and then
-    converted into ``field``; only the solve arithmetic is approximate.
+    converted into ``field``; only the solve arithmetic is approximate. Any
+    option (the scheme takes none), or a bad alpha or N, raises ValueError.
     """
-    field = _resolve_field(problem, field)
-    _checked(problem, "unified", n, field, {})
+    field, _ = _checked(problem, "unified", n, field, options)
     exact_rows = unified_coefficient_rows(n)
     with field.context():
         grid = _grid(problem, n, field)
@@ -485,8 +491,7 @@ def assemble_fractional(problem: BvpProblem, n: int, field: Field | None = None,
     ValueError. A divergent generator (edge ratio >= 1) warns and solves
     anyway. ``solve_bvp`` refuses r >= 2, which this still assembles.
     """
-    field = _resolve_field(problem, field)
-    options = _checked(problem, "fractional", n, field, options)
+    field, options = _checked(problem, "fractional", n, field, options)
     grid, coeff, _ = _fractional_band(problem, n, field, **options)
     with field.context():
         return _band_system(problem, grid, field, coeff, options["r"])
@@ -500,8 +505,9 @@ def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int, d: int, 
     if {"p": p, "d": d, "r": r} != _SCHEME_OPTIONS["fractional"]:
         _warn(f"configuration (p={p}, d={d}, r={r}) is experimental; the validated setup is "
               "(2, 2, 1)", RuntimeWarning)
-    params = derive_params(problem.alpha, d, p, r, field)
-    cv, diag, _ = generator = _generator(params, str(params.alpha))
+    alpha = field.of(problem.alpha)
+    cv, diag, _ = generator = _generator(alpha, str(alpha), d, p, r, field)
+    params = cv.params
     if not cv.beta[0] > 0:
         raise ValueError(f"generator (p, d, r) = ({p}, {d}, {r}) has beta_0 = {cv.beta[0]} at "
                          f"alpha = {params.alpha}; P(z)^(alpha/d) needs beta_0 > 0")
@@ -516,13 +522,15 @@ def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int, d: int, 
         return grid, weights * scale, inv
 
 
-@lru_cache(maxsize=16)
-def _generator(params: ApproxParams, alpha_text: str):
-    """The coefficients, the convergence verdict (None unless beta_0 > 0) and
-    a dict gamma -> P(z)^gamma (unscaled, read-only, grown by ``_series``) of
-    the generator of ``params``. ``alpha_text`` tells apart equal decimal
-    alphas of different exponents, whose series differ in their reprs."""
-    cv = beta_coefficients(params)
+@lru_cache(maxsize=16, typed=True)
+def _generator(alpha: Scalar, alpha_text: str, d: int, p: int, r: int, field: Field):
+    """The coefficients (``cv.params`` from ``derive_params``, whose checks run
+    on a miss), the convergence verdict (None unless beta_0 > 0) and a dict
+    gamma -> P(z)^gamma (unscaled, read-only, grown by ``_series``) of the
+    request's generator. ``alpha_text`` keeps apart equal decimal alphas of
+    different exponents, whose series differ in their reprs, and ``typed`` a
+    d or p of True or 1.0 from 1, so that no hit skips a refusal."""
+    cv = beta_coefficients(derive_params(alpha, d, p, r, field))
     return cv, convergence_diagnostic(cv) if cv.beta[0] > 0 else None, {}
 
 
@@ -629,11 +637,12 @@ def solve_dense(matrix, rhs, field: Field | None = None):
 
 def _on_integers(values, field: Field) -> tuple[list[int], int]:
     """Exact integers n_i and one e with values[i] = n_i / e (Fractions over
-    their least common denominator) or n_i 10^e (Decimals on their least
-    exponent, or 0 if that is positive)."""
+    their least common denominator) or n_i 10^e (Decimals on the least
+    exponent of the nonzero ones, or 0 if that is positive: the exponent of
+    their exact sum with the field's zero, so no value's digits are read)."""
     if field.digits is None:
         return _over_common_denominator(values)
-    exponent = min(min((v.as_tuple().exponent for v in values if v), default=0), 0)
+    exponent = reduce(_EXACT.add, filter(None, values), field.zero).as_tuple().exponent
     shift = Decimal(-exponent)
     return [int(_EXACT.scaleb(v, shift)) for v in values], exponent
 
@@ -694,21 +703,22 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
     band = _central_band if scheme == "central" else _fractional_band
     grid, coeff, inv = band(problem, n, field, series=True, **options)
     with field.context():
-        ua, ub, b = _band_rhs(problem, grid, field, coeff, r)
         limit = field.condition_limit
+        norm = math.inf if limit is None else np.abs(coeff).sum()  # for the estimate and the fold
+        ua, ub, b, guarded = _band_rhs(problem, grid, field, coeff, r, norm)
         if limit is not None:
             # ||L||_1 ||L^-1||_1, refused when it leaves fewer than two of the
             # field's significant digits
-            estimate = np.abs(coeff).sum() * np.abs(inv).sum()
+            estimate = norm * np.abs(inv).sum()
             if not estimate <= limit:
                 raise _ill_conditioned(f"Toeplitz system too ill-conditioned for {field.name}: "
                                        f"|coeff|_1 |inv|_1 above {limit:.0e}", estimate)
         if r == 1 and inv[-1] == 0:
             raise SingularMatrixError(f"reciprocal series vanishes at term {n - 1}; singular system")
+        if guarded and not np.isfinite(b).all():  # finite data whose folding overflowed
+            raise ValueError("right-hand side must not contain infs or NaNs")
         b = np.concatenate(([field.zero] * r, b))
         if field.name == "float64":
-            if not np.isfinite(b).all():  # finite data whose folding overflowed
-                raise ValueError("right-hand side must not contain infs or NaNs")
             y = np.convolve(inv, b)[:len(b)]
         elif scheme == "central":
             y = np.cumsum(np.cumsum(b)) / coeff[0]  # sum_i (k - i + 1) b[i] / s, in O(N)
@@ -754,6 +764,14 @@ def _lagrange_basis(n: int, block: int) -> Iterator[np.ndarray]:
                                   dtype=object)
 
 
+@lru_cache(maxsize=32)
+def _double_integral(deg: int) -> tuple[tuple[int, ...], int]:
+    """lcm / ((m+1)(m+2)) for m <= deg, lcm = lcm_m (m+1)(m+2), and deg! lcm:
+    t^m integrates twice to t^(m+2)/((m+1)(m+2)), under the one lcm."""
+    lcm = math.lcm(*((m + 1) * (m + 2) for m in range(deg + 1)))
+    return tuple(lcm // ((m + 1) * (m + 2)) for m in range(deg + 1)), math.factorial(deg) * lcm
+
+
 def _integrated_values(poly: np.ndarray, points) -> tuple[np.ndarray, int]:
     """For p with (n-2)! p = ``poly`` (integer monomial coefficients along
     the first axis, degree n - 2; further axes are independent columns):
@@ -763,15 +781,14 @@ def _integrated_values(poly: np.ndarray, points) -> tuple[np.ndarray, int]:
     deg = len(poly) - 1
     n = deg + 2
     column = (slice(None),) + (None,) * (poly.ndim - 1)  # broadcast along the columns
-    lcm = math.lcm(*((m + 1) * (m + 2) for m in range(deg + 1)))
-    # t^m integrates twice to t^(m+2)/((m+1)(m+2)), under the one lcm
-    w = poly * np.array([lcm // ((m + 1) * (m + 2)) for m in range(deg + 1)], dtype=object)[column]
+    weights, scale = _double_integral(deg)
+    w = poly * np.array(weights, dtype=object)[column]
     t = np.array([*points, n], dtype=object)[column]
     acc = w[deg]
     for m in range(deg - 1, -1, -1):  # Horner at every point at once
         acc = acc * t + w[m]
     values = acc * t * t
-    return n * values[:-1] - t[:-1] * values[-1], math.factorial(deg) * lcm
+    return n * values[:-1] - t[:-1] * values[-1], scale
 
 
 @lru_cache(maxsize=None)
@@ -786,6 +803,15 @@ def _data_bound(n: int, block: int = 32) -> Fraction:
         g, scale = _integrated_values(columns, range(1, n // 2 + 1))
         sums = sums + np.abs(g).sum(axis=1)
     return Fraction(max(sums), n * scale)
+
+
+@lru_cache(maxsize=None)
+def _refused_bound(n: int, limit) -> Fraction | None:
+    """The data bound of N = n if it is above ``limit``, else None;
+    ``_sign_bound(n)`` decides alone when it is already above."""
+    bound = _sign_bound(n)
+    bound = bound if bound > limit else _data_bound(n)
+    return bound if bound > limit else None
 
 
 @lru_cache(maxsize=None)
@@ -807,18 +833,14 @@ def _solve_unified(problem: BvpProblem, n: int, field: Field):
     U''(i) = h^2 f_i at t = 1 .. n-1. U is built on integers from the
     field's own ua, ub, h and f_i, taken exactly, and each interior value is
     rounded once. Outside the exact field the solve is refused when
-    ``_data_bound(n)`` is above ``field.condition_limit``; ``_sign_bound(n)``
-    decides alone when it is already above.
+    ``_data_bound(n)`` is above ``field.condition_limit``, a verdict kept
+    per (n, limit) (``_refused_bound``).
     """
     limit = field.condition_limit
-    if limit is not None:
-        bound = _sign_bound(n)
-        if bound <= limit:
-            bound = _data_bound(n)
-        if bound > limit:
-            raise _ill_conditioned(f"unified scheme too sensitive to data rounding in "
-                                   f"{field.name}: data bound ||A_N||_inf above {limit:.0e}",
-                                   Context().divide(bound.numerator, bound.denominator))
+    if limit is not None and (bound := _refused_bound(n, limit)) is not None:
+        raise _ill_conditioned(f"unified scheme too sensitive to data rounding in "
+                               f"{field.name}: data bound ||A_N||_inf above {limit:.0e}",
+                               Context().divide(bound.numerator, bound.denominator))
     with field.context():
         grid = _grid(problem, n, field)
         ua, ub, f = _problem_data(problem, grid, field)
@@ -850,14 +872,15 @@ def solve_bvp(
     leaves fewer than two of the field's digits: the unified scheme from
     N = 53 in double precision. The unified result is the exact solution of
     the scheme on the field's ua, ub, h and f, correctly rounded."""
-    field = _resolve_field(problem, field)
-    options = _checked(problem, scheme, n, field, scheme_options)
+    field, options = _checked(problem, scheme, n, field, scheme_options)
     if scheme == "unified":
         grid, values = _solve_unified(problem, n, field)
     else:
         grid, values = _solve_band(problem, scheme, n, field, options)
     with field.context():
-        solution = field.vector(values)  # the field's array: the unified solve returns a list
+        # the field's array: a double-precision band solve returns one, the unified solve a list
+        f64_band = scheme != "unified" and field.name == "float64"
+        solution = values if f64_band else field.vector(values)
         max_error = None
         if problem.exact is not None:
             max_error = field.of(abs(solution - _grid_values(problem, "exact", grid, field)).max())
@@ -890,7 +913,6 @@ def iter_convergence_study(problem: BvpProblem, scheme: str, n_values: Sequence[
     order against the previous grid, as soon as the grid is solved, so a
     caller keeps the grids before one that is refused. Needs problem.exact
     for the error column."""
-    field = _resolve_field(problem, field)
     if problem.exact is None:
         raise ValueError("a convergence study needs the exact solution")
     previous = None

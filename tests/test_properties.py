@@ -419,10 +419,21 @@ decimal_series = st.lists(wide_decimals, min_size=1, max_size=80)
 _PI = "3.14159265358979323846264338327950288419716939937510582097494459230781640628"
 
 
+def _least_exponent(values):
+    """The least exponent of the nonzero Decimals in ``values``, or 0 if that is positive."""
+    return min([v.as_tuple().exponent for v in values if v] + [0])
+
+
 @PROPERTY
 @example(15, [Decimal(_PI)], [Decimal(1), Decimal("-1E-60")], False)
 @example(100, [Decimal("-" + _PI), Decimal("1E-90")], [Decimal(_PI + "1"), Decimal(0)], False)
 @example(50, [Decimal(1)] * 80, [Decimal("1E-40")] * 80, True)
+# trailing zeros, and zeros of negative exponents ahead of them: the exponents show in the reprs
+@example(30, [Decimal("1.20"), Decimal("-3.500")], [Decimal("2.0"), Decimal("0.10")], False)
+@example(15, [Decimal(0), Decimal("0.000"), Decimal("1.20")],
+         [Decimal("0E-5"), Decimal(0), Decimal("4.00"), Decimal("1E+3")], False)
+@example(20, [Decimal("0E-7")] * 3 + [Decimal("5E+2")], [Decimal("0.0")] * 2 + [Decimal("3")] * 2,
+         False)
 @given(st.integers(15, 100), decimal_series, decimal_series, st.booleans())
 def test_decimal_series_product_is_each_exact_sum_rounded_once(digits, a, b, zero_b):
     field = bigdecimal(digits)
@@ -432,6 +443,11 @@ def test_decimal_series_product_is_each_exact_sum_rounded_once(digits, a, b, zer
     assert got.dtype == object and len(got) == len(b)
     want = _exact_convolution(a, b)
     assert all(type(y) is Decimal and y == field.of(w) for y, w in zip(got, want))
+    # each term is the exact sum on the least exponents of a[:len(b)] and b,
+    # rounded once: a sum of fewer digits than the field keeps that exponent
+    exponent = _least_exponent(a[:len(b)]) + _least_exponent(b)
+    assert [y.as_tuple().exponent for y in got] == [
+        max(exponent, y.adjusted() - digits + 1) if y else exponent for y in got]
 
 
 wide_fractions = st.just(F(0)) | st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**30))

@@ -363,9 +363,7 @@ _GATE_CASES = {  # name: (N, wrong alpha, options, message, or None for the sche
 
 
 @pytest.mark.parametrize("entry, case", [
-    (entry, case) for entry in _ENTRY_POINTS for case in _GATE_CASES
-    # assemble_central and assemble_unified take no options: Python refuses them
-    if not (_GATE_CASES[case][2] and entry in ("assemble_central", "assemble_unified"))])
+    (entry, case) for entry in _ENTRY_POINTS for case in _GATE_CASES])
 def test_every_entry_point_checks_its_request_in_one_gate(monkeypatch, entry, case):
     # every check comes before the problem data, the expansion and any warning;
     # for central and unified, r is an option they do not take
@@ -395,6 +393,51 @@ def test_f64_fold_that_overflows_is_refused_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^right-hand side must not contain infs or NaNs$"):
             solve_bvp(problem, "central", 1024)
+
+
+def _counted_errstate(monkeypatch) -> Counter:
+    """Count the ``np.errstate`` contexts the solvers enter."""
+    entered, errstate = Counter(), solvers.np.errstate
+
+    def counted(**kwargs):
+        entered[tuple(sorted(kwargs.items()))] += 1
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(solvers.np, "errstate", counted)
+    return entered
+
+
+@pytest.mark.parametrize("scheme", ["central", "fractional"])
+def test_f64_fold_below_its_overflow_bound_enters_no_errstate(monkeypatch, scheme):
+    # only a fold that may overflow is guarded; assembly keeps its guarded fold
+    entered = _counted_errstate(monkeypatch)
+    problem = sine_bvp() if scheme == "central" else power_law_fractional_bvp(1.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (16, 128, 1024):
+            solve_bvp(problem, scheme, n)
+        list(iter_convergence_study(problem, scheme, [8, 16, 32]))
+        assert not entered
+        (assemble_central if scheme == "central" else assemble_fractional)(problem, 16)
+    assert entered == {(("over", "ignore"),): 1}
+
+
+@pytest.mark.parametrize("side", ["below", "at", "above"])
+def test_f64_fold_at_its_overflow_bound_is_finite_without_a_warning(monkeypatch, side):
+    # N = 16 on [-1, 1]: h = 1/8, coeff = (64, -128, 64), |coeff|_1 = 2^8, so
+    # the bound on max(|ua|, |ub|) is 2^952, and the fold is guarded from it
+    # on. f is near the largest double (u'' = f keeps |u| <= f/2); on either
+    # side every product is about 2^958, and the solve is finite, with no warning
+    entered = _counted_errstate(monkeypatch)
+    ua = {"below": math.nextafter(2.0**952, 0), "at": 2.0**952, "above": 2.0**952 * 1.5}[side]
+    f = sys.float_info.max / 8
+    problem = BvpProblem(a=-1.0, b=1.0, ua=ua, ub=-ua, rhs=lambda g: np.full(g.n - 1, f),
+                         alpha=2, field=FLOAT64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = np.array(solve_bvp(problem, "central", 16).solution)
+    assert np.isfinite(solution).all() and solution[0] == ua and solution[-1] == -ua
+    assert sum(entered.values()) == (side != "below")
 
 
 def test_convergence_study_needs_exact():
@@ -1053,13 +1096,80 @@ def test_generator_is_built_once_and_its_series_grown(monkeypatch):
     assert not calls["beta_coefficients"] and not expansions
     assert not calls[b0, gamma] and not calls[b0, -gamma]
     # the kept series are read-only
-    kept = solvers._generator(params, str(params.alpha))[2]
+    kept = solvers._generator(params.alpha, str(params.alpha), 2, 2, 1, field)[2]
     assert sorted(map(len, kept.values())) == [128, 129]
     for series in kept.values():
         with pytest.raises(ValueError, match="read-only"):
             series[0] = series[1]
         with pytest.raises(ValueError, match="read-only"):
             series[:4] *= 2
+
+
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(30)],
+                         ids=lambda f: f"{f.name}{f.digits or ''}")
+def test_repeated_request_derives_and_generates_nothing(monkeypatch, field):
+    # the memo is keyed on the request: only its first solve runs
+    # derive_params and beta_coefficients, and a study on more grids neither
+    _fresh_generator_memo(monkeypatch)
+    calls, derive, beta = Counter(), solvers.derive_params, solvers.beta_coefficients
+
+    def counted_derive(*args):
+        calls["derive_params"] += 1
+        return derive(*args)
+
+    def counted_beta(params):
+        calls["beta_coefficients"] += 1
+        return beta(params)
+
+    monkeypatch.setattr(solvers, "derive_params", counted_derive)
+    monkeypatch.setattr(solvers, "beta_coefficients", counted_beta)
+    generator = (F(3, 2), 1, 2, 1) if field is RATIONAL else (F(8, 5), 2, 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # p = 1 is experimental
+        first = _memo_solve(field, *generator, 16)
+        assert calls == {"derive_params": 1, "beta_coefficients": 1}
+        calls.clear()
+        assert _memo_solve(field, *generator, 16) == first
+        for n in (8, 32):
+            _memo_solve(field, *generator, n)
+    assert not calls
+
+
+@pytest.mark.parametrize("field, alphas", [
+    (bigdecimal(30), (Decimal("1.6"), Decimal("1.60"))),
+    (bigdecimal(30), (F(3, 2), 1.5)),
+    (FLOAT64, (F(3, 2), 1.5)),
+    (RATIONAL, (F(3, 2), 1.5)),
+], ids=["decimal-exponents", "decimal-fraction-float", "float64", "rational"])
+def test_equal_alphas_of_different_reprs_each_solve_as_cold(monkeypatch, field, alphas):
+    # the solve of each alpha, with the other's generator in the memo, has
+    # the repr of its cold solve (Decimal('1.60') keeps its exponent)
+    _fresh_generator_memo(monkeypatch)
+    p = 1 if field is RATIONAL else 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cold = {}
+        for alpha in alphas:
+            solvers._generator.cache_clear()
+            cold[alpha] = [_memo_solve(field, alpha, p, 2, 1, n) for n in (8, 16)]
+        for alpha in alphas * 2:
+            assert [_memo_solve(field, alpha, p, 2, 1, n) for n in (8, 16)] == cold[alpha], alpha
+
+
+def test_memo_hit_keeps_every_refusal_of_the_generator_options():
+    # d and p are checked by derive_params on a miss; True and 2.0 equal the
+    # valid 1 and 2, but a request with one of them never hits their entry
+    # (the memo's own keys are typed)
+    problem = power_law_fractional_bvp(F(8, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for options in ({"p": 1}, {"p": 2}, {"d": 2}, {"d": 1}):
+            solve_bvp(problem, "fractional", 8, **options)
+        for name, value in (("p", True), ("p", 2.0), ("d", 2.0), ("d", True)):
+            label = "accuracy order p" if name == "p" else "base derivative order d"
+            for _ in range(2):
+                with pytest.raises(ValueError, match=rf"^{label} must be a positive integer, "):
+                    solve_bvp(problem, "fractional", 8, **{name: value})
 
 
 @pytest.mark.parametrize("call", [
