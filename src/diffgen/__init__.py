@@ -7,119 +7,16 @@ their error terms, expanded weight series, classical stencils of any order
 and shift, and boundary-value solvers built on top.
 """
 
-from .explicit_form import (
-    ApproxParams,
-    CoefficientVector,
-    ErrorCoefficients,
-    beta_coefficients,
-    denominators,
-    derive_params,
-    error_coefficients,
-    numerators,
-)
-from .oracle import (
-    BudgetError,
-    OpCount,
-    consistency_moments,
-    numerators_direct,
-    symbol_series,
-    vandermonde_solve,
-)
-from .scalars import (
-    FLOAT64,
-    RATIONAL,
-    ExactnessError,
-    Field,
-    Scalar,
-    bigdecimal,
-    field_from_name,
-    parse_scalar,
-)
-from .series import (
-    ConvergenceDiagnostic,
-    WeightSeries,
-    convergence_diagnostic,
-    grunwald_weights,
-    miller_expand,
-    poly_power_int,
-)
-from .solvers import (
-    BvpProblem,
-    Grid,
-    SingularMatrixError,
-    SolveReport,
-    assemble_central,
-    assemble_fractional,
-    assemble_unified,
-    iter_convergence_study,
-    power_law_fractional_bvp,
-    sine_bvp,
-    solve_bvp,
-    solve_dense,
-    study_csv,
-    study_table,
-    unified_coefficient_rows,
-)
-from .stencils import (
-    Stencil,
-    apply_stencil,
-    compact_stencil,
-    noncompact_stencil,
-    render_stencil,
-    shift_for_kind,
-)
+from . import explicit_form, oracle, scalars, series, solvers, stencils
+from .explicit_form import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .scalars import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .solvers import *  # noqa: F401,F403
+from .stencils import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproxParams",
-    "BudgetError",
-    "BvpProblem",
-    "CoefficientVector",
-    "ConvergenceDiagnostic",
-    "ErrorCoefficients",
-    "ExactnessError",
-    "FLOAT64",
-    "Field",
-    "Grid",
-    "OpCount",
-    "RATIONAL",
-    "Scalar",
-    "SingularMatrixError",
-    "SolveReport",
-    "Stencil",
-    "WeightSeries",
-    "apply_stencil",
-    "assemble_central",
-    "assemble_fractional",
-    "assemble_unified",
-    "beta_coefficients",
-    "bigdecimal",
-    "compact_stencil",
-    "consistency_moments",
-    "convergence_diagnostic",
-    "denominators",
-    "derive_params",
-    "error_coefficients",
-    "field_from_name",
-    "grunwald_weights",
-    "iter_convergence_study",
-    "miller_expand",
-    "noncompact_stencil",
-    "numerators",
-    "numerators_direct",
-    "parse_scalar",
-    "poly_power_int",
-    "power_law_fractional_bvp",
-    "render_stencil",
-    "shift_for_kind",
-    "sine_bvp",
-    "solve_bvp",
-    "solve_dense",
-    "study_csv",
-    "study_table",
-    "symbol_series",
-    "unified_coefficient_rows",
-    "vandermonde_solve",
-    "__version__",
-]
+# the public API is each module's own __all__
+__all__ = [name for module in (explicit_form, oracle, scalars, series, solvers, stencils)
+           for name in module.__all__] + ["__version__"]

@@ -54,7 +54,7 @@ def _scalar(text: str) -> Fraction:
 
 
 def _field(args):
-    return field_from_name(args.mode, getattr(args, "digits", 50))
+    return field_from_name(args.mode, args.digits)
 
 
 def _add_mode_flags(sub, modes=("rational", "f64", "big")):
@@ -177,7 +177,7 @@ def _print_study(reports, fmt: str) -> None:
 
 
 def cmd_bvp(args) -> int:
-    field = field_from_name(args.mode, args.digits)
+    field = _field(args)
     problem = sine_bvp(field)
     n_values = _n_list(args, 4)
     schemes = ("central", "unified") if args.scheme == "both" else (args.scheme,)
@@ -191,7 +191,7 @@ def cmd_bvp(args) -> int:
 
 
 def cmd_fbvp(args) -> int:
-    field = field_from_name(args.mode, args.digits)
+    field = _field(args)
     problem = power_law_fractional_bvp(args.alpha, field)
     n_values = _n_list(args, 8)
     _print_study(iter_convergence_study(problem, "fractional", n_values, field,

@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Mapping
@@ -184,9 +184,7 @@ class CoefficientVector:
 
     @cached_property
     def exact_beta(self) -> tuple[Fraction, ...]:
-        nums = _numerator_pairs(self.params, None)
-        exact_den = _denominators(self.params.d, self.params.p, RATIONAL)
-        return tuple(Fraction(*nv) / dj for nv, dj in zip(nums, exact_den))
+        return beta_coefficients(replace(self.params, field=RATIONAL)).beta
 
 
 def beta_coefficients(params: ApproxParams, tally: "OpCount | None" = None) -> CoefficientVector:

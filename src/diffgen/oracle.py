@@ -20,9 +20,6 @@ from .series import poly_power_int
 __all__ = [
     "OpCount",
     "BudgetError",
-    "esp_direct",
-    "det_exact",
-    "vandermonde_matrix",
     "vandermonde_solve",
     "numerators_direct",
     "consistency_moments",

@@ -39,7 +39,6 @@ __all__ = [
     "FLOAT64",
     "bigdecimal",
     "field_from_name",
-    "field_of",
     "parse_scalar",
     "ExactnessError",
 ]

@@ -51,7 +51,7 @@ import numpy as np
 import scipy.linalg
 
 from . import decfun
-from .explicit_form import _warn, beta_coefficients, derive_params
+from .explicit_form import _node_polynomial, _warn, beta_coefficients, derive_params
 from .scalars import (_NO_CONTEXT, FLOAT64, RATIONAL, Field, Scalar, _over_common_denominator,
                       bigdecimal)
 from .series import _expand, convergence_diagnostic
@@ -327,11 +327,15 @@ _SCHEME_OPTIONS = {"central": {}, "fractional": {"p": 2, "d": 2, "r": 1}, "unifi
 
 def _checked(problem: BvpProblem, scheme: str, n: int, field: Field | None, options):
     """The field (``field``, else the problem's, else FLOAT64) and the
-    scheme's ``options`` over its defaults, once the scheme and the option
-    names, alpha (2, or 1 < alpha < 2 for the fractional scheme), the number
-    of intervals n (an int >= 2) and the shift r (a non-negative int) are
-    checked, in that order; each failure raises ValueError."""
+    scheme's ``options`` over its defaults, once the field's arithmetic (the
+    problem's, when it declares a field, at any precision), the scheme and
+    the option names, alpha (2, or 1 < alpha < 2 for the fractional scheme),
+    the number of intervals n (an int >= 2) and the shift r (a non-negative
+    int) are checked, in that order; each failure raises ValueError."""
     field = field if field is not None else (problem.field or FLOAT64)
+    if problem.field is not None and field.name != problem.field.name:
+        raise ValueError(f"problem data are in {problem.field.name}; solve them in "
+                         f"{problem.field.name}, not in {field.name}")
     if scheme not in _SCHEME_OPTIONS:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_SCHEME_OPTIONS)}")
     defaults = _SCHEME_OPTIONS[scheme]
@@ -424,15 +428,14 @@ def _band_system(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int):
     return [row.tolist() for row in rows], rhs.tolist()
 
 
-def _central_band(problem: BvpProblem, n: int, field: Field, series: bool = False):
-    """Grid and weights (s, -2s, s) with s = 1/h^2 of the central scheme and,
-    with ``series``, their reciprocal series (k + 1)/s to n terms (else None),
-    each as the field's array."""
+def _central_band(problem: BvpProblem, n: int, field: Field):
+    """Grid and weights (s, -2s, s) with s = 1/h^2 of the central scheme and
+    their reciprocal series (k + 1)/s to n terms, each as the field's array."""
     with field.context():
         grid = _grid(problem, n, field)
         scale = field.one / grid.h**2
         coeff = np.array([scale, -2 * scale, scale], dtype=grid.x.dtype)
-        inv = np.arange(1, n + 1, dtype=grid.x.dtype) / scale if series else None
+        inv = np.arange(1, n + 1, dtype=grid.x.dtype) / scale
     return grid, coeff, inv
 
 
@@ -497,11 +500,10 @@ def assemble_fractional(problem: BvpProblem, n: int, field: Field | None = None,
         return _band_system(problem, grid, field, coeff, options["r"])
 
 
-def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int, d: int, r: int,
-                     series: bool = False):
+def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int, d: int, r: int):
     """Warn as ``assemble_fractional`` documents; return the grid, the
-    weights w_k / h^alpha of the (d, p) generator at shift r and, with
-    ``series``, their reciprocal series h^alpha P(z)^(-alpha/d) to n terms."""
+    weights w_k / h^alpha of the (d, p) generator at shift r and their
+    reciprocal series h^alpha P(z)^(-alpha/d) to n terms."""
     if {"p": p, "d": d, "r": r} != _SCHEME_OPTIONS["fractional"]:
         _warn(f"configuration (p={p}, d={d}, r={r}) is experimental; the validated setup is "
               "(2, 2, 1)", RuntimeWarning)
@@ -518,7 +520,7 @@ def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int, d: int, 
         weights = _series(generator, params.gamma, n + r)
         grid = _grid(problem, n, field)
         scale = field.one / field.power(grid.h, params.alpha)
-        inv = _series(generator, -params.gamma, n) / scale if series else None
+        inv = _series(generator, -params.gamma, n) / scale
         return grid, weights * scale, inv
 
 
@@ -701,7 +703,7 @@ def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options)
                          "1 < alpha < 2 (Meerschaert and Tadjeran 2004); solve with r = 1 "
                          "(or r = 0)")
     band = _central_band if scheme == "central" else _fractional_band
-    grid, coeff, inv = band(problem, n, field, series=True, **options)
+    grid, coeff, inv = band(problem, n, field, **options)
     with field.context():
         limit = field.condition_limit
         norm = math.inf if limit is None else np.abs(coeff).sum()  # for the estimate and the fold
@@ -749,11 +751,10 @@ def _lagrange_basis(n: int, block: int) -> Iterator[np.ndarray]:
     """The columns, ``block`` at a time, of the matrix whose column c - 1 is
     (n-2)! l_c, the Lagrange basis polynomial of node c on t = 1 .. n-1, as
     integer monomial coefficients: l_c is omega(t)/(t-c) over omega'(c), with
-    omega(t) = prod_i (t - i) and (n-2)!/omega'(c) = (-1)^(n-1-c) C(n-2, c-1).
-    One synthetic division serves every c of a block at once."""
-    omega = np.ones(1, dtype=object)
-    for i in range(1, n):
-        omega = np.concatenate(([0], omega)) - i * np.concatenate((omega, [0]))
+    omega(t) = prod_i (t - i) (the node polynomial at lam = -1) and
+    (n-2)!/omega'(c) = (-1)^(n-1-c) C(n-2, c-1). One synthetic division
+    serves every c of a block at once."""
+    omega = np.array(_node_polynomial(-1, 1, n - 1)[1], dtype=object)
     for first in range(1, n, block):
         nodes = np.arange(first, min(first + block, n)).astype(object)
         quotient = np.empty((n - 1, len(nodes)), dtype=object)

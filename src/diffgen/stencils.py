@@ -26,7 +26,6 @@ from .series import poly_power_int
 
 __all__ = [
     "Stencil",
-    "KINDS",
     "shift_for_kind",
     "compact_stencil",
     "noncompact_stencil",

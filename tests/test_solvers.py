@@ -283,6 +283,54 @@ def test_shifts_from_two_are_refused_before_any_work(monkeypatch, field, r):
                 list(iter_convergence_study(problem, "fractional", [4, 8], p=p, r=r))
 
 
+# each built-in problem with the schemes it takes and how to assemble them
+_BUILT_IN_PROBLEMS = {
+    "sine": (sine_bvp, {"central": assemble_central, "unified": assemble_unified}),
+    "power-law": (lambda field: power_law_fractional_bvp(F(8, 5), field),
+                  {"fractional": assemble_fractional}),
+}
+_CROSSED_FIELDS = [(data, solve) for data in (FLOAT64, bigdecimal(30))
+                   for solve in (FLOAT64, bigdecimal(30), RATIONAL) if data.name != solve.name]
+
+
+@pytest.mark.parametrize("data_in, solve_in", _CROSSED_FIELDS,
+                         ids=[f"{d.name}-in-{s.name}" for d, s in _CROSSED_FIELDS])
+@pytest.mark.parametrize("kind", sorted(_BUILT_IN_PROBLEMS))
+def test_problem_in_another_arithmetic_is_refused_before_any_work(monkeypatch, kind, data_in,
+                                                                 solve_in):
+    # the problem's grid functions compute in its own field, so in another
+    # arithmetic they would fail deep in numpy or decimal: the gate names both fields first
+    def refuse(*args, **kwargs):
+        raise AssertionError("a crossed solve reached the expansion or the problem data")
+
+    _fresh_generator_memo(monkeypatch)
+    monkeypatch.setattr(solvers, "_expand", refuse)
+    factory, schemes = _BUILT_IN_PROBLEMS[kind]
+    problem = dataclasses.replace(factory(data_in), rhs=refuse, exact=refuse)
+    message = (rf"^problem data are in {data_in.name}; solve them in {data_in.name}, "
+               rf"not in {solve_in.name}$")
+    for scheme, assemble in schemes.items():
+        with pytest.raises(ValueError, match=message):
+            solve_bvp(problem, scheme, 8, solve_in)
+        with pytest.raises(ValueError, match=message):
+            list(iter_convergence_study(problem, scheme, [4, 8], solve_in))
+        with pytest.raises(ValueError, match=message):
+            assemble(problem, 8, solve_in)
+
+
+@pytest.mark.parametrize("data_digits, solve_digits", [(30, 20), (20, 30)])
+@pytest.mark.parametrize("kind", sorted(_BUILT_IN_PROBLEMS))
+def test_decimal_problem_solves_at_another_precision(kind, data_digits, solve_digits):
+    # the same arithmetic at another precision is no mix: the data round into the solve's field
+    factory, schemes = _BUILT_IN_PROBLEMS[kind]
+    field = bigdecimal(solve_digits)
+    for scheme in schemes:
+        crossed = solve_bvp(factory(bigdecimal(data_digits)), scheme, 8, field)
+        own = solve_bvp(factory(field), scheme, 8)
+        assert all(isinstance(u, Decimal) for u in crossed.solution)
+        assert abs(crossed.max_error - own.max_error) < Decimal("1e-15"), scheme
+
+
 @pytest.mark.parametrize("alpha", [F(17, 16), F(3, 2), F(31, 16)], ids=str)
 def test_shifts_up_to_one_converge_whenever_they_solve(alpha):
     # the convergence map in f64: every generator of d = 1..4, p = 1..5 at
@@ -981,8 +1029,9 @@ def _fresh_generator_memo(monkeypatch):
     """An empty generator memo for this test, so that a patched ``_expand``
     is reached and what it returns is dropped with the test."""
     memo = solvers._generator
-    monkeypatch.setattr(solvers, "_generator",
-                        functools.lru_cache(memo.cache_info().maxsize)(memo.__wrapped__))
+    fresh = functools.lru_cache(memo.cache_info().maxsize, typed=True)(memo.__wrapped__)
+    assert fresh.cache_parameters() == memo.cache_parameters()
+    monkeypatch.setattr(solvers, "_generator", fresh)
 
 
 def _force_last_reciprocal_term(monkeypatch, value):
