@@ -187,9 +187,9 @@ class CoefficientVector:
         return beta_coefficients(replace(self.params, field=RATIONAL)).beta
 
 
-def beta_coefficients(params: ApproxParams, tally: "OpCount | None" = None) -> CoefficientVector:
+def beta_coefficients(params: ApproxParams) -> CoefficientVector:
     """Coefficients of the base polynomial for ``params``."""
-    quotient, nums = params.field._quotient, _numerator_pairs(params, tally)
+    quotient, nums = params.field._quotient, _numerator_pairs(params, None)
     exact_den = _denominators(params.d, params.p, RATIONAL)
     beta = (quotient(c * dj.denominator, s * dj.numerator) for (c, s), dj in zip(nums, exact_den))
     return CoefficientVector(params, tuple(beta))

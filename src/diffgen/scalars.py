@@ -322,10 +322,11 @@ def field_from_name(name: str, digits: int = 50) -> Field:
 
 
 def field_of(x) -> Field:
-    """Infer the field a scalar belongs to (Decimal uses the active precision)."""
-    if isinstance(x, (int, Fraction)):
+    """Infer the field a scalar belongs to (Decimal uses the active precision;
+    a numpy integer counts as an int, a numpy float as a float)."""
+    if isinstance(x, (int, Fraction, np.integer)):
         return RATIONAL
-    if isinstance(x, float):
+    if isinstance(x, (float, np.floating)):
         return FLOAT64
     if isinstance(x, Decimal):
         return bigdecimal(max(MIN_DIGITS, getcontext().prec))

@@ -29,8 +29,7 @@ the right-hand side. ``solve_bvp`` builds no matrix:
 
 Fractional shifts r >= 2 are refused before any work: none converges for
 1 < alpha < 2 (Meerschaert and Tadjeran 2004). The ``assemble_*`` functions
-still build the dense systems, for inspection and ``solve_dense``: a band's
-rows are slices of one padded weight array in every field.
+still build the dense systems, for inspection and ``solve_dense``.
 
 ``iter_convergence_study`` yields one report per grid; ``study_csv`` and
 ``study_table`` format any iterable of reports.
@@ -44,7 +43,6 @@ from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, count
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -418,14 +416,12 @@ def _band_system(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int):
     """Interior matrix and right-hand side of that band. Call under
     ``field.context()``."""
     _, _, rhs, _ = _band_rhs(problem, grid, field, coeff, r)
-    size, width = grid.n - 1, len(coeff)
-    # padded[off - i + j - 1] is coeff[i + r - j], or zero out of range
-    padded = np.concatenate(([field.zero] * size, coeff[::-1], [field.zero] * size))
-    off = size + width - r
-    rows = [padded[off - i:off - i + size] for i in range(1, grid.n)]
+    n, width = grid.n, len(coeff)
+    rows = [[coeff[i + r - j] if 0 <= i + r - j < width else field.zero for j in range(1, n)]
+            for i in range(1, n)]
     if field.name == "float64":
         return np.array(rows), rhs
-    return [row.tolist() for row in rows], rhs.tolist()
+    return rows, rhs.tolist()
 
 
 def _central_band(problem: BvpProblem, n: int, field: Field):
@@ -450,13 +446,10 @@ def assemble_central(problem: BvpProblem, n: int, field: Field | None = None, **
 
 def unified_coefficient_rows(n: int) -> list[tuple[Fraction, ...]]:
     """Exact full-grid rows: row i holds the (d=2, p=N-1, r=i) coefficients,
-    one weight per grid point 0..N. Rows past N/2 come from the mirror
-    identity: with d = 2, row N-i is row i reversed."""
+    one weight per grid point 0..N."""
     if not isinstance(n, int) or n < 2:
         raise ValueError("need at least 2 intervals")
-    half = [beta_coefficients(derive_params(2, 2, n - 1, i, RATIONAL)).beta
-            for i in range(1, n // 2 + 1)]
-    return half + [tuple(reversed(row)) for row in reversed(half[: (n - 1) // 2])]
+    return [beta_coefficients(derive_params(2, 2, n - 1, i, RATIONAL)).beta for i in range(1, n)]
 
 
 def assemble_unified(problem: BvpProblem, n: int, field: Field | None = None, **options):
@@ -549,43 +542,29 @@ def _series(generator, gamma, length: int) -> np.ndarray:
 
 
 def _solve_exact(matrix, rhs):
-    # Partial pivoting keeps L within the lower bandwidth and U within lower
-    # + upper (read off each row's first and last nonzero by C-level scans),
-    # so the pivot search, the row loop and the pivot row's nonzero columns
-    # (listed after the swap, so that fill-in counts) stay in the band.
-    # Skipping x - f*0 keeps every value (a Decimal's exponent may differ).
-    # Entries left of the pivot are never read again.
+    # partial pivoting; a zero factor leaves its row as is (x - 0 y may move a Decimal's exponent)
     m = [list(row) for row in matrix]
     v = list(rhs)
     size = len(v)
-    lower = max(i - next(compress(count(), row), i) for i, row in enumerate(m))
-    upper = max(size - 1 - i - next(compress(count(), reversed(row)), size - 1 - i)
-                for i, row in enumerate(m))
-    pattern = []  # the nonzero columns right of the diagonal, per row of U
     for col in range(size):
-        below = min(col + lower + 1, size)
-        pivot_row = max(range(col, below), key=lambda rr: abs(m[rr][col]))
+        pivot_row = max(range(col, size), key=lambda rr: abs(m[rr][col]))
         if m[pivot_row][col] == 0:
             raise SingularMatrixError(f"zero pivot at column {col}")
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             v[col], v[pivot_row] = v[pivot_row], v[col]
-        top = m[col]
-        pivot = top[col]
-        nonzero = [j for j in range(col + 1, min(col + lower + upper + 1, size)) if top[j] != 0]
-        pattern.append(nonzero)
-        for row in range(col + 1, below):
-            target = m[row]
-            if target[col] == 0:
+        pivot = m[col][col]
+        for row in range(col + 1, size):
+            factor = m[row][col] / pivot
+            if factor == 0:
                 continue
-            factor = target[col] / pivot
-            for j in nonzero:
-                target[j] = target[j] - factor * top[j]
+            for j in range(col, size):
+                m[row][j] = m[row][j] - factor * m[col][j]
             v[row] = v[row] - factor * v[col]
     out = [None] * size
     for row in range(size - 1, -1, -1):
         acc = v[row]
-        for j in pattern[row]:
+        for j in range(row + 1, size):
             acc = acc - m[row][j] * out[j]
         out[row] = acc / m[row][row]
     return out
@@ -618,10 +597,9 @@ def solve_dense(matrix, rhs, field: Field | None = None):
     """Solve a nonempty square system given as a numpy array or as lists of rows.
 
     numpy arrays take LAPACK LU and refuse a pivot below 1e-14 of the largest
-    entry, naming a condition estimate. Lists take elimination with the same
-    pivoting and a zero-pivot check; it stays in the band, skips structural
-    zeros and returns the values of dense elimination, under
-    ``field.context()`` when given.
+    entry, naming a condition estimate. Lists take Gaussian elimination with
+    partial pivoting and a zero-pivot check, under ``field.context()`` when
+    given.
     """
     shape = matrix.shape if isinstance(matrix, np.ndarray) else (
         len(matrix), *sorted({len(row) for row in matrix}))
@@ -631,10 +609,8 @@ def solve_dense(matrix, rhs, field: Field | None = None):
                          f"matching length, got shapes {shape} and {rhs_shape}")
     if isinstance(matrix, np.ndarray):
         return _solve_float(matrix, np.asarray(rhs, dtype=float))
-    if field is not None:
-        with field.context():
-            return _solve_exact(matrix, rhs)
-    return _solve_exact(matrix, rhs)
+    with _NO_CONTEXT if field is None else field.context():
+        return _solve_exact(matrix, rhs)
 
 
 def _on_integers(values, field: Field) -> tuple[list[int], int]:
@@ -826,7 +802,7 @@ def _sign_bound(n: int) -> Fraction:
 
 
 def _solve_unified(problem: BvpProblem, n: int, field: Field):
-    """Grid and solution values of the unified scheme by exact collocation.
+    """Grid and solution (the field's array) of the unified scheme by exact collocation.
 
     Row i of the scheme is the second derivative at x_i of the degree-n
     interpolant of the grid values, so its solution is the degree-n
@@ -854,8 +830,9 @@ def _solve_unified(problem: BvpProblem, n: int, field: Field):
     v = [hn * hn * num * (den // (hd * hd * d)) for num, d in ratios]
     g, scale = _integrated_values(_newton_interpolant(v), range(1, n))
     # u_j: the part that vanishes at both ends, plus the line from ua to ub
-    return grid, [ua, *(field._quotient(gj + scale * (n * ia + j * (ib - ia)), n * scale * den)
-                        for j, gj in enumerate(g.tolist(), 1)), ub]
+    values = (field._quotient(gj + scale * (n * ia + j * (ib - ia)), n * scale * den)
+              for j, gj in enumerate(g.tolist(), 1))
+    return grid, field.vector([ua, *values, ub])
 
 
 def solve_bvp(
@@ -875,13 +852,10 @@ def solve_bvp(
     the scheme on the field's ua, ub, h and f, correctly rounded."""
     field, options = _checked(problem, scheme, n, field, scheme_options)
     if scheme == "unified":
-        grid, values = _solve_unified(problem, n, field)
+        grid, solution = _solve_unified(problem, n, field)
     else:
-        grid, values = _solve_band(problem, scheme, n, field, options)
+        grid, solution = _solve_band(problem, scheme, n, field, options)
     with field.context():
-        # the field's array: a double-precision band solve returns one, the unified solve a list
-        f64_band = scheme != "unified" and field.name == "float64"
-        solution = values if f64_band else field.vector(values)
         max_error = None
         if problem.exact is not None:
             max_error = field.of(abs(solution - _grid_values(problem, "exact", grid, field)).max())

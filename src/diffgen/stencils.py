@@ -65,10 +65,14 @@ def shift_for_kind(kind: str, d: int, p: int, r=None) -> Scalar:
     left -> 0, right -> p+d-1, central -> (p+d-1)/2 (a half-integer when
     p+d-1 is odd: the staggered-central formula), shifted -> the given
     integer r, staggered -> the given non-integer r. A shifted r outside
-    [0, p+d-1] is kept, with a UserWarning naming the caller's line.
+    [0, p+d-1] is kept, with a UserWarning naming the caller's line. An r
+    given to left, right or central, which fix their own shift, raises
+    ValueError.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown stencil kind {kind!r}; expected one of {KINDS}")
+    if r is not None and kind in ("left", "right", "central"):
+        raise ValueError(f"kind {kind!r} fixes its own shift; give r = {r} to shifted or staggered")
     span = p + d - 1
     if kind == "left":
         return Fraction(0)

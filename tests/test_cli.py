@@ -107,6 +107,13 @@ def test_stencil_left_human(capsys):
     assert out == "(11/6), -3, 3/2, -1/3 | error -1/4\n"
 
 
+@pytest.mark.parametrize("kind, d, p, r", [("central", "2", "2", "3"), ("left", "1", "1", "1/2")])
+def test_stencil_refuses_a_shift_its_kind_fixes(capsys, kind, d, p, r):
+    rc, out, err = invoke(capsys, "stencil", "--kind", kind, "--d", d, "--p", p, "--r", r)
+    assert rc == 1 and out == ""
+    assert f"kind '{kind}' fixes its own shift" in err
+
+
 def test_stencil_json(capsys):
     rc, out, _ = invoke(capsys, "stencil", "--kind", "staggered", "--d", "2",
                         "--p", "4", "--r", "3/2", "--format", "json")

@@ -15,6 +15,8 @@ from diffgen import (
     ExactnessError,
     bigdecimal,
     field_from_name,
+    grunwald_weights,
+    miller_expand,
     parse_scalar,
 )
 from diffgen import decfun, explicit_form
@@ -74,6 +76,12 @@ def test_field_of_inference():
     assert field_of(3) is RATIONAL
     assert field_of(0.5) is FLOAT64
     assert field_of(Decimal("0.5")).name == "bigdecimal"
+    # numpy scalars: an integer counts as an int, a float of any width as a float
+    assert field_of(np.int64(2)) is RATIONAL and field_of(np.uint8(3)) is RATIONAL
+    assert field_of(np.float64(0.5)) is FLOAT64 and field_of(np.float32(0.5)) is FLOAT64
+    assert grunwald_weights(np.int64(2), 3) == grunwald_weights(2, 3)
+    assert miller_expand((np.int64(1), -1), 2, 3) == miller_expand((1, -1), 2, 3)
+    assert grunwald_weights(np.float64(0.5), 3) == grunwald_weights(0.5, 3)
     with pytest.raises(TypeError):
         field_of("0.5")
 

@@ -748,35 +748,6 @@ def _counting_fraction(tally):
     return Counted
 
 
-def test_exact_solve_operation_count_on_hessenberg():
-    # the lower-Hessenberg Toeplitz shape of the fractional operator (one
-    # superdiagonal); dense elimination takes about N^3/3 multiplications
-    n = 64
-    tally = Counter()
-    counted = _counting_fraction(tally)
-    coeff = [counted(1), counted(-3)] + [counted(1, k) for k in range(1, n)]
-    matrix = [[coeff[i + 1 - j] if i + 1 >= j else counted(0) for j in range(n)]
-              for i in range(n)]
-    x = solve_dense(matrix, [counted(1)] * n)
-    used = dict(tally)
-    assert [sum(a * b for a, b in zip(row, x)) for row in matrix] == [1] * n
-    assert used["*"] < 4 * n * n
-    assert used["/"] < 4 * n * n and used["-"] < 4 * n * n
-
-
-def test_exact_solve_stays_within_the_band():
-    # tridiagonal: the pivot search compares two rows per column, where
-    # searching the whole column calls abs about N^2/2 times
-    n = 256
-    tally = Counter()
-    counted = _counting_fraction(tally)
-    band = {-1: counted(1), 0: counted(-3), 1: counted(1)}
-    matrix = [[band.get(j - i, counted(0)) for j in range(n)] for i in range(n)]
-    x = solve_dense(matrix, [counted(1)] * n)
-    assert [sum(a * b for a, b in zip(row, x)) for row in matrix] == [1] * n
-    assert tally["abs"] < 4 * n
-
-
 # --- the double-precision dense path: LAPACK LU ----------------------------
 
 

@@ -44,6 +44,11 @@ def test_shift_for_kind_validation():
         shift_for_kind("staggered", 2, 4)
     with pytest.raises(ValueError):
         shift_for_kind("upwind", 2, 4, 1)
+    # an r for a kind that fixes its shift, even the kind's own shift, is refused
+    for kind, r in [("left", F(1, 2)), ("left", 0), ("right", 1), ("central", 3),
+                    ("central", F(3, 2))]:
+        with pytest.raises(ValueError, match=f"kind '{kind}' fixes its own shift"):
+            shift_for_kind(kind, 2, 2, r)
 
 
 def test_shift_for_kind_extrapolative_warning():
