@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
 from .explicit_form import CoefficientVector, _finite, _positive_int
 from .scalars import Field, Scalar, _over_common_denominator, field_of
@@ -104,6 +103,7 @@ def _expand(base, gamma, truncation: int, field: Field, head=None) -> np.ndarray
     w0 = field.power(b0, gamma) if head is None else head[0]
     deg = len(base) - 1
     if field.name == "float64":
+        from scipy.linalg.blas import dtbsv  # loaded by the first f64 expansion only
         # band ab[k, j] = A[j + k, j] / (j + k): row m divided by m, so no partial
         # sum holds m times a weight; the diagonal is beta_0, A[0, 0] = 1 the seed
         j, k = np.arange(truncation), np.arange(deg + 1)[:, None]

@@ -46,7 +46,6 @@ from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import decfun
 from .explicit_form import _node_polynomial, _warn, beta_coefficients, derive_params
@@ -579,6 +578,7 @@ def _ill_conditioned(cause: str, cond) -> SingularMatrixError:
 
 
 def _solve_float(matrix, b):
+    import scipy.linalg  # loaded by the first float solve only
     scale = float(max(matrix.max(), -matrix.min())) or 1.0  # no N x N temporary
     if not math.isfinite(scale):
         raise SingularMatrixError("matrix must not contain infs or NaNs")

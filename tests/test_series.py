@@ -205,14 +205,16 @@ def test_bool_truncation_is_refused():
 
 def test_float64_expansion_is_one_banded_solve(monkeypatch):
     # K = 4096 weights: one dtbsv call of bandwidth deg, and miller_expand
-    # runs as many lines as it does for 8 weights (no per-weight loop)
-    calls, dtbsv = [], series.dtbsv
+    # runs as many lines as it does for 8 weights (no per-weight loop);
+    # _expand imports dtbsv from scipy's BLAS module when it first needs it
+    import scipy.linalg.blas as blas
+    calls, dtbsv = [], blas.dtbsv
 
     def counted(k, ab, rhs, **options):
         calls.append((k, ab.shape))
         return dtbsv(k, ab, rhs, **options)
 
-    monkeypatch.setattr(series, "dtbsv", counted)
+    monkeypatch.setattr(blas, "dtbsv", counted)
 
     def traced(truncation):
         lines = 0

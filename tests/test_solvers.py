@@ -655,7 +655,35 @@ def test_fractional_toeplitz_matches_dense_reference(field, n, p, r):
     if field.name != "float64" and n <= 17:
         with field.context():
             expected = _reference_solve(*reference)
-        assert _bits(solve_dense(*system, field)) == _bits(expected)
+        x = solve_dense(*system, field)
+        assert _bits(x) == _bits(expected)
+        _check_against_exact_solution(*system, x)
+
+
+def _check_against_exact_solution(matrix, rhs, x):
+    """Bounds on a 50-digit solution ``x`` that do not trust the elimination
+    loop: the same decimals solved as Fractions must satisfy the system
+    exactly, so they are its exact solution. With n unknowns, unit
+    roundoff u = 10**-49 / 2 and infinity norms, the residual of ``x`` must be
+    within the backward bound n u ||A|| ||x||, and its forward error within
+    n u cond(A) ||exact||, cond(A) = ||A|| ||A^-1|| from a 400-digit mpmath
+    inverse (the systems here have cond(A) < 1e85)."""
+    a = [[F(v) for v in row] for row in matrix]
+    b = [F(v) for v in rhs]
+    exact = solve_dense(a, b)
+    assert [sum(p * q for p, q in zip(row, exact)) for row in a] == b
+    n, u = len(b), F(1, 2) * F(10) ** -49
+    x = [F(v) for v in x]
+    norm_a = max(sum(map(abs, row)) for row in a)
+    residual = max(abs(bi - sum(p * q for p, q in zip(row, x))) for row, bi in zip(a, b))
+    assert residual <= n * u * norm_a * max(map(abs, x))
+    with mpmath.workdps(400):
+        inverse = mpmath.matrix([[mpmath.mpf(v.numerator) / v.denominator for v in row]
+                                 for row in a]) ** -1
+        cond = norm_a * F(str(mpmath.mnorm(inverse, mpmath.inf)))
+    assert cond < 10**85
+    error = max(abs(p - q) for p, q in zip(x, exact))
+    assert error <= n * u * cond * max(map(abs, exact))
 
 
 def _random_banded(size, lower, upper, draw, zero):
@@ -671,7 +699,8 @@ def _decimal_draw(rng):
 @pytest.mark.parametrize("size, lower, upper",
                          [(24, 23, 1), (24, 1, 1), (24, 23, 3), (24, 2, 3), (24, 1, 23)])
 @pytest.mark.parametrize("seed", [1, 2])
-def test_structured_elimination_matches_dense_decimal(seed, size, lower, upper):
+def test_decimal_elimination_matches_the_exact_solution(seed, size, lower, upper):
+    # diagonally dominant, so cond(A) < 10 and every digit but the last is right
     rng = random.Random(seed)
     field = bigdecimal(50)
     with field.context():
@@ -679,23 +708,26 @@ def test_structured_elimination_matches_dense_decimal(seed, size, lower, upper):
         for i in range(size):
             matrix[i][i] += 4 * (upper + 1)
         rhs = [_decimal_draw(rng)() for _ in range(size)]
-        assert _bits(solve_dense(matrix, rhs, field)) == _bits(_reference_solve(matrix, rhs))
+        x = solve_dense(matrix, rhs, field)
+        assert _bits(x) == _bits(_reference_solve(matrix, rhs))
+    _check_against_exact_solution(matrix, rhs, x)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_structured_elimination_with_row_swaps_and_fill_in(seed):
-    _check_row_swaps_and_fill_in(seed, 19)
+def test_decimal_elimination_with_row_swaps_hessenberg(seed):
+    _check_row_swaps(seed, 19)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_banded_elimination_with_row_swaps_and_fill_in(seed):
-    # U's band widens to lower + upper = 3 after the swaps
-    _check_row_swaps_and_fill_in(seed, 2)
+def test_decimal_elimination_with_row_swaps_two_subdiagonals(seed):
+    _check_row_swaps(seed, 2)
 
 
-def _check_row_swaps_and_fill_in(seed, lower):
-    # a tiny diagonal and superdiagonal make the pivots come from lower
-    # rows, whose nonzeros reach further right than the rows they replace
+def _check_row_swaps(seed, lower):
+    # a tiny diagonal and superdiagonal make the pivots come from lower rows.
+    # These systems have cond(A) of 1e78 to 1e84, so the forward bound allows
+    # a 50-digit solution with no right digit (and three of the four have
+    # none); the backward bound is the one that tests the elimination here
     rng = random.Random(seed)
     field = bigdecimal(50)
     size = 20
@@ -707,7 +739,29 @@ def _check_row_swaps_and_fill_in(seed, lower):
                     matrix[i][j] = matrix[i][j].scaleb(-8)
         rhs = [_decimal_draw(rng)() for _ in range(size)]
         assert max(range(size), key=lambda i: abs(matrix[i][0])) != 0
-        assert _bits(solve_dense(matrix, rhs, field)) == _bits(_reference_solve(matrix, rhs))
+        x = solve_dense(matrix, rhs, field)
+        assert _bits(x) == _bits(_reference_solve(matrix, rhs))
+    _check_against_exact_solution(matrix, rhs, x)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_decimal_elimination_pivots_on_the_largest_entry(seed):
+    # the rows of a diagonally dominant system turned down by one, so that all
+    # dominant entries but the first row's sit just below the diagonal, and a
+    # first entry of 1e-30: eliminating on it, not on the largest entry of its
+    # column, leaves a residual more than 1e30 times the backward bound
+    rng = random.Random(seed)
+    field = bigdecimal(50)
+    size = 12
+    with field.context():
+        matrix = _random_banded(size, size, size, _decimal_draw(rng), Decimal(0))
+        for i in range(size):
+            matrix[i][i] += 4 * size
+        matrix = matrix[-1:] + matrix[:-1]
+        matrix[0][0] = Decimal("1e-30")
+        rhs = [_decimal_draw(rng)() for _ in range(size)]
+        x = solve_dense(matrix, rhs, field)
+    _check_against_exact_solution(matrix, rhs, x)
 
 
 @pytest.mark.parametrize("lower, upper", [(11, 1), (1, 1), (11, 2)])
