@@ -226,7 +226,7 @@ def error_coefficients(cv: CoefficientVector, count: int = 1) -> ErrorCoefficien
     """
     params = cv.params
     d, p, n = params.d, params.p, params.n_coeffs
-    if not isinstance(count, int) or count < 1 or count > p:
+    if isinstance(count, bool) or not isinstance(count, int) or not 1 <= count <= p:
         raise ValueError(f"count must be in 1..p = {p}, got {count!r}")
     alpha = Fraction(params.alpha)
     _, poly, q = _node_polynomial(*params.lam.as_integer_ratio(), n)

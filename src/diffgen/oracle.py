@@ -44,7 +44,7 @@ class BudgetError(ValueError):
 def esp_direct(xs, k: int):
     """Elementary symmetric polynomial S(xs, k) by direct enumeration."""
     xs = tuple(xs)
-    if not isinstance(k, int) or k < 0 or k > len(xs):
+    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= len(xs):
         raise ValueError(f"need 0 <= k <= {len(xs)}, got {k!r}")
     total = 0
     for combo in combinations(xs, k):
@@ -177,8 +177,9 @@ def symbol_series(cv: CoefficientVector, count: int | None = None, digits: int =
     and g_p equal to the leading error coefficient.
     """
     params = cv.params
-    if count is None:
-        count = params.p
+    count = params.p if count is None else count
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
     fb = scalars.bigdecimal(digits)
     with fb.context():
         # consistency_moments reads only the params and the betas

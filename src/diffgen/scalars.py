@@ -228,7 +228,9 @@ class _BigDecimal(Field):
         return localcontext(self._context)
 
     def of(self, value) -> Decimal:
-        if isinstance(value, (Decimal, int, float, str)):
+        if isinstance(value, str):  # read as the other fields read it, then rounded once
+            value = Fraction(value)
+        if isinstance(value, (Decimal, int, float)):
             return self._context.plus(Decimal(value))
         if isinstance(value, np.generic):
             return self.of(_python_number(value))

@@ -130,8 +130,8 @@ def _expand(base, gamma, truncation: int, field: Field, head=None) -> np.ndarray
 def poly_power_int(base, gamma: int) -> tuple[Scalar, ...]:
     """Exact coefficients of P(z)**gamma for integer gamma >= 1, convolved as
     integers over one denominator (one Fraction out each) if ints and Fractions."""
-    if not isinstance(gamma, int) or gamma < 1:
-        raise ValueError("gamma must be a positive integer")
+    if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 1:
+        raise ValueError(f"gamma must be a positive integer, got {gamma!r}")
     base = tuple(base)
     base, den = _over_common_denominator(base) or (base, None)
     out = list(base)

@@ -38,9 +38,8 @@ still build the dense systems, for inspection and ``solve_dense``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Sequence
@@ -211,66 +210,53 @@ def _smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
-def _rise(binomial: list[int], e: Decimal, m: int) -> int:
-    """(1 + 1/m)^e 2^bits by Horner over ``binomial``; past k > e,
-    |C(e, k)| 2^bits < m^k from one k on."""
-    stop = bisect_left(range(len(binomial)), True, lo=math.floor(e) + 1,
-                       key=lambda k: binomial[k].bit_length() <= k * math.log2(m))
-    total = 0
-    for c in reversed(binomial[:stop]):
-        total = c + total // m
+def _rise(binomial: list, e: Decimal, m: int) -> Decimal:
+    """(1 + 1/m)^e by Horner over the first floor(e) + 2 + ceil(prec / log10 m)
+    terms C(e, k) m^-k of ``binomial``, in the active context."""
+    total, divisor = Decimal(0), Decimal(m)  # one conversion, not one per term
+    for c in reversed(binomial[:math.floor(e) + 2 + math.ceil(getcontext().prec / math.log10(m))]):
+        total = c + total / divisor
     return total
-
-
-def _ladder(e: Decimal, bits: int, n: int, kept: dict) -> list[int]:
-    """i^e 2^bits for 0 <= i <= n (and past it, if ``kept`` holds more).
-    ``kept[bits]`` holds the binomial table C(e, k) 2^bits, to the first term
-    of (3/2)^e below one unit past k > e, and the ladder; a larger n climbs
-    on from its last rung."""
-    if bits not in kept:
-        num, den = e.as_integer_ratio()
-        binomial, last = [1 << bits], math.floor(e) + 1
-        while (k := len(binomial)) <= last or abs(binomial[-1]) >> k - 1:
-            binomial.append(binomial[-1] * (num - (k - 1) * den) // (k * den))
-        two = _rise(binomial, e, 8) * _rise(binomial, e, 3) ** 2 >> 2 * bits
-        kept[bits] = binomial, [0, 1 << bits, two]
-    binomial, ladder = kept[bits]
-    if len(ladder) <= n:
-        ladder = ladder.copy()  # a race between two climbs only repeats work
-        spf = _smallest_prime_factors(n)
-        for i in range(len(ladder), n + 1):
-            p = spf[i]
-            if p < i:
-                power = ladder[p] * ladder[i // p]
-            else:
-                power = ladder[i - 1] * _rise(binomial, e, i - 1)
-            ladder.append(power >> bits)
-        kept[bits] = binomial, ladder
-    return ladder
 
 
 def _decimal_powers(grid: Grid, e: Decimal, field: Field, kept: dict) -> np.ndarray:
     """x_i^e on a decimal grid from 0: h^e * i^e, times 1 + e * offset / x_i
     where x_i was rounded, each rounded once into ``field``.
 
-    h^e is the grid's one exp(e ln h). The i^e climb a ladder in fixed point
-    with ``bits`` >= guard + 3 digits: p^e (i/p)^e for a composite with least
-    prime factor p, (p-1)^e (1 + 1/(p-1))^e for a prime p >= 3, and 2^e =
-    (9/8)^e ((4/3)^e)^2. Each (1 + 1/m)^e is sum_k C(e, k) m^-k by Horner, up
-    to the first term below one unit past k > e (from there the terms alternate
-    and shrink). For 4 < e < 5 a series is within 6 units of 2^-bits relative
-    and a product within 1; a value passes through at most 37 of them at n = 128
-    (70 at 4096, 97 at 10^5), 147 units (275, 382): below 10^-(guard digits).
-    ``kept`` keeps the ladder of each ``bits`` (see ``_ladder``)."""
+    h^e is the grid's one exp(e ln h). The i^e are climbed at P = guard + 3
+    digits: p^e (i/p)^e for a composite with least prime factor p,
+    (p-1)^e (1 + 1/(p-1))^e for a prime p >= 3 and 2^e = (9/8)^e ((4/3)^e)^2,
+    each (1 + 1/m)^e by ``_rise``. Budget for any e > 0, u = 10^(1-P)/2:
+    past k > e the terms alternate and shrink, |C(e, k)| <= 1, so the tail
+    past K terms is below m^-K <= 10^-P/4. Term k takes 3k roundings in
+    C(e, k) and 2k + 1 in Horner, and sum_k (5k + 1) |C(e, k)| m^-k <=
+    (5e/3 + 7) (1 + 1/m)^e: a series is within (2e + 8) u, a product u. A
+    value takes at most R series (2^e counts three) and M products, each
+    below 3.6 log2 n: (R, M) = (22, 21) at n = 128, (41, 40) at 4096, so
+    (R (2e + 8) + M) u = 778 u < 4 10^-guard at e < 5, n = 4096. ``kept``
+    maps each P to the C(e, k) for m = 2 and the i^e climbed so far."""
     if grid.a != 0:
         raise ValueError(f"power-law grid data need a grid starting at 0, got a = {grid.a}")
     wide = _guard(field, grid)
-    bits = math.ceil((wide.digits + 3) * math.log2(10))
-    ladder = _ladder(e, bits, grid.n, kept)
+    prec = wide.digits + 3
+    with localcontext(Context(prec=prec)):
+        if prec not in kept:
+            binomial = [Decimal(1)]
+            for k in range(1, math.floor(e) + 2 + math.ceil(prec / math.log10(2))):
+                binomial.append(binomial[-1] * (e - (k - 1)) / k)
+            three = _rise(binomial, e, 3)
+            kept[prec] = binomial, [Decimal(0), Decimal(1), _rise(binomial, e, 8) * three * three]
+        binomial, powers = kept[prec]
+        if len(powers) <= grid.n:
+            powers = powers.copy()  # a race between two climbs only repeats work
+            spf = _smallest_prime_factors(grid.n)
+            for i, p in enumerate(spf[len(powers):], len(powers)):
+                powers.append(powers[p] * powers[i // p] if p < i
+                              else powers[i - 1] * _rise(binomial, e, i - 1))
+            kept[prec] = binomial, powers
     with wide.context():
         scale = (e * grid.h.ln()).exp()
-        unit = scale / (1 << bits)
-        values = [scale * wide.zero] + [unit * Decimal(power) for power in ladder[1:grid.n + 1]]
+        values = [scale * power for power in powers[:grid.n + 1]]
         for i, d in enumerate(_offsets(grid)):
             if d:
                 values[i] += e * values[i] * d / grid.x[i]
@@ -282,12 +268,11 @@ def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
 
     ``rhs(grid)`` is f at the interior points. ``exact(grid)`` is
     ``grid.x ** (3 + alpha)`` in double precision; in a decimal field it is
-    h^e * i^e, with h^e the grid's one logarithm and i^e from a binomial
-    ladder over the primes <= n (each prime from its predecessor), built at
-    digits + 10 + ceil(log10(n + 1)) digits and rounded once. The problem
-    keeps the binomial table and the ladder of each working precision, so a
-    study climbs each rung once. A grid that does not start at 0 raises
-    ValueError.
+    h^e * i^e, h^e from one logarithm and i^e by binomial series over the
+    primes <= n, at digits + 10 + ceil(log10(n + 1)) digits and rounded once.
+    The problem keeps the binomial table and the i^e of each working
+    precision, so a study finds each i^e once. A grid that does not start at
+    0 raises ValueError.
     """
     with field.context():
         alpha = field.of(alpha)
@@ -295,7 +280,7 @@ def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
             raise ValueError("fractional order must satisfy 1 < alpha < 2")
         gamma_factor = field.gamma(4 + alpha) / 6
         exponent = 3 + alpha
-    ladders = {}  # bits -> (C(e, k) 2^bits, i^e 2^bits up to the largest n yet)
+    kept = {}  # precision -> (C(e, k), i^e up to the largest n yet)
 
     def rhs(grid):
         with field.context():
@@ -304,7 +289,7 @@ def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
     def exact(grid):
         if field.name == "float64":
             return grid.x ** exponent
-        return _decimal_powers(grid, exponent, field, ladders)
+        return _decimal_powers(grid, exponent, field, kept)
 
     return BvpProblem(
         a=field.zero,
@@ -869,17 +854,14 @@ def solve_bvp(
 
 
 def _order_between(prev: SolveReport, cur: SolveReport) -> float | None:
-    if prev.max_error is None or cur.max_error is None:
-        return None
-    if prev.max_error == 0 or cur.max_error == 0:
+    # no order from a missing or zero error, or between two grids of one N
+    if not (prev.max_error and cur.max_error) or cur.n_intervals == prev.n_intervals:
         return None
     if isinstance(cur.max_error, Decimal):
-        ratio = prev.max_error / cur.max_error
-        step = Decimal(cur.n_intervals) / Decimal(prev.n_intervals)
-        return float(ratio.ln() / step.ln())
+        step = Decimal(cur.n_intervals) / prev.n_intervals
+        return float((prev.max_error / cur.max_error).ln() / step.ln())
     ratio = float(prev.max_error) / float(cur.max_error)
-    step = cur.n_intervals / prev.n_intervals
-    return math.log(ratio) / math.log(step)
+    return math.log(ratio) / math.log(cur.n_intervals / prev.n_intervals)
 
 
 def iter_convergence_study(problem: BvpProblem, scheme: str, n_values: Sequence[int],

@@ -190,6 +190,9 @@ def test_error_coefficient_count_window():
         error_coefficients(cv, count=0)
     with pytest.raises(ValueError):
         error_coefficients(cv, count=4)
+    for count in (True, False):
+        with pytest.raises(ValueError, match="count must be in 1..p"):
+            error_coefficients(cv, count)
 
 
 def test_super_convergent_flag():

@@ -40,6 +40,9 @@ def test_esp_direct_validation():
         esp_direct((1, 2), 3)
     with pytest.raises(ValueError):
         esp_direct((1, 2), -1)
+    for k in (True, False):
+        with pytest.raises(ValueError, match="need 0 <= k <= 3"):
+            esp_direct([1, 2, 3], k)
 
 
 def test_esp_direct_generating_function():
@@ -193,6 +196,10 @@ def test_symbol_series_default_count_is_p():
     assert tuple(float(b) for b in cv.beta) == pytest.approx(
         tuple(NONCOMPACT_BASE))
     assert len(symbol_series(cv, count=1)) == 2
+    assert len(symbol_series(cv, count=0)) == 1
+    for count in (-2, True, 1.0):
+        with pytest.raises(ValueError, match="count must be a non-negative integer"):
+            symbol_series(cv, count)
 
 
 def test_float_field_direct_path():

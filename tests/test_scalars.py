@@ -128,6 +128,24 @@ def test_field_conversions_and_constants():
     assert big.one == Decimal(1)
 
 
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(30)], ids=str)
+def test_fields_read_strings_by_one_grammar(field):
+    # each field reads text as a Fraction and rounds it once, so "3/2" is
+    # accepted everywhere and no field turns "nan" or "inf" into a value
+    assert field.of("3/2") == field.of(Fraction(3, 2)) == Fraction(3, 2)
+    assert field.of(" -0.1 ") == field.of(Fraction(-1, 10))
+    assert field.of("1/3") == field.of(Fraction(1, 3))
+    for text in ("nan", "inf", "-Infinity", "1/2/3", ""):
+        with pytest.raises(ValueError):
+            field.of(text)
+    with pytest.raises(ZeroDivisionError):
+        field.of("1/0")
+    params = explicit_form.derive_params("3/2", 2, 2, 1, field)
+    assert params.alpha == Fraction(3, 2)
+    with pytest.raises(ValueError, match="alpha must be a finite number"):
+        explicit_form.derive_params("nan", 2, 2, 1, field)
+
+
 def test_field_constants_are_built_once():
     for field in (RATIONAL, FLOAT64, bigdecimal(30)):
         assert field.zero is field.zero and field.one is field.one

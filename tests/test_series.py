@@ -340,6 +340,8 @@ def test_poly_power_int():
         poly_power_int((1, -1), 0)
     with pytest.raises(ValueError):
         poly_power_int((1, -1), F(3, 2))
+    with pytest.raises(ValueError, match="gamma must be a positive integer, got True"):
+        poly_power_int((1, -1), True)
 
 
 def test_convergence_diagnostic_cases():

@@ -1379,6 +1379,18 @@ def test_rhs_singular_at_an_end_is_only_evaluated_inside():
     assert reports[-1].max_error < 1e-4 and reports[-1].empirical_order > 1.3
 
 
+def test_convergence_study_measures_no_order_between_equal_grids():
+    # log(N/N) = 0: a repeated grid has no order to measure, and the next
+    # grid is measured against it
+    study = list(iter_convergence_study(sine_bvp(), "central", [8, 8, 16]))
+    assert [r.n_intervals for r in study] == [8, 8, 16]
+    assert study[0].empirical_order is None and study[1].empirical_order is None
+    assert study[1].max_error == study[0].max_error
+    assert study[2].empirical_order == pytest.approx(2, abs=0.05)
+    decimal = list(iter_convergence_study(sine_bvp(bigdecimal(30)), "central", [8, 8]))
+    assert decimal[1].empirical_order is None
+
+
 def test_iter_convergence_study_yields_the_grids_before_a_refusal():
     reports = iter_convergence_study(sine_bvp(), "unified", [4, 8, 16, 32, 64])
     solved = [next(reports) for _ in range(4)]
@@ -1445,9 +1457,10 @@ def test_decimal_power_law_is_within_half_an_ulp_and_the_guard_of_mpmath(digits,
 
 def test_decimal_power_law_ladder_alone_is_within_its_error_budget(monkeypatch):
     # with h = 1 (so h^e = 1 exactly) and no guard digits, each value is the
-    # ladder's i^e 2^bits times 2^-bits, both rounded once to the field: two
-    # roundings of at most 10^(1 - digits)/2 relative, plus the ladder's own
-    # 275 units of 2^-bits at N = 4096, with 2^-bits <= 10^-(digits + 3)
+    # i^e climbed at digits + 3 digits and rounded once to the field: at most
+    # 10^(1 - digits)/2 relative, plus the climb's own budget at N = 4096 and
+    # e < 5, 778 u with u = 10^-(digits + 2)/2, or 3890 10^-(digits + 3); the
+    # bound allows two roundings and 275 10^-(digits + 3), 10275 in all
     monkeypatch.setattr(solvers, "_guard", lambda field, grid: field)
     n = 4096
     for digits in (20, 50, 100):
@@ -1468,6 +1481,49 @@ def _rounded_thirds(field, n):
     field, so that x_i and i h differ in the last place for most i."""
     x = field.vector([F(i, 3) for i in range(n + 1)])
     return Grid(field.zero, field.of(F(1, 3)), n, x)
+
+
+def _climb_counts(n):
+    """The series (2^e counts three) and the products behind each climbed
+    i^e, i <= n: p^e (i/p)^e for the least prime factor p of a composite i,
+    (i-1)^e (1 + 1/(i-1))^e for a prime i >= 3."""
+    series, products = [0, 0, 3], [0, 0, 2]
+    for i in range(3, n + 1):
+        p = next(q for q in range(2, i + 1) if i % q == 0)
+        parts = (p, i // p) if p < i else (i - 1,)
+        series.append(sum(series[j] for j in parts) + (p == i))
+        products.append(sum(products[j] for j in parts) + 1)
+    return series, products
+
+
+@pytest.mark.parametrize("digits", [20, 50, 100])
+@pytest.mark.parametrize("e", ["0.5", "1.25", "2.75", "7.75", "12.5", "13"])
+def test_decimal_powers_meet_the_budget_for_any_exponent(digits, e):
+    # the budget holds for every e > 0, not only the problem's 4 < e < 5: on
+    # N = 1024 (every point) and on the rounded-thirds grid, each value is
+    # within half an ulp and the guard of mpmath, as above, and each climbed
+    # i^e within the (R (2e + 8) + M) u of ``_decimal_powers``
+    field = bigdecimal(digits)
+    e = Decimal(e)
+    series, products = _climb_counts(1024)
+    unit = _grid(power_law_fractional_bvp(F(3, 2), field), 1024, field)
+    for grid in (unit, _rounded_thirds(field, 300)):
+        guard, kept = solvers._guard(field, grid).digits, {}
+        values = solvers._decimal_powers(grid, e, field, kept)
+        [(prec, (_, powers))] = kept.items()
+        assert prec == guard + 3 and len(powers) == grid.n + 1
+        with mpmath.workdps(digits + 40):
+            me = mpmath.mpf(str(e))
+            slack, u = mpmath.mpf(10) ** (3 - guard), mpmath.mpf(10) ** (1 - prec) / 2
+            for i, (x, value, power) in enumerate(zip(grid.x, values, powers)):
+                budget = (series[i] * (2 * me + 8) + products[i]) * u
+                assert abs(mpmath.mpf(str(power)) - i ** me) <= budget * i ** me, (grid.n, i)
+                want = mpmath.mpf(str(x)) ** me
+                if not want:
+                    assert value == 0
+                    continue
+                ulp = mpmath.mpf(10) ** (value.adjusted() + 1 - digits)
+                assert abs(mpmath.mpf(str(value)) - want) <= ulp / 2 + slack * want, (grid.n, i)
 
 
 @pytest.mark.parametrize("digits", [20, 50, 100])
