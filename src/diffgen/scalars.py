@@ -234,7 +234,14 @@ class _BigDecimal(Field):
             return self._context.plus(Decimal(value))
         if isinstance(value, np.generic):
             return self.of(_python_number(value))
-        return self._quotient(value.numerator, value.denominator)  # a Fraction
+        num, den = value.numerator, value.denominator  # a Fraction, in lowest terms
+        twos = (den & -den).bit_length() - 1
+        fives = math.ceil(((den >> twos).bit_length() - 1) / math.log2(5))  # one 5^b that long
+        if 5**fives << twos == den:  # a decimal literal's: num/den = m 10^-k, m about num's size
+            k = max(twos, fives)
+            # no division: m has no trailing 0 when k > 0, the exponent Decimal division gives
+            return self._context.scaleb(num * 2 ** (k - twos) * 5 ** (k - fives), -k)
+        return self._quotient(num, den)
 
     def vector(self, values) -> np.ndarray:
         # Decimals and ints in one pass of the context's rounding, as ``of``

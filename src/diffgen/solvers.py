@@ -16,9 +16,9 @@ the right-hand side. ``solve_bvp`` builds no matrix:
 * central and fractional (r <= 1): from the reciprocal series of the weights,
   refused when ||coeff||_1 ||inv||_1 is above the field's ``condition_limit``.
   The fractional generator's coefficients, verdict and unscaled series are
-  kept for the last 16 generators and grown or sliced to each grid. In the
-  exact and decimal fields the series product is one exact integer product,
-  each term rounded once;
+  kept for the last 16 generators and grown or sliced to each grid, with
+  each grid's scale 1/h^alpha. In the exact and decimal fields the series
+  product is one exact integer product, each term rounded once;
 * unified: by exact collocation. Its solution is the degree-N polynomial with
   the boundary values whose second derivative is f at the interior points,
   built on integers from the field's data and rounded once per value. The
@@ -150,13 +150,18 @@ def _offsets(grid: Grid) -> list:
         return [x - (grid.a + i * grid.h) for i, x in enumerate(grid.x)]
 
 
-def _decimal_sines(grid: Grid, field: Field) -> np.ndarray:
+def _decimal_sines(grid: Grid, field: Field, kept: dict) -> np.ndarray:
     """sin x_i on a decimal grid: (sin, cos)(a + i h) by angle addition from a
     in steps of h, plus the first-order term cos * offset where x_i was
-    rounded, each rounded once into ``field``."""
-    with _guard(field, grid).context():
-        s, c = decfun.sin(grid.a), decfun.cos(grid.a)
-        sh, ch = decfun.sin(grid.h), decfun.cos(grid.h)
+    rounded, each rounded once into ``field``. ``kept`` maps (precision, the
+    text of a or h) to its (sin, cos), so the grids of a study share a's pair
+    and a repeated grid computes no sine."""
+    wide = _guard(field, grid)
+    with wide.context():
+        for x in (grid.a, grid.h):
+            if (wide.digits, str(x)) not in kept:
+                kept[wide.digits, str(x)] = decfun.sin(x), decfun.cos(x)
+        (s, c), (sh, ch) = (kept[wide.digits, str(x)] for x in (grid.a, grid.h))
         values = []
         for d in _offsets(grid):
             values.append(s + c * d if d else s)
@@ -172,14 +177,17 @@ def sine_bvp(field: Field = FLOAT64) -> BvpProblem:
     decimal field rotates (sin, cos) by the angle h along the grid (angle
     addition) at digits + 10 + ceil(log10(n + 1)) digits and rounds once, so
     the values are within 10^-digits of sin x_i. Both serve from one
-    evaluation on the same ``Grid``. The rational field has no sine and
-    raises ExactnessError.
+    evaluation on the same ``Grid``. The problem keeps (sin a, cos a) per
+    working precision and (sin h, cos h) per precision and step, so a study
+    computes a's pair once and a repeated grid computes no sine. The
+    rational field has no sine and raises ExactnessError.
     """
     latest = [None, None]  # the grid of the latest evaluation and its sines
+    kept = {}  # (precision, text of a or h) -> (sin, cos)
 
     def exact(grid):
         if latest[0] is not grid:
-            sines = np.sin(grid.x) if field.name == "float64" else _decimal_sines(grid, field)
+            sines = np.sin(grid.x) if field.name == "float64" else _decimal_sines(grid, field, kept)
             latest[:] = grid, sines
         return latest[1].copy()
 
@@ -223,7 +231,7 @@ def _decimal_powers(grid: Grid, e: Decimal, field: Field, kept: dict) -> np.ndar
     """x_i^e on a decimal grid from 0: h^e * i^e, times 1 + e * offset / x_i
     where x_i was rounded, each rounded once into ``field``.
 
-    h^e is the grid's one exp(e ln h). The i^e are climbed at P = guard + 3
+    h^e is the step's one exp(e ln h). The i^e are climbed at P = guard + 3
     digits: p^e (i/p)^e for a composite with least prime factor p,
     (p-1)^e (1 + 1/(p-1))^e for a prime p >= 3 and 2^e = (9/8)^e ((4/3)^e)^2,
     each (1 + 1/m)^e by ``_rise``. Budget for any e > 0, u = 10^(1-P)/2:
@@ -234,7 +242,8 @@ def _decimal_powers(grid: Grid, e: Decimal, field: Field, kept: dict) -> np.ndar
     value takes at most R series (2^e counts three) and M products, each
     below 3.6 log2 n: (R, M) = (22, 21) at n = 128, (41, 40) at 4096, so
     (R (2e + 8) + M) u = 778 u < 4 10^-guard at e < 5, n = 4096. ``kept``
-    maps each P to the C(e, k) for m = 2 and the i^e climbed so far."""
+    maps each P to the C(e, k) for m = 2, the i^e climbed so far and a dict
+    from the text of each step h to its h^e."""
     if grid.a != 0:
         raise ValueError(f"power-law grid data need a grid starting at 0, got a = {grid.a}")
     wide = _guard(field, grid)
@@ -245,17 +254,20 @@ def _decimal_powers(grid: Grid, e: Decimal, field: Field, kept: dict) -> np.ndar
             for k in range(1, math.floor(e) + 2 + math.ceil(prec / math.log10(2))):
                 binomial.append(binomial[-1] * (e - (k - 1)) / k)
             three = _rise(binomial, e, 3)
-            kept[prec] = binomial, [Decimal(0), Decimal(1), _rise(binomial, e, 8) * three * three]
-        binomial, powers = kept[prec]
+            powers = [Decimal(0), Decimal(1), _rise(binomial, e, 8) * three * three]
+            kept[prec] = binomial, powers, {}
+        binomial, powers, scales = kept[prec]
         if len(powers) <= grid.n:
             powers = powers.copy()  # a race between two climbs only repeats work
             spf = _smallest_prime_factors(grid.n)
             for i, p in enumerate(spf[len(powers):], len(powers)):
                 powers.append(powers[p] * powers[i // p] if p < i
                               else powers[i - 1] * _rise(binomial, e, i - 1))
-            kept[prec] = binomial, powers
+            kept[prec] = binomial, powers, scales
     with wide.context():
-        scale = (e * grid.h.ln()).exp()
+        if str(grid.h) not in scales:
+            scales[str(grid.h)] = (e * grid.h.ln()).exp()
+        scale = scales[str(grid.h)]
         values = [scale * power for power in powers[:grid.n + 1]]
         for i, d in enumerate(_offsets(grid)):
             if d:
@@ -270,9 +282,9 @@ def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
     ``grid.x ** (3 + alpha)`` in double precision; in a decimal field it is
     h^e * i^e, h^e from one logarithm and i^e by binomial series over the
     primes <= n, at digits + 10 + ceil(log10(n + 1)) digits and rounded once.
-    The problem keeps the binomial table and the i^e of each working
-    precision, so a study finds each i^e once. A grid that does not start at
-    0 raises ValueError.
+    The problem keeps the binomial table, the i^e and each step's h^e per
+    working precision, so a study finds each i^e once and a repeated grid
+    computes no logarithm. A grid that does not start at 0 raises ValueError.
     """
     with field.context():
         alpha = field.of(alpha)
@@ -280,7 +292,7 @@ def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
             raise ValueError("fractional order must satisfy 1 < alpha < 2")
         gamma_factor = field.gamma(4 + alpha) / 6
         exponent = 3 + alpha
-    kept = {}  # precision -> (C(e, k), i^e up to the largest n yet)
+    kept = {}  # precision -> (C(e, k), i^e up to the largest n yet, text of h -> h^e)
 
     def rhs(grid):
         with field.context():
@@ -480,12 +492,13 @@ def assemble_fractional(problem: BvpProblem, n: int, field: Field | None = None,
 def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int, d: int, r: int):
     """Warn as ``assemble_fractional`` documents; return the grid, the
     weights w_k / h^alpha of the (d, p) generator at shift r and their
-    reciprocal series h^alpha P(z)^(-alpha/d) to n terms."""
+    reciprocal series h^alpha P(z)^(-alpha/d) to n terms. The scale
+    1/h^alpha is kept with the generator, per text of h."""
     if {"p": p, "d": d, "r": r} != _SCHEME_OPTIONS["fractional"]:
         _warn(f"configuration (p={p}, d={d}, r={r}) is experimental; the validated setup is "
               "(2, 2, 1)", RuntimeWarning)
     alpha = field.of(problem.alpha)
-    cv, diag, _ = generator = _generator(alpha, str(alpha), d, p, r, field)
+    cv, diag, _, scales = generator = _generator(alpha, str(alpha), d, p, r, field)
     params = cv.params
     if not cv.beta[0] > 0:
         raise ValueError(f"generator (p, d, r) = ({p}, {d}, {r}) has beta_0 = {cv.beta[0]} at "
@@ -496,7 +509,9 @@ def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int, d: int, 
     with field.context():
         weights = _series(generator, params.gamma, n + r)
         grid = _grid(problem, n, field)
-        scale = field.one / field.power(grid.h, params.alpha)
+        if str(grid.h) not in scales:
+            scales[str(grid.h)] = field.one / field.power(grid.h, params.alpha)
+        scale = scales[str(grid.h)]
         inv = _series(generator, -params.gamma, n) / scale
         return grid, weights * scale, inv
 
@@ -504,19 +519,20 @@ def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int, d: int, 
 @lru_cache(maxsize=16, typed=True)
 def _generator(alpha: Scalar, alpha_text: str, d: int, p: int, r: int, field: Field):
     """The coefficients (``cv.params`` from ``derive_params``, whose checks run
-    on a miss), the convergence verdict (None unless beta_0 > 0) and a dict
-    gamma -> P(z)^gamma (unscaled, read-only, grown by ``_series``) of the
-    request's generator. ``alpha_text`` keeps apart equal decimal alphas of
+    on a miss), the convergence verdict (None unless beta_0 > 0), a dict
+    gamma -> P(z)^gamma (unscaled, read-only, grown by ``_series``) and a
+    dict from the text of each step h to 1/h^alpha (``_fractional_band``) of
+    the request's generator. ``alpha_text`` keeps apart equal decimal alphas of
     different exponents, whose series differ in their reprs, and ``typed`` a
     d or p of True or 1.0 from 1, so that no hit skips a refusal."""
     cv = beta_coefficients(derive_params(alpha, d, p, r, field))
-    return cv, convergence_diagnostic(cv) if cv.beta[0] > 0 else None, {}
+    return cv, convergence_diagnostic(cv) if cv.beta[0] > 0 else None, {}, {}
 
 
 def _series(generator, gamma, length: int) -> np.ndarray:
     """The first ``length`` terms of the generator's P(z)^gamma, expanded past
     the kept ones if needed. Call under the field's context."""
-    cv, _, kept = generator
+    cv, _, kept, _ = generator
     # a race between two growths only repeats work: every expansion has the same terms
     head = kept.get(gamma)
     if head is None or len(head) < length:

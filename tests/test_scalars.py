@@ -146,6 +146,55 @@ def test_fields_read_strings_by_one_grammar(field):
         explicit_form.derive_params("nan", 2, 2, 1, field)
 
 
+def _quotient_by_division(field, num, den):
+    """The decimal quotient as one integer division of num 10^shift by den,
+    as ``_quotient`` rounds it and as a decimal literal was read before
+    ``of`` shifted it by scaleb."""
+    if den < 0:
+        num, den = -num, -den
+    shift = field.digits + 2 - (num.bit_length() - den.bit_length() - 1) * 30103 // 100000
+    quot, rem = divmod(abs(num) * 10 ** max(shift, 0), den * 10 ** max(-shift, 0))
+    if not rem:
+        return field._context.divide(Decimal(num), Decimal(den))
+    return field._context.create_decimal(f"{'-' if num < 0 else ''}{quot}1E{-shift - 1}")
+
+
+@pytest.mark.parametrize("digits", [15, 16, 30, 50])
+def test_decimal_literals_read_as_by_one_integer_division(digits):
+    # a literal's denominator is 2^a 5^b: its value, by scaleb, has the
+    # repr of the integer division's, exponents included
+    field, rng = bigdecimal(digits), random.Random(digits)
+    literals = ["0", "-0", "2.0", "1e5", "1e40", "-1e40", "0.5", "1.000", "123.4500", "1e-5",
+                "-2.5e-7", "10/10", "100/8", "-7/1250", "99999999999999999999999999999.5",
+                "9.99999999999999999999999999999999999e10", "0.125e-400", "-77e-3000"]
+    for _ in range(400):
+        mantissa = rng.randrange(10 ** rng.randrange(1, 70))
+        literals.append(f"{rng.choice('+-')}{mantissa}e{rng.randrange(-300, 300)}")
+        fraction = rng.randrange(10**6)
+        literals.append(f"{rng.randrange(1000)}.{fraction:06d}0e{rng.randrange(-99, 99)}")
+    for text in literals:
+        value = Fraction(text)
+        want = repr(_quotient_by_division(field, value.numerator, value.denominator))
+        assert repr(parse_scalar(text, field)) == repr(field.of(text)) == want, text
+    # and Fractions over 2^a 5^b with numerators of every size and sign
+    for _ in range(400):
+        den = 2 ** rng.randrange(60) * 5 ** rng.randrange(60) * rng.choice([1, -1])
+        num = rng.randrange(-10 ** rng.randrange(1, 80), 10 ** rng.randrange(1, 80))
+        value = Fraction(num * 10 ** rng.randrange(5), den)
+        want = _quotient_by_division(field, value.numerator, value.denominator)
+        assert repr(field.of(value)) == repr(want), value
+
+
+def test_decimal_literal_of_a_large_exponent_is_read_exactly():
+    # 1e-300000 took 2 s by the integer division, and 1e-1000000 26 s; past
+    # the context's Emin = -999999 the value is subnormal, rounded once
+    field = bigdecimal(30)
+    for text, want in (("1e-300000", "1E-300000"), ("-3.25e-1000000", "-3.25E-1000000"),
+                       ("1e-1000030", "0E-1000028")):
+        got = repr(parse_scalar(text, field))
+        assert got == repr(field._context.plus(Decimal(text))) == f"Decimal('{want}')"
+
+
 def test_field_constants_are_built_once():
     for field in (RATIONAL, FLOAT64, bigdecimal(30)):
         assert field.zero is field.zero and field.one is field.one

@@ -1209,6 +1209,128 @@ def test_repeated_request_derives_and_generates_nothing(monkeypatch, field):
     assert not calls
 
 
+def _decimal_studies(field):
+    """The decimal studies of the three schemes that the benchmark runs, each
+    as (problem, scheme, grids, options), on problems built afresh."""
+    sine = sine_bvp(field)
+    power = power_law_fractional_bvp(F(8, 5), field)
+    return [(sine, "central", [16, 32, 64, 128], {}), (sine, "unified", [4, 8, 16, 32], {}),
+            (power, "fractional", [16, 32, 64, 128], {}), (power, "fractional", [16, 32], {"r": 0})]
+
+
+def test_repeated_decimal_study_computes_no_transcendental_function(monkeypatch):
+    # a repeated 50-digit study takes each grid's sin/cos, h^e and h^-alpha
+    # from its problem and its generator: no decfun.sin or cos, no Field.power
+    _fresh_generator_memo(monkeypatch)
+    field, calls = bigdecimal(50), Counter()
+    sin, cos, power = solvers.decfun.sin, solvers.decfun.cos, type(field).power
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+
+    studies = _decimal_studies(field)
+    monkeypatch.setattr(solvers.decfun, "sin", counted("sin", sin))
+    monkeypatch.setattr(solvers.decfun, "cos", counted("cos", cos))
+    monkeypatch.setattr(type(field), "power", counted("power", power))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # r = 0 is experimental
+        first = [list(iter_convergence_study(problem, scheme, grids, **options))
+                 for problem, scheme, grids, options in studies]
+        # the first study computes a's (sin, cos) once per guard precision
+        # (61, 62 and 63 digits) and h's once per grid (6 distinct (precision,
+        # h)); each generator its beta_0^(+-gamma) and h^-alpha once per grid
+        assert calls == {"sin": 3 + 6, "cos": 3 + 6, "power": (2 + 4) + (2 + 2)}
+        calls.clear()
+        again = [list(iter_convergence_study(problem, scheme, grids, **options))
+                 for problem, scheme, grids, options in studies]
+    assert not calls
+    assert repr(again) == repr(first)
+
+
+def test_repeated_power_law_grid_reuses_its_kept_scale():
+    # h^e is kept per precision and text of h: the second evaluation of a
+    # grid reads it (a kept 0 makes every value 0) and computes no other
+    field, e = bigdecimal(50), Decimal(23) / 5
+    grid = _grid(power_law_fractional_bvp(F(8, 5), field), 16, field)
+    kept = {}
+    first = solvers._decimal_powers(grid, e, field, kept)
+    [(prec, (_, _, scales))] = kept.items()
+    assert list(scales) == [str(grid.h)]
+    assert repr(solvers._decimal_powers(grid, e, field, kept)) == repr(first)
+    scales[str(grid.h)] = Decimal(0)
+    assert not any(solvers._decimal_powers(grid, e, field, kept))
+    assert list(kept) == [prec] and list(scales) == [str(grid.h)]
+    # a step equal in value, other in exponent, gets its own
+    wider = dataclasses.replace(grid, h=Decimal("0.06250"))
+    assert repr(solvers._decimal_powers(wider, e, field, kept)) == repr(first)
+    assert list(scales) == ["0.0625", "0.06250"]
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+def test_warm_decimal_solves_equal_fresh_problem_solves(monkeypatch, digits):
+    # every solve of a repeated study has the repr of a solve on a problem
+    # built afresh, with an empty generator memo, for all three schemes
+    _fresh_generator_memo(monkeypatch)
+    field = bigdecimal(digits)
+    studies = _decimal_studies(field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # r = 0 is experimental
+        for _ in range(2):  # the second pass is warm
+            warm = [solve_bvp(problem, scheme, n, **options)
+                    for problem, scheme, grids, options in studies for n in grids]
+        fresh = []
+        for k, (_, scheme, grids, options) in enumerate(studies):
+            for n in grids:
+                solvers._generator.cache_clear()
+                fresh.append(solve_bvp(_decimal_studies(field)[k][0], scheme, n, **options))
+    assert repr(warm) == repr(fresh)
+
+
+def test_equal_steps_of_different_exponents_each_keep_their_own_scale(monkeypatch):
+    # b = 1 and b = 1.00 give the steps 0.5 and 0.50 at N = 2 and 0.2 and
+    # 0.20 at N = 5 (2 and 2.00 over N for the sine's [-1, 1]): keyed by
+    # text, each step gets its own h^-alpha, h^e and (sin h, cos h), and
+    # every solve has the repr of its cold solve
+    _fresh_generator_memo(monkeypatch)
+    field, powers, sines = bigdecimal(30), Counter(), Counter()
+    power, sin = type(field).power, solvers.decfun.sin
+
+    def counted_power(self, base, exponent):
+        powers[str(base)] += 1
+        return power(self, base, exponent)
+
+    def counted_sin(x):
+        sines[str(x)] += 1
+        return sin(x)
+
+    def problems():
+        fractional, sine = power_law_fractional_bvp(F(8, 5), field), sine_bvp(field)
+        return [(fractional, "fractional"),
+                (dataclasses.replace(fractional, b=Decimal("1.00")), "fractional"),
+                (sine, "central"), (dataclasses.replace(sine, b=Decimal("1.00")), "central")]
+
+    cold = {}
+    for k, n in itertools.product(range(4), (2, 5)):
+        solvers._generator.cache_clear()
+        problem, scheme = problems()[k]
+        cold[k, n] = repr(solve_bvp(problem, scheme, n))
+    solvers._generator.cache_clear()
+    warm = problems()  # each pair of problems shares its data's memo
+    monkeypatch.setattr(type(field), "power", counted_power)
+    monkeypatch.setattr(solvers.decfun, "sin", counted_sin)
+    for _ in range(2):
+        for n, k in itertools.product((2, 5), range(4)):
+            assert repr(solve_bvp(*warm[k], n)) == cold[k, n], (k, n)
+    steps = ["0.5", "0.50", "0.2", "0.20"]
+    assert [powers[h] for h in steps] == [1, 1, 1, 1]
+    alpha = field.of(F(8, 5))
+    assert sorted(solvers._generator(alpha, str(alpha), 2, 2, 1, field)[3]) == sorted(steps)
+    assert sines == {"-1": 1, "1": 1, "1.00": 1, "0.4": 1, "0.40": 1}
+
+
 @pytest.mark.parametrize("field, alphas", [
     (bigdecimal(30), (Decimal("1.6"), Decimal("1.60"))),
     (bigdecimal(30), (F(3, 2), 1.5)),
@@ -1263,6 +1385,18 @@ def test_solver_warnings_point_at_the_caller(monkeypatch, call):
             call(problem)
         assert sorted({str(w.message).split(" ")[0] for w in caught}) == ["configuration", "generator"]
         assert {w.filename for w in caught} == {__file__}, memo
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_fractional_r0_studies_reach_order_p_in_50_digits(p):
+    # x^(3 + alpha) is smooth enough for order p <= 4 at alpha = 8/5: the
+    # (d, p, r) = (2, p, 0) order on N = 32 .. 512 ends within 0.05 of p
+    problem = power_law_fractional_bvp(F(8, 5), bigdecimal(50))
+    with pytest.warns(RuntimeWarning, match="experimental"):
+        reports = list(iter_convergence_study(problem, "fractional", [32, 64, 128, 256, 512],
+                                              p=p, r=0))
+    assert [r.approx_order for r in reports] == [p] * 5
+    assert abs(reports[-1].empirical_order - p) < 0.05, [r.empirical_order for r in reports]
 
 
 def test_decimal_series_solve_follows_its_digits():
@@ -1510,7 +1644,7 @@ def test_decimal_powers_meet_the_budget_for_any_exponent(digits, e):
     for grid in (unit, _rounded_thirds(field, 300)):
         guard, kept = solvers._guard(field, grid).digits, {}
         values = solvers._decimal_powers(grid, e, field, kept)
-        [(prec, (_, powers))] = kept.items()
+        [(prec, (_, powers, _))] = kept.items()
         assert prec == guard + 3 and len(powers) == grid.n + 1
         with mpmath.workdps(digits + 40):
             me = mpmath.mpf(str(e))
@@ -1853,8 +1987,8 @@ def test_decimal_sine_data_are_built_once_per_solve(monkeypatch, scheme):
         calls.clear()
         # the same values as a fresh evaluation for each of rhs and exact
         grid = _grid(problem, n, problem.field)
-        assert list(problem.exact(grid)) == list(sines(grid, problem.field))
+        assert list(problem.exact(grid)) == list(sines(grid, problem.field, {}))
         with problem.field.context():
-            assert list(problem.rhs(grid)) == list(-sines(grid, problem.field)[1:-1])
+            assert list(problem.rhs(grid)) == list(-sines(grid, problem.field, {})[1:-1])
         assert before.solution == solve_bvp(problem, scheme, n).solution
         calls.clear()
