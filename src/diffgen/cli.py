@@ -194,8 +194,10 @@ def cmd_fbvp(args) -> int:
     field = _field(args)
     problem = power_law_fractional_bvp(args.alpha, field)
     n_values = _n_list(args, 8)
-    _print_study(iter_convergence_study(problem, "fractional", n_values, field,
-                                        p=args.p, d=args.d, r=args.r), args.format)
+    # a flag not given takes the scheme's own default generator
+    options = {name: value for name in ("p", "d", "r") if (value := getattr(args, name)) is not None}
+    _print_study(iter_convergence_study(problem, "fractional", n_values, field, **options),
+                 args.format)
     return 0
 
 
@@ -279,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--alpha", type=_scalar, required=True)
     f.add_argument("--N", type=_positive_int)
     f.add_argument("--Nmax", type=_positive_int, default=256)
-    f.add_argument("--p", type=_positive_int, default=2)
-    f.add_argument("--d", type=_positive_int, default=2)
-    f.add_argument("--r", type=_nonnegative_int, default=1,
+    f.add_argument("--p", type=_positive_int)
+    f.add_argument("--d", type=_positive_int)
+    f.add_argument("--r", type=_nonnegative_int,
                    help="shift r: 1 (configured) or 0; r >= 2 is refused (none converges)")
     f.add_argument("--format", choices=("table", "csv"), default="csv")
     _add_mode_flags(f, ("f64", "big"))

@@ -177,13 +177,16 @@ def numerators(params: ApproxParams, tally: "OpCount | None" = None) -> tuple[Sc
 class CoefficientVector:
     """Base-polynomial coefficients beta_j = N_j / D_j of ``params`` in its field
     (the N_j are ``numerators(params)``, the D_j ``denominators(d, p, field)``);
-    ``exact_beta``, computed when first read, holds the exact betas."""
+    ``exact_beta``, computed when first read, holds the exact betas (``beta``
+    itself in the rational field)."""
 
     params: ApproxParams
     beta: tuple[Scalar, ...]
 
     @cached_property
     def exact_beta(self) -> tuple[Fraction, ...]:
+        if self.params.field == RATIONAL:
+            return self.beta
         return beta_coefficients(replace(self.params, field=RATIONAL)).beta
 
 

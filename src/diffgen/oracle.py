@@ -151,7 +151,7 @@ def consistency_moments(cv: CoefficientVector, k_max: int):
     """
     params = cv.params
     n = params.n_coeffs
-    if not isinstance(k_max, int) or k_max < n - 1:
+    if isinstance(k_max, bool) or not isinstance(k_max, int) or k_max < n - 1:
         raise ValueError(f"k_max must be at least N-1 = {n - 1}")
     out = []
     with params.field.context():

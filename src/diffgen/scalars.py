@@ -230,18 +230,11 @@ class _BigDecimal(Field):
     def of(self, value) -> Decimal:
         if isinstance(value, str):  # read as the other fields read it, then rounded once
             value = Fraction(value)
-        if isinstance(value, (Decimal, int, float)):
+        elif isinstance(value, np.generic):
+            value = _python_number(value)
+        if isinstance(value, (Decimal, float)):  # an inf or a NaN stays one, for the finite checks
             return self._context.plus(Decimal(value))
-        if isinstance(value, np.generic):
-            return self.of(_python_number(value))
-        num, den = value.numerator, value.denominator  # a Fraction, in lowest terms
-        twos = (den & -den).bit_length() - 1
-        fives = math.ceil(((den >> twos).bit_length() - 1) / math.log2(5))  # one 5^b that long
-        if 5**fives << twos == den:  # a decimal literal's: num/den = m 10^-k, m about num's size
-            k = max(twos, fives)
-            # no division: m has no trailing 0 when k > 0, the exponent Decimal division gives
-            return self._context.scaleb(num * 2 ** (k - twos) * 5 ** (k - fives), -k)
-        return self._quotient(num, den)
+        return self._quotient(*value.as_integer_ratio())  # an int or a Fraction
 
     def vector(self, values) -> np.ndarray:
         # Decimals and ints in one pass of the context's rounding, as ``of``
@@ -259,16 +252,22 @@ class _BigDecimal(Field):
         return all(v.is_finite() for v in values)
 
     def _quotient(self, num: int, den: int) -> Decimal:
-        # equals Decimal division, from one integer division
+        # equals Decimal division, from one integer division: no Decimal of num or den
         if den < 0:
             num, den = -num, -den
         # |num| 10^shift // den has over `digits` digits: log10|num/den| > (bits - 1) log10 2
         shift = self.digits + 2 - (num.bit_length() - den.bit_length() - 1) * 30103 // 100000
         quot, rem = divmod(abs(num) * 10 ** max(shift, 0), den * 10 ** max(-shift, 0))
-        if not rem:  # Decimal gives an exact quotient the exponent closest to 0
-            return self._context.divide(Decimal(num), Decimal(den))
-        # a sticky 1 after the known digits stands for the remainder
-        return self._context.create_decimal(f"{'-' if num < 0 else ''}{quot}1E{-shift - 1}")
+        if rem:  # a sticky 1 after the known digits stands for the remainder
+            return self._context.create_decimal(f"{'-' if num < 0 else ''}{quot}1E{-shift - 1}")
+        if not quot:
+            return Decimal(0)  # 0/den, at Decimal division's ideal exponent 0
+        # exact, quot 10^-shift: Decimal division drops its trailing 0s while the exponent is below 0
+        text = f"{'-' if num < 0 else ''}{quot}"
+        kept = len(text.rstrip("0"))
+        if kept < len(text) - shift:  # past the exponent 0: stop there, or at -shift > 0
+            kept = len(text) - max(shift, 0)
+        return self._context.create_decimal(f"{text[:kept]}E{len(text) - kept - shift}")
 
     def format(self, x) -> str:
         return str(x)
@@ -309,25 +308,17 @@ def bigdecimal(digits: int = 50) -> Field:
     return _BigDecimal("bigdecimal", digits)
 
 
-_NAMES = {
-    "rational": "rational",
-    "f64": "float64",
-    "float64": "float64",
-    "big": "bigdecimal",
-    "bigdecimal": "bigdecimal",
-}
+_FIELDS = {"rational": RATIONAL, "f64": FLOAT64, "float64": FLOAT64,
+           "big": bigdecimal, "bigdecimal": bigdecimal}
 
 
 def field_from_name(name: str, digits: int = 50) -> Field:
+    """The field a name stands for; ``big`` and ``bigdecimal`` at ``digits``."""
     try:
-        canonical = _NAMES[name]
+        field = _FIELDS[name]
     except KeyError:
         raise ValueError(f"unknown field {name!r}") from None
-    if canonical == "rational":
-        return RATIONAL
-    if canonical == "float64":
-        return FLOAT64
-    return bigdecimal(digits)
+    return field if isinstance(field, Field) else field(digits)
 
 
 def field_of(x) -> Field:

@@ -494,9 +494,10 @@ def _fractional_band(problem: BvpProblem, n: int, field: Field, p: int, d: int, 
     weights w_k / h^alpha of the (d, p) generator at shift r and their
     reciprocal series h^alpha P(z)^(-alpha/d) to n terms. The scale
     1/h^alpha is kept with the generator, per text of h."""
-    if {"p": p, "d": d, "r": r} != _SCHEME_OPTIONS["fractional"]:
+    validated = _SCHEME_OPTIONS["fractional"]
+    if {"p": p, "d": d, "r": r} != validated:
         _warn(f"configuration (p={p}, d={d}, r={r}) is experimental; the validated setup is "
-              "(2, 2, 1)", RuntimeWarning)
+              f"{tuple(validated.values())}", RuntimeWarning)
     alpha = field.of(problem.alpha)
     cv, diag, _, scales = generator = _generator(alpha, str(alpha), d, p, r, field)
     params = cv.params

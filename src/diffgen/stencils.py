@@ -128,7 +128,8 @@ def noncompact_stencil(alpha: int, d: int, p: int, r, field: Field = RATIONAL) -
     lower-order base: alpha = gamma*d with gamma >= 2.
 
     The base coefficients use lam = r*d/alpha, then the weights are the
-    exact gamma-fold convolution of the base, gamma*(p+d-1)+1 of them.
+    exact gamma-fold convolution of the exact base, gamma*(p+d-1)+1 of them,
+    each rounded once into ``field``.
     """
     if not isinstance(alpha, int) or not isinstance(d, int) or d < 1:
         raise ValueError("alpha and d must be integers with d >= 1")
@@ -141,8 +142,7 @@ def noncompact_stencil(alpha: int, d: int, p: int, r, field: Field = RATIONAL) -
     params = derive_params(alpha, d, p, r, field)
     cv = beta_coefficients(params)
     err = error_coefficients(cv)
-    with field.context():
-        weights = poly_power_int(cv.beta, gamma)
+    weights = tuple(map(field.of, poly_power_int(cv.exact_beta, gamma)))
     return _build(params, weights, err.leading, field)
 
 

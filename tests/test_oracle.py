@@ -147,6 +147,11 @@ def test_consistency_moments_validation():
     cv = beta_coefficients(derive_params(2, 2, 2, 1))
     with pytest.raises(ValueError):
         consistency_moments(cv, 2)  # below N - 1
+    # a bool is no count, even where True would reach N - 1 = 1
+    cv = beta_coefficients(derive_params(1, 1, 1, 0))
+    assert len(consistency_moments(cv, 1)) == 2
+    with pytest.raises(ValueError):
+        consistency_moments(cv, True)
 
 
 def test_determinant_reduction_identity():

@@ -1,5 +1,6 @@
 """Scalar fields: parsing, formatting, comparison, powers, decimal functions."""
 
+import decimal
 import math
 import random
 from decimal import Decimal
@@ -148,8 +149,7 @@ def test_fields_read_strings_by_one_grammar(field):
 
 def _quotient_by_division(field, num, den):
     """The decimal quotient as one integer division of num 10^shift by den,
-    as ``_quotient`` rounds it and as a decimal literal was read before
-    ``of`` shifted it by scaleb."""
+    an exact one as Decimal divides Decimal(num) by Decimal(den)."""
     if den < 0:
         num, den = -num, -den
     shift = field.digits + 2 - (num.bit_length() - den.bit_length() - 1) * 30103 // 100000
@@ -161,12 +161,13 @@ def _quotient_by_division(field, num, den):
 
 @pytest.mark.parametrize("digits", [15, 16, 30, 50])
 def test_decimal_literals_read_as_by_one_integer_division(digits):
-    # a literal's denominator is 2^a 5^b: its value, by scaleb, has the
-    # repr of the integer division's, exponents included
+    # a literal's denominator is 2^a 5^b: its value has the repr of the
+    # integer division's, exponents included
     field, rng = bigdecimal(digits), random.Random(digits)
     literals = ["0", "-0", "2.0", "1e5", "1e40", "-1e40", "0.5", "1.000", "123.4500", "1e-5",
                 "-2.5e-7", "10/10", "100/8", "-7/1250", "99999999999999999999999999999.5",
-                "9.99999999999999999999999999999999999e10", "0.125e-400", "-77e-3000"]
+                "9.99999999999999999999999999999999999e10", "0.125e-400", "-77e-3000",
+                "1e300", "-2.5e2000", "7.25e4321", "999999999999999999999999999999999e500"]
     for _ in range(400):
         mantissa = rng.randrange(10 ** rng.randrange(1, 70))
         literals.append(f"{rng.choice('+-')}{mantissa}e{rng.randrange(-300, 300)}")
@@ -183,6 +184,14 @@ def test_decimal_literals_read_as_by_one_integer_division(digits):
         value = Fraction(num * 10 ** rng.randrange(5), den)
         want = _quotient_by_division(field, value.numerator, value.denominator)
         assert repr(field.of(value)) == repr(want), value
+    # and ints of every size, powers of ten and their neighbours among them
+    ints = [0, 1, -1, 10**digits - 1, 10**digits, 10**digits + 1, -(10 ** (digits + 1)) + 5]
+    ints += [sign * rng.randrange(10**k) * 10 ** rng.randrange(3) for k in range(1, 3000, 37)
+             for sign in (1, -1)]
+    ints += [10**k + delta for k in range(0, 3000, 111) for delta in (-1, 0, 1)]
+    for n in ints:
+        want = _quotient_by_division(field, n, 1)
+        assert repr(field.of(n)) == repr(field.of(Fraction(n))) == repr(want), n
 
 
 def test_decimal_literal_of_a_large_exponent_is_read_exactly():
@@ -193,6 +202,17 @@ def test_decimal_literal_of_a_large_exponent_is_read_exactly():
                        ("1e-1000030", "0E-1000028")):
         got = repr(parse_scalar(text, field))
         assert got == repr(field._context.plus(Decimal(text))) == f"Decimal('{want}')"
+    # 1e300000 took 2 s, its integer converted to Decimal; an integer's exponent
+    # is 0 ideally, so its rounded value keeps all 30 digits
+    for text, want in (("1e300000", "1.00000000000000000000000000000E+300000"),
+                       ("-2.5e200000", "-2.50000000000000000000000000000E+200000"),
+                       ("1e999990", "1.00000000000000000000000000000E+999990")):
+        got = parse_scalar(text, field)
+        assert repr(got) == f"Decimal('{want}')" and got == Decimal(text)
+    assert repr(field.of(10**300000)) == repr(parse_scalar("1e300000", field))
+    # past Emax = 999999 the context's Overflow trap refuses the value
+    with pytest.raises(decimal.Overflow):
+        parse_scalar("1e1000000", field)
 
 
 def test_field_constants_are_built_once():
