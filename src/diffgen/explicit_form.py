@@ -77,7 +77,7 @@ def _finite(name: str, value, field: Field) -> Scalar:
     try:
         converted = field.of(value)
         converted.as_integer_ratio()  # raises for infinities and NaNs
-    except (ArithmeticError, ValueError):
+    except (ArithmeticError, TypeError, ValueError):
         raise ValueError(f"{name} must be a finite number in the {field.name} field") from None
     return converted
 
@@ -108,19 +108,15 @@ def derive_params(alpha, d: int, p: int, r, field: Field = RATIONAL) -> ApproxPa
     return ApproxParams(alpha, d, p, r, lam, p + d, field)
 
 
-@lru_cache(maxsize=None)
-def _denominators(d: int, p: int, field: Field) -> tuple[Scalar, ...]:
-    n, fact = p + d, math.factorial
-    return tuple(field.of(Fraction((-1) ** (p - 1 + j) * fact(j) * fact(n - 1 - j), fact(d)))
-                 for j in range(n))
-
-
+@lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 never hits an int's entry
 def denominators(d: int, p: int, field: Field = RATIONAL) -> tuple[Scalar, ...]:
     """Shift-independent denominators D_j = (-1)^(p-1-j) j! (p+d-1-j)! / d!,
     j = 0..p+d-1, rounded into ``field`` and cached per (d, p, field)."""
     _positive_int("d", d)
     _positive_int("p", p)
-    return _denominators(d, p, field)
+    n, fact = p + d, math.factorial
+    return tuple(field.of(Fraction((-1) ** (p - 1 + j) * fact(j) * fact(n - 1 - j), fact(d)))
+                 for j in range(n))
 
 
 @lru_cache(maxsize=32)
@@ -193,7 +189,7 @@ class CoefficientVector:
 def beta_coefficients(params: ApproxParams) -> CoefficientVector:
     """Coefficients of the base polynomial for ``params``."""
     quotient, nums = params.field._quotient, _numerator_pairs(params, None)
-    exact_den = _denominators(params.d, params.p, RATIONAL)
+    exact_den = denominators(params.d, params.p, RATIONAL)
     beta = (quotient(c * dj.denominator, s * dj.numerator) for (c, s), dj in zip(nums, exact_den))
     return CoefficientVector(params, tuple(beta))
 

@@ -104,18 +104,19 @@ class Field:
     Use the module constants ``RATIONAL`` and ``FLOAT64``, or build a decimal
     field with ``bigdecimal(digits)``. Each implementation writes ``of``
     (convert an int, Fraction, float, Decimal, numpy integer or float scalar
-    or literal string into the field), ``_quotient(num, den)`` (num/den for
-    integers, den != 0, correctly rounded with no need to reduce the pair
-    first), ``finite(values)`` (whether every one of a sequence of field
-    values is finite), ``format`` (num/den for rationals, the shortest
-    round-trip otherwise), ``power`` (exact or ExactnessError in the rational
-    field; a fractional exponent needs a base >= 0 otherwise), ``sin`` and
-    ``gamma`` (positive arguments in the float fields). All of them honour the
-    field's precision: decimal work runs inside ``context()``. ``zero`` and
-    ``one`` are the field's constants, built once. ``condition_limit`` is the
-    largest condition estimate a solve accepts, 10^(digits - 2) so that two
-    significant digits survive (1e14 in double precision, None in the exact
-    field), also built once. Fields compare and hash by ``name`` and ``digits``.
+    or literal string into the field; TypeError for anything else),
+    ``_quotient(num, den)`` (num/den for integers, den != 0, correctly
+    rounded with no need to reduce the pair first), ``finite(values)``
+    (whether every one of a sequence of field values is finite), ``format``
+    (num/den for rationals, the shortest round-trip otherwise), ``power``
+    (exact or ExactnessError in the rational field; a fractional exponent
+    needs a base >= 0 otherwise), ``sin`` and ``gamma`` (positive arguments
+    in the float fields). All of them honour the field's precision: decimal
+    work runs inside ``context()``. ``zero`` and ``one`` are the field's
+    constants, built once. ``condition_limit`` is the largest condition
+    estimate a solve accepts, 10^(digits - 2) so that two significant digits
+    survive (1e14 in double precision, None in the exact field), also built
+    once. Fields compare and hash by ``name`` and ``digits``.
     """
 
     name: str
@@ -137,8 +138,7 @@ class Field:
     def vector(self, values) -> np.ndarray:
         """A new 1-D array of ``values`` converted into this field: float64 in
         double precision, objects (each value through ``of``) otherwise."""
-        # an object array holds a numpy array's integers as Python ints, which
-        # ``of`` takes on its fast path (the grids' ``np.arange``)
+        # an object array holds a numpy array's numbers as Python numbers
         return np.array([self.of(v) for v in np.asarray(values, dtype=object)], dtype=object)
 
 
@@ -234,19 +234,13 @@ class _BigDecimal(Field):
             value = _python_number(value)
         if isinstance(value, (Decimal, float)):  # an inf or a NaN stays one, for the finite checks
             return self._context.plus(Decimal(value))
-        return self._quotient(*value.as_integer_ratio())  # an int or a Fraction
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot convert {type(value).__name__} to a decimal")
+        return self._quotient(*value.as_integer_ratio())
 
     def vector(self, values) -> np.ndarray:
-        # Decimals and ints in one pass of the context's rounding, as ``of``
-        # rounds them; the context refuses anything else (floats, numpy ints,
-        # Fractions, strings) with TypeError, and those take ``of`` one by one.
-        # A numpy array of numbers goes in as Python ints (or bools, or floats).
-        if isinstance(values, np.ndarray) and values.dtype != object:
-            values = values.tolist()
-        try:
-            return np.array(list(map(self._context.plus, values)), dtype=object)
-        except TypeError:
-            return super().vector(values)
+        return np.array([self._context.plus(v) if isinstance(v, Decimal) else self.of(v)
+                         for v in np.asarray(values, dtype=object)], dtype=object)
 
     def finite(self, values) -> bool:
         return all(v.is_finite() for v in values)

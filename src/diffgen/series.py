@@ -133,6 +133,8 @@ def poly_power_int(base, gamma: int) -> tuple[Scalar, ...]:
     if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 1:
         raise ValueError(f"gamma must be a positive integer, got {gamma!r}")
     base = tuple(base)
+    if not base:
+        raise ValueError("base polynomial must have at least one coefficient")
     base, den = _over_common_denominator(base) or (base, None)
     out = list(base)
     for _ in range(gamma - 1):

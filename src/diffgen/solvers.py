@@ -356,7 +356,7 @@ def _grid(problem: BvpProblem, n: int, field: Field) -> Grid:
         a = field.of(problem.a)
         h = (field.of(problem.b) - a) / n
         points = np.arange(n + 1)  # each int64 is a float64 exactly
-        x = a + (points if field.name == "float64" else field.vector(points)) * h
+        x = a + (points if field.name == "float64" else points.astype(object)) * h
     return Grid(a, h, n, x)
 
 
@@ -785,15 +785,6 @@ def _data_bound(n: int, block: int = 32) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _refused_bound(n: int, limit) -> Fraction | None:
-    """The data bound of N = n if it is above ``limit``, else None;
-    ``_sign_bound(n)`` decides alone when it is already above."""
-    bound = _sign_bound(n)
-    bound = bound if bound > limit else _data_bound(n)
-    return bound if bound > limit else None
-
-
-@lru_cache(maxsize=None)
 def _sign_bound(n: int) -> Fraction:
     """|(A_N s)_1| for the alternating signs s_c = (-1)^c: a lower bound on
     ||A_N||_inf from one O(N^2) collocation, which refuses a large N without
@@ -812,11 +803,13 @@ def _solve_unified(problem: BvpProblem, n: int, field: Field):
     U''(i) = h^2 f_i at t = 1 .. n-1. U is built on integers from the
     field's own ua, ub, h and f_i, taken exactly, and each interior value is
     rounded once. Outside the exact field the solve is refused when
-    ``_data_bound(n)`` is above ``field.condition_limit``, a verdict kept
-    per (n, limit) (``_refused_bound``).
+    ``_data_bound(n)`` is above ``field.condition_limit``; its lower bound
+    ``_sign_bound(n)`` refuses alone when it is already above. Both are
+    kept per n.
     """
     limit = field.condition_limit
-    if limit is not None and (bound := _refused_bound(n, limit)) is not None:
+    if limit is not None and ((bound := _sign_bound(n)) > limit
+                              or (bound := _data_bound(n)) > limit):
         raise _ill_conditioned(f"unified scheme too sensitive to data rounding in "
                                f"{field.name}: data bound ||A_N||_inf above {limit:.0e}",
                                Context().divide(bound.numerator, bound.denominator))

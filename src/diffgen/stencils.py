@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .explicit_form import (
     ApproxParams,
+    _finite,
     _warn,
     beta_coefficients,
     derive_params,
@@ -152,14 +153,15 @@ def apply_stencil(st: Stencil, samples, x, h) -> Scalar:
     ``samples`` is either a callable f (sampled at x + offset*h) or a
     sequence of precomputed values aligned with ``st.offsets``. Exact weights
     and samples are summed as integers over their denominators, divided once.
+    An h (or, with a callable, an x) that is not finite raises ValueError.
     """
     field = st.base_params.field
     with field.context():
-        h = field.of(h)
+        h = _finite("spacing h", h, field)
         if not h > 0:
             raise ValueError("spacing h must be positive")
         if callable(samples):
-            x = field.of(x)
+            x = _finite("point x", x, field)
             values = [samples(x + off * h) for off in st.offsets]
         else:
             values = list(samples)

@@ -147,6 +147,20 @@ def test_fields_read_strings_by_one_grammar(field):
         explicit_form.derive_params("nan", 2, 2, 1, field)
 
 
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
+@pytest.mark.parametrize("value", [None, 1j, object()], ids=["none", "complex", "object"])
+def test_a_value_no_field_converts_is_refused_by_type(field, value):
+    # every field raises TypeError, and the kernel's inputs raise ValueError naming the argument
+    with pytest.raises(TypeError):
+        field.of(value)
+    with pytest.raises(ValueError, match="^derivative order alpha must be a finite number"):
+        explicit_form.derive_params(value, 2, 2, 1, field)
+    with pytest.raises(ValueError, match="^alpha must be a finite number"):
+        grunwald_weights(value, 3, field)
+    with pytest.raises(ValueError, match="^base coefficient 0 must be a finite number"):
+        miller_expand([value], Fraction(1, 2), 3, field)
+
+
 def _quotient_by_division(field, num, den):
     """The decimal quotient as one integer division of num 10^shift by den,
     an exact one as Decimal divides Decimal(num) by Decimal(den)."""
@@ -266,16 +280,16 @@ _LONG = "3.14159265358979323846264338327950288419716939937510582097494459"
         "empty"])
 @pytest.mark.parametrize("digits", [15, 30])
 def test_decimal_vector_equals_of_by_repr(monkeypatch, inputs, digits):
-    # the vector rounds Decimals and ints in one pass and falls back to
-    # ``of`` one value at a time for anything else: the same values, exponents
-    # and signs of zero either way
+    # each value that is not a Decimal goes through ``of`` once, and a Decimal
+    # is rounded by the context's ``plus`` as ``of`` rounds it: the same
+    # values, exponents and signs of zero either way
     field, calls = bigdecimal(digits), []
     of = type(field).of
     monkeypatch.setattr(type(field), "of", lambda self, v: calls.append(v) or of(self, v))
     values = field.vector(inputs)
     monkeypatch.undo()
-    if isinstance(inputs, np.ndarray) and inputs.dtype.kind in "biu":
-        assert not calls  # a numpy integer array (the grids' np.arange) takes the one pass
+    others = [v for v in np.asarray(inputs, dtype=object) if not isinstance(v, Decimal)]
+    assert repr(calls) == repr(others)
     assert values.dtype == object and values.shape == (len(inputs),)
     assert repr(values.tolist()) == repr([field.of(v) for v in np.asarray(inputs, dtype=object)])
 
@@ -306,7 +320,7 @@ def test_float64_quotient_of_zero_is_a_positive_zero():
 
 
 def test_field_aliases_are_equal_and_hit_the_denominator_cache():
-    cache = explicit_form._denominators
+    cache = explicit_form.denominators
     for names, digits in ((("rational",), 50), (("f64", "float64"), 50),
                           (("big", "bigdecimal"), 30)):
         fields = [field_from_name(name, digits) for name in names]

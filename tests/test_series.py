@@ -342,6 +342,9 @@ def test_poly_power_int():
         poly_power_int((1, -1), F(3, 2))
     with pytest.raises(ValueError, match="gamma must be a positive integer, got True"):
         poly_power_int((1, -1), True)
+    for gamma in (1, 2):
+        with pytest.raises(ValueError, match="^base polynomial must have at least one coefficient$"):
+            poly_power_int((), gamma)
 
 
 def test_convergence_diagnostic_cases():

@@ -9,6 +9,7 @@ import pytest
 
 from diffgen import (
     FLOAT64,
+    RATIONAL,
     apply_stencil,
     bigdecimal,
     compact_stencil,
@@ -153,6 +154,17 @@ def test_apply_sequence_and_validation():
         apply_stencil(st, [1, 2], 0, 0)
     with pytest.raises(ValueError):
         apply_stencil(st, [1, 2], 0, -1)
+
+
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
+def test_apply_refuses_a_spacing_or_point_that_is_not_finite(field):
+    st = compact_stencil(2, 2, 1, field)
+    for h in (math.inf, math.nan, "inf"):
+        with pytest.raises(ValueError, match="^spacing h must be a finite number"):
+            apply_stencil(st, [1.0, 2.0, 3.0, 5.0], 0, h)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^point x must be a finite number"):
+            apply_stencil(st, lambda t: t * t, x, 1)
 
 
 def test_rational_stencil_applications_are_exact():
