@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Mapping
 
-from .scalars import RATIONAL, Field, Scalar
+from .scalars import RATIONAL, Field, Scalar, _integer
 
 if TYPE_CHECKING:  # pragma: no cover
     from .oracle import OpCount
@@ -67,11 +67,6 @@ class ApproxParams:
             return self.alpha / self.d
 
 
-def _positive_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def _finite(name: str, value, field: Field) -> Scalar:
     """``value`` in ``field``, refused unless finite: the kernel takes its exact value."""
     try:
@@ -97,8 +92,8 @@ def derive_params(alpha, d: int, p: int, r, field: Field = RATIONAL) -> ApproxPa
     any shift (integers give on-grid stencils, halves give staggered ones).
     Bad or non-finite input raises ValueError naming the parameter.
     """
-    _positive_int("base derivative order d", d)
-    _positive_int("accuracy order p", p)
+    _integer("base derivative order d", d, 1)
+    _integer("accuracy order p", p, 1)
     alpha = _finite("derivative order alpha", alpha, field)
     r = _finite("shift r", r, field)
     with field.context():
@@ -112,8 +107,8 @@ def derive_params(alpha, d: int, p: int, r, field: Field = RATIONAL) -> ApproxPa
 def denominators(d: int, p: int, field: Field = RATIONAL) -> tuple[Scalar, ...]:
     """Shift-independent denominators D_j = (-1)^(p-1-j) j! (p+d-1-j)! / d!,
     j = 0..p+d-1, rounded into ``field`` and cached per (d, p, field)."""
-    _positive_int("d", d)
-    _positive_int("p", p)
+    _integer("d", d, 1)
+    _integer("p", p, 1)
     n, fact = p + d, math.factorial
     return tuple(field.of(Fraction((-1) ** (p - 1 + j) * fact(j) * fact(n - 1 - j), fact(d)))
                  for j in range(n))
@@ -225,8 +220,7 @@ def error_coefficients(cv: CoefficientVector, count: int = 1) -> ErrorCoefficien
     """
     params = cv.params
     d, p, n = params.d, params.p, params.n_coeffs
-    if isinstance(count, bool) or not isinstance(count, int) or not 1 <= count <= p:
-        raise ValueError(f"count must be in 1..p = {p}, got {count!r}")
+    _integer("count", count, 1, p)
     alpha = Fraction(params.alpha)
     _, poly, q = _node_polynomial(*params.lam.as_integer_ratio(), n)
     # s_k = delta_{k,d} for k < N, then s_k = -sum_{i<N} Pi_i s_{k-N+i} (Pi is monic of

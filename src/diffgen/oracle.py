@@ -44,8 +44,7 @@ class BudgetError(ValueError):
 def esp_direct(xs, k: int):
     """Elementary symmetric polynomial S(xs, k) by direct enumeration."""
     xs = tuple(xs)
-    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= len(xs):
-        raise ValueError(f"need 0 <= k <= {len(xs)}, got {k!r}")
+    scalars._integer("k", k, 0, len(xs))
     total = 0
     for combo in combinations(xs, k):
         prod = 1
@@ -114,33 +113,24 @@ def vandermonde_solve(params: ApproxParams):
 
 
 def numerators_direct(params: ApproxParams, budget: int = DEFAULT_BUDGET):
-    """Numerators by full combinatorial enumeration, with tallied cost.
+    """Numerators by full combinatorial enumeration, with its cost.
 
-    Refuses (BudgetError) when the predicted M*N additions exceed ``budget``,
-    M = C(N-1, p-1). Returns (numerators, OpCount).
+    Each N_j is ``esp_direct`` of the nodes {lam - k : k != j} at degree p-1,
+    converted into the field: M = C(N-1, p-1) products each, so M*N additions
+    and M*(p-1)*N multiplications. Refuses (BudgetError) when the M*N
+    additions exceed ``budget``. Returns (numerators, OpCount).
     """
-    n = params.n_coeffs
+    n, field = params.n_coeffs, params.field
     m_count = math.comb(n - 1, params.p - 1)
     if m_count * n > budget:
         raise BudgetError(
             f"direct enumeration needs {m_count * n} additions, over the budget of {budget}"
         )
-    count = OpCount()
-    nums = []
-    with params.field.context():
+    with field.context():
         nodes = [params.lam - k for k in range(n)]
-        for j in range(n):
-            rest = nodes[:j] + nodes[j + 1 :]
-            total = params.field.zero
-            for combo in combinations(rest, params.p - 1):
-                prod = params.field.one
-                for v in combo:
-                    prod = prod * v
-                    count.multiplications += 1
-                total = total + prod
-                count.additions += 1
-            nums.append(total)
-    return tuple(nums), count
+        nums = tuple(field.of(esp_direct(nodes[:j] + nodes[j + 1 :], params.p - 1))
+                     for j in range(n))
+    return nums, OpCount(m_count * n, m_count * (params.p - 1) * n)
 
 
 def consistency_moments(cv: CoefficientVector, k_max: int):
@@ -151,8 +141,7 @@ def consistency_moments(cv: CoefficientVector, k_max: int):
     """
     params = cv.params
     n = params.n_coeffs
-    if isinstance(k_max, bool) or not isinstance(k_max, int) or k_max < n - 1:
-        raise ValueError(f"k_max must be at least N-1 = {n - 1}")
+    scalars._integer("k_max", k_max, n - 1)
     out = []
     with params.field.context():
         nodes = [params.lam - j for j in range(n)]
@@ -178,8 +167,7 @@ def symbol_series(cv: CoefficientVector, count: int | None = None, digits: int =
     """
     params = cv.params
     count = params.p if count is None else count
-    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+    scalars._integer("count", count, 0)
     fb = scalars.bigdecimal(digits)
     with fb.context():
         # consistency_moments reads only the params and the betas

@@ -51,6 +51,20 @@ class ExactnessError(ArithmeticError):
     """An operation has no exact representation in the rational field."""
 
 
+_AT_LEAST = {0: "a non-negative integer", 1: "a positive integer"}
+
+
+def _integer(name: str, value, low: int, high: int | None = None) -> None:
+    """The check of every count argument: unless ``value`` is an int (not a
+    bool, nor a numpy integer) in low..high, ValueError naming the parameter
+    and echoing the value."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low or (
+            high is not None and value > high):
+        kind = (f"an integer in {low}..{high}" if high is not None
+                else _AT_LEAST.get(low, f"an integer >= {low}"))
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def _integer_nth_root(n: int, k: int) -> tuple[int, bool]:
     """Floor k-th root of n >= 0 and whether it is exact."""
     if n < 0:
@@ -297,8 +311,7 @@ FLOAT64 = _Float64("float64")
 
 def bigdecimal(digits: int = 50) -> Field:
     """Decimal field at ``digits`` significant digits (at least 15)."""
-    if not isinstance(digits, int) or digits < MIN_DIGITS:
-        raise ValueError(f"bigdecimal needs an integer precision >= {MIN_DIGITS}")
+    _integer("precision digits", digits, MIN_DIGITS)
     return _BigDecimal("bigdecimal", digits)
 
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .explicit_form import CoefficientVector, _finite, _positive_int
-from .scalars import Field, Scalar, _over_common_denominator, field_of
+from .explicit_form import CoefficientVector, _finite
+from .scalars import Field, Scalar, _integer, _over_common_denominator, field_of
 
 __all__ = [
     "WeightSeries",
@@ -49,7 +49,7 @@ def grunwald_weights(alpha, truncation: int, field: Field | None = None) -> tupl
     g_0 = 1 and g_k = g_{k-1} * (k - 1 - alpha) / k. A non-finite alpha
     raises ValueError.
     """
-    _positive_int("truncation", truncation)
+    _integer("truncation", truncation, 1)
     if field is None:
         field = field_of(alpha)
     with field.context():
@@ -74,7 +74,7 @@ def miller_expand(base, gamma, truncation: int, field: Field | None = None) -> W
     base = tuple(base)
     if not base:
         raise ValueError("base polynomial must have at least one coefficient")
-    _positive_int("truncation", truncation)
+    _integer("truncation", truncation, 1)
     if field is None:
         field = field_of(base[0])
     with field.context():
@@ -130,8 +130,7 @@ def _expand(base, gamma, truncation: int, field: Field, head=None) -> np.ndarray
 def poly_power_int(base, gamma: int) -> tuple[Scalar, ...]:
     """Exact coefficients of P(z)**gamma for integer gamma >= 1, convolved as
     integers over one denominator (one Fraction out each) if ints and Fractions."""
-    if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 1:
-        raise ValueError(f"gamma must be a positive integer, got {gamma!r}")
+    _integer("gamma", gamma, 1)
     base = tuple(base)
     if not base:
         raise ValueError("base polynomial must have at least one coefficient")

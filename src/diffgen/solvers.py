@@ -48,8 +48,8 @@ import numpy as np
 
 from . import decfun
 from .explicit_form import _node_polynomial, _warn, beta_coefficients, derive_params
-from .scalars import (_NO_CONTEXT, FLOAT64, RATIONAL, Field, Scalar, _over_common_denominator,
-                      bigdecimal)
+from .scalars import (_NO_CONTEXT, FLOAT64, RATIONAL, Field, Scalar, _integer,
+                      _over_common_denominator, bigdecimal)
 from .series import _expand, convergence_diagnostic
 
 __all__ = [
@@ -342,12 +342,9 @@ def _checked(problem: BvpProblem, scheme: str, n: int, field: Field | None, opti
             raise ValueError("fractional order must satisfy 1 < alpha < 2")
     elif problem.alpha != 2:
         raise ValueError(f"{scheme} scheme handles the second derivative only")
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"need an int number of intervals N >= 2, got {n!r}")
+    _integer("number of intervals N", n, 2)
     options = {**defaults, **options}
-    r = options.get("r", 0)  # a scheme without the option has no shift to check
-    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
-        raise ValueError(f"shift r must be a non-negative integer (grid alignment), got {r!r}")
+    _integer("shift r", options.get("r", 0), 0)  # a scheme without the option has no shift
     return field, options
 
 
@@ -443,8 +440,7 @@ def assemble_central(problem: BvpProblem, n: int, field: Field | None = None, **
 def unified_coefficient_rows(n: int) -> list[tuple[Fraction, ...]]:
     """Exact full-grid rows: row i holds the (d=2, p=N-1, r=i) coefficients,
     one weight per grid point 0..N."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("need at least 2 intervals")
+    _integer("number of intervals N", n, 2)
     return [beta_coefficients(derive_params(2, 2, n - 1, i, RATIONAL)).beta for i in range(1, n)]
 
 

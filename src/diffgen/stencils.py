@@ -22,7 +22,7 @@ from .explicit_form import (
     derive_params,
     error_coefficients,
 )
-from .scalars import RATIONAL, Field, Scalar, _over_common_denominator
+from .scalars import RATIONAL, Field, Scalar, _integer, _over_common_denominator
 from .series import poly_power_int
 
 __all__ = [
@@ -132,8 +132,8 @@ def noncompact_stencil(alpha: int, d: int, p: int, r, field: Field = RATIONAL) -
     exact gamma-fold convolution of the exact base, gamma*(p+d-1)+1 of them,
     each rounded once into ``field``.
     """
-    if not isinstance(alpha, int) or not isinstance(d, int) or d < 1:
-        raise ValueError("alpha and d must be integers with d >= 1")
+    _integer("derivative order alpha", alpha, 2)
+    _integer("base derivative order d", d, 1)
     gamma, remainder = divmod(alpha, d)
     if remainder != 0 or gamma < 2:
         raise ValueError(
@@ -151,9 +151,11 @@ def apply_stencil(st: Stencil, samples, x, h) -> Scalar:
     """Evaluate the formula at x with spacing h.
 
     ``samples`` is either a callable f (sampled at x + offset*h) or a
-    sequence of precomputed values aligned with ``st.offsets``. Exact weights
-    and samples are summed as integers over their denominators, divided once.
-    An h (or, with a callable, an x) that is not finite raises ValueError.
+    sequence of precomputed values aligned with ``st.offsets``; each sample
+    is converted into the stencil's field (exactly in the rational field).
+    Exact weights and samples are summed as integers over their denominators,
+    divided once. An h, a sample (or, with a callable, an x) that is not
+    finite raises ValueError naming it.
     """
     field = st.base_params.field
     with field.context():
@@ -169,11 +171,11 @@ def apply_stencil(st: Stencil, samples, x, h) -> Scalar:
                 raise ValueError(
                     f"need {len(st.weights)} samples, got {len(values)}"
                 )
+        values = [_finite(f"sample {k}", v, field) for k, v in enumerate(values)]
         weights, acc, scale = st.weights, field.zero, h**st.derivative_order
         exact_w = _over_common_denominator(weights)
-        exact_v = exact_w and _over_common_denominator(values)
-        if exact_v:
-            (weights, w_den), (values, v_den) = exact_w, exact_v
+        if exact_w:  # rational weights, so every sample is a Fraction too
+            (weights, w_den), (values, v_den) = exact_w, _over_common_denominator(values)
             acc, scale = 0, scale * w_den * v_den
         for w, v in zip(weights, values):
             acc += w * v

@@ -287,6 +287,16 @@ def test_fbvp_refuses_shifts_from_two_without_a_table(capsys):
     assert "shift r = 2" in err
 
 
+@pytest.mark.parametrize("argv, first", [
+    (("bvp", "--Nmax", "3"), 4),
+    (("fbvp", "--alpha", "1.6", "--Nmax", "4"), 8),
+])
+def test_study_refuses_an_nmax_below_its_first_grid(capsys, argv, first):
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err == f"error: --Nmax must be at least {first}\n"
+
+
 def test_fbvp_alpha_out_of_range(capsys):
     rc, _, err = invoke(capsys, "fbvp", "--alpha", "2.5", "--N", "16")
     assert rc == 1

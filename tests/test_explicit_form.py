@@ -191,7 +191,7 @@ def test_error_coefficient_count_window():
     with pytest.raises(ValueError):
         error_coefficients(cv, count=4)
     for count in (True, False):
-        with pytest.raises(ValueError, match="count must be in 1..p"):
+        with pytest.raises(ValueError, match=rf"^count must be an integer in 1\.\.3, got {count}$"):
             error_coefficients(cv, count)
 
 

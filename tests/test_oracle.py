@@ -41,7 +41,7 @@ def test_esp_direct_validation():
     with pytest.raises(ValueError):
         esp_direct((1, 2), -1)
     for k in (True, False):
-        with pytest.raises(ValueError, match="need 0 <= k <= 3"):
+        with pytest.raises(ValueError, match=rf"^k must be an integer in 0\.\.3, got {k}$"):
             esp_direct([1, 2, 3], k)
 
 

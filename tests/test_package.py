@@ -3,14 +3,18 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diffgen
 from diffgen import FLOAT64, miller_expand
+from diffgen.oracle import esp_direct
 
 MODULES = ("explicit_form", "oracle", "scalars", "series", "solvers", "stencils")
 
@@ -96,3 +100,52 @@ def test_cli_requests_load_no_scipy_until_an_f64_expansion():
     assert done.returncode == 0, done.stderr
     weights = miller_expand(F64_BASE, F64_GAMMA, 64, FLOAT64).weights
     assert json.loads(done.stdout) == [w.hex() for w in weights]
+
+
+def _cv(d, p):
+    return diffgen.beta_coefficients(diffgen.derive_params(d, d, p, 1))
+
+
+# every count argument: (call with the count, the parameter's name, a valid value, low, high)
+COUNT_ARGUMENTS = {
+    "derive_params-d": (lambda v: diffgen.derive_params(1, v, 2, 0),
+                        "base derivative order d", 2, 1, None),
+    "derive_params-p": (lambda v: diffgen.derive_params(1, 1, v, 0), "accuracy order p", 2, 1, None),
+    "denominators-d": (lambda v: diffgen.denominators(v, 2), "d", 2, 1, None),
+    "denominators-p": (lambda v: diffgen.denominators(2, v), "p", 2, 1, None),
+    "error_coefficients-count": (lambda v: diffgen.error_coefficients(_cv(2, 3), v),
+                                 "count", 2, 1, 3),
+    "grunwald_weights-truncation": (lambda v: diffgen.grunwald_weights(Fraction(1, 2), v),
+                                    "truncation", 4, 1, None),
+    "miller_expand-truncation": (lambda v: miller_expand([1, -1], Fraction(1, 2), v),
+                                 "truncation", 4, 1, None),
+    "poly_power_int-gamma": (lambda v: diffgen.poly_power_int([1, 1], v), "gamma", 2, 1, None),
+    "esp_direct-k": (lambda v: esp_direct([1, 2, 3], v), "k", 2, 0, 3),
+    "consistency_moments-k_max": (lambda v: diffgen.consistency_moments(_cv(2, 3), v),
+                                  "k_max", 5, 4, None),
+    "symbol_series-count": (lambda v: diffgen.symbol_series(_cv(2, 3), v), "count", 2, 0, None),
+    "bigdecimal-digits": (diffgen.bigdecimal, "precision digits", 30, 15, None),
+    "solve_bvp-N": (lambda v: diffgen.solve_bvp(diffgen.sine_bvp(), "central", v),
+                    "number of intervals N", 8, 2, None),
+    "solve_bvp-r": (lambda v: diffgen.solve_bvp(diffgen.power_law_fractional_bvp(Fraction(8, 5)),
+                                                "fractional", 8, r=v), "shift r", 1, 0, None),
+    "unified_coefficient_rows-N": (diffgen.unified_coefficient_rows,
+                                   "number of intervals N", 4, 2, None),
+    "noncompact_stencil-alpha": (lambda v: diffgen.noncompact_stencil(v, 1, 2, 0),
+                                 "derivative order alpha", 2, 2, None),
+    "noncompact_stencil-d": (lambda v: diffgen.noncompact_stencil(4, v, 2, 0),
+                             "base derivative order d", 2, 1, None),
+}
+
+
+@pytest.mark.parametrize("site", COUNT_ARGUMENTS)
+def test_every_count_argument_is_an_int_in_its_range(site):
+    # a bool, a float, a numpy integer (even of a valid value) and an int out
+    # of range are each refused with the parameter's name and the value
+    call, name, valid, low, high = COUNT_ARGUMENTS[site]
+    call(valid)
+    above = [] if high is None else [high + 1]
+    for value in [True, 2.5, np.int64(valid), low - 1, *above]:
+        message = rf"^{re.escape(name)} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)

@@ -374,13 +374,11 @@ def test_rational_stencil_on_exact_samples_is_fraction_dot_product(shape, gamma,
     want = sum((w * F(v) for w, v in zip(st_.weights, samples)), F(0)) / h**st_.derivative_order
     got = apply_stencil(st_, samples, 0, h)
     assert got == want and type(got) is F
-    # float samples take the field's own loop: the old float, bit for bit
+    # float samples enter the field exactly: the dot product of their exact values
     floats = [float(v) / 3 for v in samples]
-    acc = RATIONAL.zero
-    for w, v in zip(st_.weights, floats):
-        acc += w * v
-    want = acc / h**st_.derivative_order
-    assert apply_stencil(st_, floats, 0, h).hex() == want.hex()
+    want = sum((w * F(v) for w, v in zip(st_.weights, floats)), F(0)) / h**st_.derivative_order
+    got = apply_stencil(st_, floats, 0, h)
+    assert got == want and type(got) is F
 
 
 @PROPERTY

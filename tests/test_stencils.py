@@ -167,6 +167,23 @@ def test_apply_refuses_a_spacing_or_point_that_is_not_finite(field):
             apply_stencil(st, lambda t: t * t, x, 1)
 
 
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
+def test_apply_reads_every_sample_into_the_field(field):
+    # float samples are converted (exactly in the rational field); an inf or a
+    # NaN, in a sequence or from the callable, is refused by its index
+    st = compact_stencil(2, 2, 1, field)
+    samples = [1.0, 2.0, 3.5, 5.0]
+    got = apply_stencil(st, samples, 0, 1)
+    assert type(got) is type(field.one)
+    assert got == apply_stencil(st, [field.of(v) for v in samples], 0, 1)
+    assert got == field.of(F(1, 2))  # weights (1, -2, 1, 0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^sample 2 must be a finite number"):
+            apply_stencil(st, [1.0, 2.0, bad, 5.0], 0, 1)
+        with pytest.raises(ValueError, match="^sample 0 must be a finite number"):
+            apply_stencil(st, lambda t: bad, 0, 1)
+
+
 def test_rational_stencil_applications_are_exact():
     # a callable and a sequence of samples, on one stencil; applying it
     # leaves the stencil equal to a fresh one
