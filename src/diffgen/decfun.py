@@ -3,7 +3,7 @@
 Everything here follows the active decimal context: intermediates carry a few
 guard digits, results are rounded back to the caller's precision on return.
 sin/cos/pi are the classic series recipes; gamma is Spouge's expansion with
-the term count scaled to the working precision.
+its term count and guard digits scaled to the working precision.
 """
 
 from __future__ import annotations
@@ -77,24 +77,35 @@ def cos(x: Decimal) -> Decimal:
 
 
 def gamma(x: Decimal) -> Decimal:
-    """Gamma function for positive arguments (Spouge's series)."""
+    """Gamma function for positive arguments, within one ulp (Spouge's series).
+
+    Below 1, Gamma(x) = Gamma(x + 1) / x. With a terms, Spouge's relative
+    error is below (2 pi)^-(a + 1/2): a = (prec + 3) / log10(2 pi), rounded
+    up, keeps it below 10^-(prec + 3). The alternating terms c_k / (z + k)
+    outgrow their sum by up to 0.55 a digits (the largest ratio over z >= 0,
+    measured for a <= 400), so the sum carries 0.6 a guard digits at every
+    argument. Each coefficient
+    c_k = (a - k)^(k - 1/2) e^(a - k) / (k - 1)! is the exact integer
+    (a - k)^k over (k - 1)! sqrt(a - k), times a power of one e.
+    """
     x = +x
     if not x > 0:
         raise ValueError("gamma requires a positive argument")
     if x == x.to_integral_value() and x < 10000:
         return +Decimal(math.factorial(int(x) - 1))
     with localcontext() as ctx:
-        ctx.prec += 15
-        a = int(1.3 * ctx.prec) + 2
-        z = x - 1
-        acc = (2 * pi()).sqrt()
-        fact = 1
-        for k in range(1, a):
-            if k > 1:
-                fact *= k - 1
-            term = Decimal(a - k) ** (Decimal(2 * k - 1) / 2) * Decimal(a - k).exp()
-            term /= fact * (z + k)
+        a = math.ceil((ctx.prec + 3) / math.log10(2 * math.pi))
+        ctx.prec += 3 * a // 5 + 5  # 0.6 a for the cancellation, 5 for the roundings of a terms
+        z = x - 1 if x >= 1 else x
+        e = Decimal(1).exp()
+        e_power, fact, acc = Decimal(1), math.factorial(a - 1), Decimal(0)
+        for k in range(a - 1, 0, -1):  # e^(a - k) and (k - 1)! one factor at a time
+            e_power *= e
+            fact //= k
+            term = Decimal((a - k) ** k) / fact / Decimal(a - k).sqrt() * e_power / (z + k)
             acc += term if k % 2 else -term
         za = z + a
-        result = za ** (z + Decimal(1) / 2) * (-za).exp() * acc
+        result = za ** (z + Decimal("0.5")) * (-za).exp() * ((2 * pi()).sqrt() + acc)
+        if x < 1:
+            result /= x
     return +result

@@ -19,16 +19,47 @@ the solver layer computes in the field itself.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
 from . import decfun
+
+
+def _lazy_numpy():
+    """The numpy module, executed at its first attribute access rather than here.
+
+    No coefficient, stencil or Grünwald series needs an array, so importing
+    diffgen leaves numpy unexecuted until an array operation (any BVP solve,
+    ``Field.vector``, a Miller expansion to a power that is not an integer
+    >= 0) reads an attribute of it. That saves the import only for work that
+    builds no array; a solve pays it at its first array operation. An already
+    imported numpy is used as it is. The modules of the package take ``np``
+    from here: an ``import numpy`` of their own would execute it at once,
+    because the import statement reads the module's ``__spec__``.
+
+    diffgen starts no threads. Python 3.10's and 3.11's lazy module takes no
+    lock on its first attribute access, so two threads that first touch numpy
+    at the same moment could both execute it.
+    """
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ImportError("diffgen needs numpy, which is not installed")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 Scalar = Union[Fraction, float, Decimal]
 
@@ -78,6 +109,13 @@ def _integer_nth_root(n: int, k: int) -> tuple[int, bool]:
             break
         x = y
     return x, x**k == n
+
+
+def _numpy_scalar(value) -> bool:
+    """Whether ``value`` is a numpy scalar, asked without executing numpy for
+    any other value: every numpy scalar type's module is ``"numpy"``, and a
+    numpy value exists only once numpy has run."""
+    return type(value).__module__ == "numpy" and isinstance(value, np.generic)
 
 
 def _python_number(value: np.generic):
@@ -165,7 +203,7 @@ class _Rational(Field):
         if type(value) is Fraction:
             return value
         # Fraction refuses a numpy float32 and keeps a numpy int, which wraps on overflow
-        return Fraction(_python_number(value) if isinstance(value, np.generic) else value)
+        return Fraction(_python_number(value) if _numpy_scalar(value) else value)
 
     def _quotient(self, num: int, den: int) -> Fraction:
         return Fraction(num, den)
@@ -242,15 +280,15 @@ class _BigDecimal(Field):
         return localcontext(self._context)
 
     def of(self, value) -> Decimal:
-        if isinstance(value, str):  # read as the other fields read it, then rounded once
-            value = Fraction(value)
-        elif isinstance(value, np.generic):
-            value = _python_number(value)
         if isinstance(value, (Decimal, float)):  # an inf or a NaN stays one, for the finite checks
             return self._context.plus(Decimal(value))
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"cannot convert {type(value).__name__} to a decimal")
-        return self._quotient(*value.as_integer_ratio())
+        if isinstance(value, str):  # read as the other fields read it, then rounded once
+            value = Fraction(value)
+        if isinstance(value, (int, Fraction)):
+            return self._quotient(*value.as_integer_ratio())
+        if _numpy_scalar(value):
+            return self.of(_python_number(value))
+        raise TypeError(f"cannot convert {type(value).__name__} to a decimal")
 
     def vector(self, values) -> np.ndarray:
         return np.array([self._context.plus(v) if isinstance(v, Decimal) else self.of(v)
@@ -330,13 +368,15 @@ def field_from_name(name: str, digits: int = 50) -> Field:
 
 def field_of(x) -> Field:
     """Infer the field a scalar belongs to (Decimal uses the active precision;
-    a numpy integer counts as an int, a numpy float as a float)."""
-    if isinstance(x, (int, Fraction, np.integer)):
+    a numpy bool or integer counts as an int, a numpy float as a float)."""
+    if isinstance(x, (int, Fraction)):
         return RATIONAL
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, float):
         return FLOAT64
     if isinstance(x, Decimal):
         return bigdecimal(max(MIN_DIGITS, getcontext().prec))
+    if _numpy_scalar(x):
+        return FLOAT64 if isinstance(x, np.floating) else field_of(x.item())
     raise TypeError(f"not a scalar: {x!r}")
 
 

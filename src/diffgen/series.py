@@ -18,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .explicit_form import CoefficientVector, _finite
-from .scalars import Field, Scalar, _integer, _over_common_denominator, field_of
+from .scalars import Field, Scalar, _integer, _over_common_denominator, field_of, np
 
 __all__ = [
     "WeightSeries",

@@ -44,12 +44,10 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from . import decfun
 from .explicit_form import _node_polynomial, _warn, beta_coefficients, derive_params
 from .scalars import (_NO_CONTEXT, FLOAT64, RATIONAL, Field, Scalar, _integer,
-                      _over_common_denominator, bigdecimal)
+                      _over_common_denominator, bigdecimal, np)
 from .series import _expand, convergence_diagnostic
 
 __all__ = [

@@ -90,16 +90,76 @@ print(json.dumps([w.hex() for w in weights]))
 """
 
 
-def test_cli_requests_load_no_scipy_until_an_f64_expansion():
-    # a fresh interpreter: this process has loaded scipy through other tests
+def _fresh_interpreter(code: str, *args: str) -> str:
+    """The output of ``code`` run by a new interpreter that imports this diffgen."""
     src = str(Path(diffgen.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", FRESH_PROCESS, json.dumps(SCIPY_FREE_REQUESTS)],
+    done = subprocess.run([sys.executable, "-c", code, *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_requests_load_no_scipy_until_an_f64_expansion():
+    # a fresh interpreter: this process has loaded scipy through other tests
+    out = _fresh_interpreter(FRESH_PROCESS, json.dumps(SCIPY_FREE_REQUESTS))
     weights = miller_expand(F64_BASE, F64_GAMMA, 64, FLOAT64).weights
-    assert json.loads(done.stdout) == [w.hex() for w in weights]
+    assert json.loads(out) == [w.hex() for w in weights]
+
+
+# CLI requests that need no array, so numpy never executes: coefficients and
+# stencils in every field, the tables, the oracle and the Grünwald series
+NUMPY_FREE_REQUESTS = [
+    ["weights", "--alpha", "8/5", "--d", "2", "--p", "2", "--r", "1", "--mode", mode]
+    for mode in ("rational", "f64", "big")
+] + [
+    ["stencil", "--kind", "shifted", "--d", "2", "--p", "2", "--r", "1", "--mode", mode]
+    for mode in ("rational", "f64", "big")
+] + [
+    ["expand", "--alpha", "8/5", "--K", "8", "--mode", mode] for mode in ("rational", "f64", "big")
+] + [["table", "--which", "5"], ["oracle", "--dmax", "2", "--pmax", "2"]]
+
+NUMPY_FRESH_PROCESS = """
+import contextlib, io, json, sys
+from fractions import Fraction
+import diffgen, diffgen.cli
+from diffgen import (FLOAT64, RATIONAL, apply_stencil, bigdecimal, compact_stencil,
+                     power_law_fractional_bvp, sine_bvp, solve_bvp)
+def numpy_idle(step):  # the lazy module itself is numpy; its submodules run with it
+    assert not [m for m in sys.modules if m.startswith("numpy.")], f"{step} executes numpy"
+numpy_idle("import diffgen, diffgen.cli")
+for field in (FLOAT64, bigdecimal(50)):
+    sine_bvp(field), power_law_fractional_bvp(Fraction(8, 5), field)
+    numpy_idle(f"building the problems in {field}")
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = diffgen.cli.run(argv)
+    assert status == 0, (argv, status)
+    numpy_idle(f"diffgen {' '.join(argv)}")
+for field in (RATIONAL, FLOAT64, bigdecimal(50)):
+    stencil = compact_stencil(2, 2, 1, field)
+    apply_stencil(stencil, lambda x: x * x * x, Fraction(1, 3), Fraction(1, 8))
+    apply_stencil(stencil, [1, 2, 4, 8], 0, Fraction(1, 2))
+    numpy_idle(f"a stencil in {field}")
+report = solve_bvp(sine_bvp(FLOAT64), "central", 16)
+assert "numpy.linalg" in sys.modules, "an f64 solve ran without numpy"
+import numpy
+assert RATIONAL.of(numpy.float32(0.1)) == Fraction(13421773, 134217728)
+seven = bigdecimal(30).of(numpy.int64(7))
+assert type(seven).__name__ == "Decimal" and seven == 7, repr(seven)
+print(json.dumps([x.hex() for x in report.solution]))
+"""
+
+
+def test_numpy_executes_only_with_the_first_array_operation():
+    # a fresh interpreter: this process has run numpy through other tests
+    out = _fresh_interpreter(NUMPY_FRESH_PROCESS, json.dumps(NUMPY_FREE_REQUESTS))
+    report = diffgen.solve_bvp(diffgen.sine_bvp(FLOAT64), "central", 16)
+    assert json.loads(out) == [x.hex() for x in report.solution]
+    # a numpy imported before diffgen is the one diffgen uses
+    out = _fresh_interpreter("import numpy, diffgen; print(diffgen.scalars.np is numpy)")
+    assert out.strip() == "True"
 
 
 def _cv(d, p):

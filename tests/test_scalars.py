@@ -77,7 +77,8 @@ def test_field_of_inference():
     assert field_of(3) is RATIONAL
     assert field_of(0.5) is FLOAT64
     assert field_of(Decimal("0.5")).name == "bigdecimal"
-    # numpy scalars: an integer counts as an int, a float of any width as a float
+    # numpy scalars: a bool or an integer counts as an int, a float of any width as a float
+    assert field_of(True) is RATIONAL and field_of(np.True_) is RATIONAL
     assert field_of(np.int64(2)) is RATIONAL and field_of(np.uint8(3)) is RATIONAL
     assert field_of(np.float64(0.5)) is FLOAT64 and field_of(np.float32(0.5)) is FLOAT64
     assert grunwald_weights(np.int64(2), 3) == grunwald_weights(2, 3)
@@ -380,13 +381,15 @@ def test_decimal_gamma_against_math():
         assert abs(float(got) - math.gamma(float(x))) <= 1e-13 * math.gamma(float(x))
 
 
-def test_decimal_gamma_against_mpmath_50_digits():
-    big = bigdecimal(50)
-    mpmath.mp.dps = 60
-    for x in ("5.6", "5.34", "1.75"):
-        got = big.gamma(Decimal(x))
-        want = Decimal(mpmath.nstr(mpmath.gamma(mpmath.mpf(x)), 55))
-        assert abs(got - want) < Decimal("1e-45") * want
+@pytest.mark.parametrize("digits", (15, 30, 50, 100, 200))
+def test_decimal_gamma_within_one_ulp_of_mpmath(digits):
+    # Spouge's alternating terms outgrow their sum the most at large arguments
+    big = bigdecimal(digits)
+    with mpmath.workdps(digits + 20):
+        for x in ("0.01", "0.5", "1.75", "4.015625", "5.34", "5.6", "30.5", "99.99", "149.9"):
+            got = big.gamma(Decimal(x))
+            want = Decimal(mpmath.nstr(mpmath.gamma(mpmath.mpf(x)), digits + 15))
+            assert abs(got - want) <= Decimal(1).scaleb(got.adjusted() - digits + 1), x
 
 
 def test_decimal_gamma_integers_and_domain():

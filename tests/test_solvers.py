@@ -1754,8 +1754,9 @@ def test_solver_outputs_are_unchanged():
     # solves; taken with the dense unified solver, which gave the same
     # rational unified solutions, and with the decimal fractional records
     # split off before their series products became exact. The fractional
-    # r = 2 system is assembled only, as solve_bvp refuses it.
-    assert _solver_digests()[0] == "b63175c40fa90efed91adae4796095dc078189d569a4a8fb46fbf5f8d2d52e2c"
+    # r = 2 system is assembled only, as solve_bvp refuses it. The 50-digit
+    # power-law data carry the correctly rounded Gamma(28/5).
+    assert _solver_digests()[0] == "1175376b7702cf1aa109f98bc4684cf2806061706548a1084dd394fc228cade5"
 
 
 def test_unified_float_and_decimal_outputs_are_pinned():
@@ -1767,8 +1768,9 @@ def test_unified_float_and_decimal_outputs_are_pinned():
 def test_decimal_fractional_outputs_are_pinned():
     # the 30- and 50-digit fractional solves, whose series products are the
     # exact sums rounded once (checked against exact sums in
-    # test_properties.py and against elimination above)
-    assert _solver_digests()[2] == "96055049c64246097e61c01a736136e36863a52e42e406506cf4c9b24a24f905"
+    # test_properties.py and against elimination above), the 50-digit ones
+    # with the correctly rounded Gamma(28/5) in their data
+    assert _solver_digests()[2] == "e7959788c4ab42891a2b3216b849bca0e65cbf16ad25c5702e251e40b48468ed"
 
 
 def test_f64_series_solves_at_large_grids_are_pinned():
