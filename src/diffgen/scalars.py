@@ -19,7 +19,6 @@ the solver layer computes in the field itself.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import sys
 from contextlib import nullcontext
@@ -31,35 +30,29 @@ from typing import Union
 from . import decfun
 
 
-def _lazy_numpy():
-    """The numpy module, executed at its first attribute access rather than here.
+class _Numpy:
+    """numpy, imported by the first attribute read of it rather than by diffgen's import.
 
     No coefficient, stencil or Grünwald series needs an array, so importing
-    diffgen leaves numpy unexecuted until an array operation (any BVP solve,
+    diffgen runs no numpy until an array operation (any BVP solve,
     ``Field.vector``, a Miller expansion to a power that is not an integer
     >= 0) reads an attribute of it. That saves the import only for work that
-    builds no array; a solve pays it at its first array operation. An already
-    imported numpy is used as it is. The modules of the package take ``np``
-    from here: an ``import numpy`` of their own would execute it at once,
-    because the import statement reads the module's ``__spec__``.
-
-    diffgen starts no threads. Python 3.10's and 3.11's lazy module takes no
-    lock on its first attribute access, so two threads that first touch numpy
-    at the same moment could both execute it.
+    builds no array; a solve pays it at its first array operation. The first
+    read of each name runs the import statement, which holds numpy's module
+    lock while numpy executes, so threads that touch it at once wait for one
+    whole import, and a failed import raises its ImportError each time. The
+    modules of the package take ``np`` from here.
     """
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
-        raise ImportError("diffgen needs numpy, which is not installed")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    spec.loader.exec_module(module)
-    return module
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)  # later reads of the name find it without this call
+        return value
 
 
-np = _lazy_numpy()
+np = sys.modules.get("numpy") or _Numpy()  # an already imported numpy is used as it is
 
 Scalar = Union[Fraction, float, Decimal]
 
@@ -109,13 +102,6 @@ def _integer_nth_root(n: int, k: int) -> tuple[int, bool]:
             break
         x = y
     return x, x**k == n
-
-
-def _numpy_scalar(value) -> bool:
-    """Whether ``value`` is a numpy scalar, asked without executing numpy for
-    any other value: every numpy scalar type's module is ``"numpy"``, and a
-    numpy value exists only once numpy has run."""
-    return type(value).__module__ == "numpy" and isinstance(value, np.generic)
 
 
 def _python_number(value: np.generic):
@@ -202,8 +188,10 @@ class _Rational(Field):
     def of(self, value) -> Fraction:
         if type(value) is Fraction:
             return value
+        if isinstance(value, (int, float, str, Decimal, Fraction)):  # read with no numpy
+            return Fraction(value)
         # Fraction refuses a numpy float32 and keeps a numpy int, which wraps on overflow
-        return Fraction(_python_number(value) if _numpy_scalar(value) else value)
+        return Fraction(_python_number(value) if isinstance(value, np.generic) else value)
 
     def _quotient(self, num: int, den: int) -> Fraction:
         return Fraction(num, den)
@@ -286,7 +274,7 @@ class _BigDecimal(Field):
             value = Fraction(value)
         if isinstance(value, (int, Fraction)):
             return self._quotient(*value.as_integer_ratio())
-        if _numpy_scalar(value):
+        if isinstance(value, np.generic):
             return self.of(_python_number(value))
         raise TypeError(f"cannot convert {type(value).__name__} to a decimal")
 
@@ -375,7 +363,7 @@ def field_of(x) -> Field:
         return FLOAT64
     if isinstance(x, Decimal):
         return bigdecimal(max(MIN_DIGITS, getcontext().prec))
-    if _numpy_scalar(x):
+    if isinstance(x, np.generic):
         return FLOAT64 if isinstance(x, np.floating) else field_of(x.item())
     raise TypeError(f"not a scalar: {x!r}")
 

@@ -126,8 +126,8 @@ from fractions import Fraction
 import diffgen, diffgen.cli
 from diffgen import (FLOAT64, RATIONAL, apply_stencil, bigdecimal, compact_stencil,
                      power_law_fractional_bvp, sine_bvp, solve_bvp)
-def numpy_idle(step):  # the lazy module itself is numpy; its submodules run with it
-    assert not [m for m in sys.modules if m.startswith("numpy.")], f"{step} executes numpy"
+def numpy_idle(step):
+    assert not [m for m in sys.modules if m.split(".")[0] == "numpy"], f"{step} imports numpy"
 numpy_idle("import diffgen, diffgen.cli")
 for field in (FLOAT64, bigdecimal(50)):
     sine_bvp(field), power_law_fractional_bvp(Fraction(8, 5), field)
@@ -160,6 +160,53 @@ def test_numpy_executes_only_with_the_first_array_operation():
     # a numpy imported before diffgen is the one diffgen uses
     out = _fresh_interpreter("import numpy, diffgen; print(diffgen.scalars.np is numpy)")
     assert out.strip() == "True"
+
+
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # every import of numpy now fails, as if it were not installed
+import diffgen.cli
+from diffgen import FLOAT64
+assert diffgen.cli.run(["weights", "--alpha", "8/5", "--d", "2", "--p", "2", "--r", "1"]) == 0
+try:
+    FLOAT64.vector([1.0])
+except ImportError as exc:
+    print(exc)
+"""
+
+
+def test_without_numpy_only_an_array_operation_fails_and_names_it():
+    lines = _fresh_interpreter(WITHOUT_NUMPY).splitlines()
+    assert lines[:2] == ["3/4 -5/4 1/4 1/4", "error: 17/120"]
+    assert len(lines) == 3 and "numpy" in lines[2]
+
+
+FIRST_USE_FROM_THREADS = """
+import sys, threading
+from diffgen import FLOAT64, bigdecimal
+barrier, results = threading.Barrier(4), []
+def first_use(field):
+    barrier.wait()
+    try:
+        results.append(str(field.vector([1, 2]).sum()))
+    except Exception as exc:
+        results.append(repr(exc))
+threads = [threading.Thread(target=first_use, args=(field,))
+           for field in (FLOAT64, FLOAT64, bigdecimal(30), bigdecimal(30))]
+sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+assert not any(thread.is_alive() for thread in threads)
+print(sorted(results))
+"""
+
+
+def test_threads_that_first_touch_numpy_at_once_wait_for_one_import():
+    # a module half executed by another thread would lack the attributes read here
+    out = _fresh_interpreter(FIRST_USE_FROM_THREADS)
+    assert out.strip() == "['3', '3', '3.0', '3.0']"
 
 
 def _cv(d, p):
