@@ -8,13 +8,16 @@ coefficients come from the J.C.P. Miller recurrence
 
 seeded with w_0 = beta_0^gamma. The recurrence is a lower-triangular banded
 system A w = w_0 e_0 of bandwidth deg: A[0, 0] = 1, A[m, m] = m * beta_0 and
-A[m, m-k] = -(k*(gamma+1) - m) * beta_k. Double precision divides row m by m
-and solves it with one BLAS ``dtbsv``; the exact and decimal fields
-forward-substitute it. The Grünwald weights are the P(z) = 1 - z case.
+A[m, m-k] = -(k*(gamma+1) - m) * beta_k, solved by forward substitution in
+every field. Double precision first divides row m by m, so that no partial
+sum holds m times a weight, and sums each row on Python floats from k = deg
+down to 1: the same bits on every IEEE host, at any truncation. The Grünwald
+weights are the P(z) = 1 - z case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +48,11 @@ def grunwald_weights(alpha, truncation: int, field: Field | None = None) -> tupl
     """First ``truncation`` binomial weights of (1 - z)**alpha.
 
     g_0 = 1 and g_k = g_{k-1} * (k - 1 - alpha) / k. A non-finite alpha
-    raises ValueError.
+    raises ValueError. A double-precision weight that is not finite raises
+    OverflowError naming its index. The product g_{k-1} * (k - 1 - alpha) is
+    rounded before the division by k, so it can leave the range first: at
+    alpha = 3001/2 weight 271 is refused, though the exact weights stay in
+    range up to 274.
     """
     _integer("truncation", truncation, 1)
     if field is None:
@@ -55,6 +62,10 @@ def grunwald_weights(alpha, truncation: int, field: Field | None = None) -> tupl
         weights = [field.one]
         for k in range(1, truncation):
             weights.append(weights[-1] * (k - 1 - alpha) / k)
+    if field.name == "float64":
+        first = next((k for k, g in enumerate(weights) if not math.isfinite(g)), None)
+        if first is not None:
+            raise OverflowError(_not_finite(first, f"(1 - z)^{alpha}"))
     return tuple(weights)
 
 
@@ -90,39 +101,46 @@ def _expand(base, gamma, truncation: int, field: Field, head=None) -> np.ndarray
     """``truncation`` weights of P(z)**gamma, for gamma not an integer >= 0,
     as the field's array (float64 in double precision, objects otherwise)
     from ``base`` and ``gamma`` in ``field``, under ``field.context()``.
-    ``head``, a shorter expansion of the same series, gives the seed; the exact
-    and decimal fields continue after it, and f64 solves the band again (a
-    ``dtbsv`` term has the same bits at every length)."""
+    ``head``, a shorter expansion of the same series, gives the seed, and
+    every field continues the recurrence after it: each term is computed
+    from the ones before it alone, so it has the same bits at every length."""
     b0 = base[0]
     if gamma != int(gamma) and not b0 > 0:
         raise ValueError("fractional exponent requires a positive leading base coefficient")
     if b0 == 0:  # gamma is a negative integer here
         raise ZeroDivisionError("negative power of a polynomial with zero constant term")
-    w0 = field.power(b0, gamma) if head is None else head[0]
+    w = [field.power(b0, gamma)] if head is None else head.tolist()
     deg = len(base) - 1
     if field.name == "float64":
-        from scipy.linalg.blas import dtbsv  # loaded by the first f64 expansion only
-        # band ab[k, j] = A[j + k, j] / (j + k): row m divided by m, so no partial
-        # sum holds m times a weight; the diagonal is beta_0, A[0, 0] = 1 the seed
-        j, k = np.arange(truncation), np.arange(deg + 1)[:, None]
-        ab = (j - k * gamma) * np.array(base)[:, None] / np.maximum(j + k, 1)
-        ab[0, 0], rhs = 1.0, np.zeros(truncation)
-        rhs[0] = w0
-        w = dtbsv(deg, ab, rhs, lower=1)
+        # row m of the band divided by m, its terms k = deg .. 1 against
+        # w_{m-deg} .. w_{m-1}; those of k > m fall below w_0, where w holds
+        # deg zeros, and are 0 themselves
+        m, k = np.arange(len(w), truncation)[:, None], np.arange(deg, 0, -1)
+        rows = np.where(k <= m, (m - k - k * gamma) * np.array(base[:0:-1]) / m, 0.0)
+        w = [0.0] * deg + w
+        for row in rows.tolist():
+            acc = 0.0
+            for c, x in zip(row, w[-deg:]):
+                acc -= c * x
+            w.append(acc / b0)
+        w = np.array(w[deg:])
         finite = np.isfinite(w)
         if not finite.all():
-            raise OverflowError(
-                f"double-precision weight {int(np.argmin(finite))} of P(z)^{gamma} is not "
-                "finite; expand in a decimal field, e.g. bigdecimal(50) or --mode big")
+            raise OverflowError(_not_finite(int(np.argmin(finite)), f"P(z)^{gamma}"))
         return w
     rise = [k * (gamma + 1) for k in range(deg + 1)]
-    w = [w0] if head is None else head.tolist()
     for m in range(len(w), truncation):
         acc = field.zero
         for k in range(1, min(m, deg) + 1):
             acc += (rise[k] - m) * base[k] * w[m - k]
         w.append(acc / (m * b0))
     return np.array(w, dtype=object)
+
+
+def _not_finite(index: int, series: str) -> str:
+    """The refusal of a double-precision weight out of range."""
+    return (f"double-precision weight {index} of {series} is not finite; "
+            "expand in a decimal field, e.g. bigdecimal(50) or --mode big")
 
 
 def poly_power_int(base, gamma: int) -> tuple[Scalar, ...]:

@@ -526,7 +526,8 @@ def _generator(alpha: Scalar, alpha_text: str, d: int, p: int, r: int, field: Fi
 
 def _series(generator, gamma, length: int) -> np.ndarray:
     """The first ``length`` terms of the generator's P(z)^gamma, expanded past
-    the kept ones if needed. Call under the field's context."""
+    the kept ones if needed, in every field from the kept head on, so a
+    study computes each term once. Call under the field's context."""
     cv, _, kept, _ = generator
     # a race between two growths only repeats work: every expansion has the same terms
     head = kept.get(gamma)
@@ -574,7 +575,7 @@ def _ill_conditioned(cause: str, cond) -> SingularMatrixError:
 
 
 def _solve_float(matrix, b):
-    import scipy.linalg  # loaded by the first float solve only
+    import scipy.linalg  # diffgen's one use of scipy, loaded by the first call
     scale = float(max(matrix.max(), -matrix.min())) or 1.0  # no N x N temporary
     if not math.isfinite(scale):
         raise SingularMatrixError("matrix must not contain infs or NaNs")
@@ -592,10 +593,10 @@ def _solve_float(matrix, b):
 def solve_dense(matrix, rhs, field: Field | None = None):
     """Solve a nonempty square system given as a numpy array or as lists of rows.
 
-    numpy arrays take LAPACK LU and refuse a pivot below 1e-14 of the largest
-    entry, naming a condition estimate. Lists take Gaussian elimination with
-    partial pivoting and a zero-pivot check, under ``field.context()`` when
-    given.
+    numpy arrays take scipy's LAPACK LU (the only call that loads scipy) and
+    refuse a pivot below 1e-14 of the largest entry, naming a condition
+    estimate. Lists take Gaussian elimination with partial pivoting and a
+    zero-pivot check, under ``field.context()`` when given.
     """
     shape = matrix.shape if isinstance(matrix, np.ndarray) else (
         len(matrix), *sorted({len(row) for row in matrix}))

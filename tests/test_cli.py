@@ -185,6 +185,17 @@ def test_expand_overflow_in_double_precision_exits_1(capsys):
     assert rc == 0 and err == "" and len(out.split()) == 1100
 
 
+def test_expand_grunwald_overflow_in_double_precision_exits_1(capsys):
+    # the binomial weights of (1 - z)^1500.5 leave the double range
+    argv = ["expand", "--alpha", "3001/2", "--K", "800"]
+    rc, out, err = invoke(capsys, *argv, "--mode", "f64")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: double-precision weight 271 of (1 - z)^1500.5 is not finite;")
+    assert "--mode big" in err
+    rc, out, err = invoke(capsys, *argv, "--mode", "big")
+    assert rc == 0 and err == "" and len(out.split()) == 800
+
+
 def test_table_one(capsys):
     rc, out, _ = invoke(capsys, "table", "--which", "1")
     assert rc == 0

@@ -53,9 +53,8 @@ def test_module_api_is_exported_by_the_package(name):
     assert all(getattr(diffgen, n) is getattr(module, n) for n in module.__all__)
 
 
-# CLI requests that never load scipy: rational and 50-digit work of every
-# subcommand, f64 coefficients, stencils and Grünwald series, and the f64
-# central and unified BVP solves
+# CLI requests that load no scipy: every subcommand, in every field it
+# takes, the f64 generator expansion and the f64 BVP studies included
 SCIPY_FREE_REQUESTS = [
     ["weights", "--alpha", "8/5", "--d", "2", "--p", "2", "--r", "1"],
     ["weights", "--alpha", "8/5", "--d", "2", "--p", "2", "--r", "1", "--mode", "f64"],
@@ -63,29 +62,40 @@ SCIPY_FREE_REQUESTS = [
     ["stencil", "--kind", "shifted", "--d", "2", "--p", "2", "--r", "1", "--mode", "f64"],
     ["expand", "--alpha", "3/2", "--K", "8", "--d", "1", "--p", "1", "--r", "0"],
     ["expand", "--alpha", "8/5", "--K", "8", "--d", "2", "--p", "2", "--r", "1", "--mode", "big"],
+    ["expand", "--alpha", "8/5", "--K", "24", "--d", "2", "--p", "2", "--r", "1", "--mode", "f64"],
     ["expand", "--alpha", "8/5", "--K", "8", "--mode", "f64"],
     ["table", "--which", "5"],
     ["bvp", "--Nmax", "16"],
     ["bvp", "--mode", "big", "--scheme", "unified", "--Nmax", "8"],
     ["fbvp", "--alpha", "8/5", "--mode", "big", "--Nmax", "16"],
+    ["fbvp", "--alpha", "8/5", "--mode", "f64", "--Nmax", "64"],
+    ["fbvp", "--alpha", "8/5", "--mode", "f64", "--r", "0", "--Nmax", "64"],
     ["oracle", "--dmax", "2", "--pmax", "2"],
 ]
 
-# the f64 generator expansion, the first request that needs scipy's BLAS
+# an f64 expansion by the Miller recurrence, whose bits must not depend on the process
 F64_BASE, F64_GAMMA = (1.5, -2.0, 0.5), -0.75
 
 FRESH_PROCESS = f"""
 import contextlib, io, json, sys
+from fractions import Fraction
 import diffgen, diffgen.cli
-from diffgen import FLOAT64, miller_expand
-assert "scipy" not in sys.modules, "import diffgen loads scipy"
+from diffgen import FLOAT64, miller_expand, power_law_fractional_bvp, solve_bvp, solve_dense
+def scipy_idle(step):
+    assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], f"{{step}} loads scipy"
+scipy_idle("import diffgen, diffgen.cli")
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         status = diffgen.cli.run(argv)
     assert status == 0, (argv, status)
-    assert "scipy" not in sys.modules, f"diffgen {{' '.join(argv)}} loads scipy"
+    scipy_idle(f"diffgen {{' '.join(argv)}}")
 weights = miller_expand({F64_BASE!r}, {F64_GAMMA!r}, 64, FLOAT64).weights
-assert "scipy.linalg.blas" in sys.modules, "the f64 expansion ran without scipy's BLAS"
+scipy_idle("an f64 miller_expand")
+solve_bvp(power_law_fractional_bvp(Fraction(7, 5)), "fractional", 128)
+scipy_idle("an f64 fractional solve_bvp")
+import numpy
+solve_dense(numpy.eye(3), numpy.ones(3))
+assert "scipy.linalg" in sys.modules, "solve_dense on an ndarray ran without scipy's LU"
 print(json.dumps([w.hex() for w in weights]))
 """
 
@@ -101,8 +111,10 @@ def _fresh_interpreter(code: str, *args: str) -> str:
     return done.stdout
 
 
-def test_cli_requests_load_no_scipy_until_an_f64_expansion():
-    # a fresh interpreter: this process has loaded scipy through other tests
+def test_no_request_loads_scipy_but_a_dense_float_solve():
+    # a fresh interpreter: this process has loaded scipy through other tests.
+    # Only solve_dense on a numpy array loads it, for its LAPACK LU; the f64
+    # weights have the same bits in both processes
     out = _fresh_interpreter(FRESH_PROCESS, json.dumps(SCIPY_FREE_REQUESTS))
     weights = miller_expand(F64_BASE, F64_GAMMA, 64, FLOAT64).weights
     assert json.loads(out) == [w.hex() for w in weights]

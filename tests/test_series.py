@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 import diffgen.series as series
+import diffgen.solvers as solvers
 from diffgen import (
     FLOAT64,
     RATIONAL,
@@ -194,6 +195,20 @@ def test_float64_overflow_is_refused(base, gamma, truncation, index):
     assert abs(weights[index]) > sys.float_info.max >= abs(weights[index - 1])
 
 
+def test_float64_grunwald_overflow_is_refused():
+    # the product g_{k-1} (k - 1 - alpha) leaves the range before its
+    # division by k: weight 271 is refused, though the exact weights stay in
+    # range up to 274
+    alpha = F(3001, 2)
+    with pytest.raises(OverflowError, match=r"^double-precision weight 271 of \(1 - z\)\^1500\.5 "
+                                            r"is not finite; expand in a decimal field"):
+        grunwald_weights(alpha, 800, FLOAT64)
+    assert all(map(math.isfinite, grunwald_weights(alpha, 271, FLOAT64)))
+    weights = grunwald_weights(alpha, 800, bigdecimal(30))
+    assert all(w.is_finite() for w in weights)
+    assert abs(weights[275]) > sys.float_info.max >= abs(weights[274])
+
+
 def test_bool_truncation_is_refused():
     for call in (lambda t: miller_expand((1, -1), F(1, 2), t),
                  lambda t: miller_expand((1.0, -1.0), 0.5, t, FLOAT64),
@@ -203,41 +218,8 @@ def test_bool_truncation_is_refused():
                 call(truncation)
 
 
-def test_float64_expansion_is_one_banded_solve(monkeypatch):
-    # K = 4096 weights: one dtbsv call of bandwidth deg, and miller_expand
-    # runs as many lines as it does for 8 weights (no per-weight loop);
-    # _expand imports dtbsv from scipy's BLAS module when it first needs it
-    import scipy.linalg.blas as blas
-    calls, dtbsv = [], blas.dtbsv
-
-    def counted(k, ab, rhs, **options):
-        calls.append((k, ab.shape))
-        return dtbsv(k, ab, rhs, **options)
-
-    monkeypatch.setattr(blas, "dtbsv", counted)
-
-    def traced(truncation):
-        lines = 0
-
-        def tracer(frame, event, arg):
-            nonlocal lines
-            if frame.f_code is not series.miller_expand.__code__:
-                return None
-            lines += event == "line"
-            return tracer
-
-        sys.settrace(tracer)
-        try:
-            weights = miller_expand((1.5, -2.0, 0.5), -0.75, truncation, FLOAT64).weights
-        finally:
-            sys.settrace(None)
-        return weights, lines
-
-    _, few = traced(8)
-    calls.clear()
-    weights, many = traced(4096)
-    assert calls == [(2, (3, 4096))]
-    assert many == few
+def test_float64_expansion_at_4096_weights():
+    weights = miller_expand((1.5, -2.0, 0.5), -0.75, 4096, FLOAT64).weights
     # the base and exponent are exact in f64: within K unit roundoffs of the
     # largest weight of the 50-digit forward substitution
     big = bigdecimal(50)
@@ -245,6 +227,19 @@ def test_float64_expansion_is_one_banded_solve(monkeypatch):
     with big.context():
         gap = max(abs(decimal.Decimal(w) - r) for w, r in zip(weights, ref))
         assert gap <= 4096 * decimal.Decimal(2) ** -53 * max(map(abs, ref))
+
+
+def test_float64_series_grown_by_a_study_is_one_expansion():
+    # a study keeps each generator's series and grows it from the kept head
+    # (solvers._series): 16, 1024 and then 4096 terms of P(z)^gamma and of
+    # P(z)^-gamma equal one fresh expansion to 4096 terms, bit for bit
+    cv = beta_coefficients(derive_params(F(8, 5), 2, 2, 1, FLOAT64))
+    generator = (cv, None, {}, {})  # a memo entry of solvers._generator, empty
+    for gamma in (cv.params.gamma, -cv.params.gamma):
+        fresh = miller_expand(cv.beta, gamma, 4096, FLOAT64).weights
+        for length in (16, 1024, 4096):
+            grown = solvers._series(generator, gamma, length)
+            assert [w.hex() for w in grown.tolist()] == [w.hex() for w in fresh[:length]]
 
 
 @pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(30)], ids=lambda f: f.name)

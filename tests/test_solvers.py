@@ -1708,8 +1708,9 @@ def _solver_digests():
     """sha256 digests of the solver outputs, as reprs (the sign of a zero, a
     Decimal's exponent): the unified solve_bvp records of the f64 and
     decimal fields in the second, the fractional solve_bvp records of the
-    decimal fields in the third, every other record in the first."""
-    kept, unified, fractional = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    decimal fields in the third, the f64 fractional records (solve_bvp and
+    assemble_fractional) in the fourth, every other record in the first."""
+    kept, unified, fractional, f64_fractional = (hashlib.sha256() for _ in range(4))
 
     def record(*parts, into=kept):
         into.update(repr(_plain(parts)).encode() + b"\n")
@@ -1734,29 +1735,32 @@ def _solver_digests():
                     if options["r"] < 2:  # solve_bvp refuses r >= 2
                         report = solve_bvp(problem, "fractional", n, field, **options)
                         record(field, options, n, report.solution, report.max_error, report.h,
-                               into=kept if field is FLOAT64 else fractional)
+                               into=f64_fractional if field is FLOAT64 else fractional)
                     if n in (4, 8):
                         record(field, options, n, assemble_fractional(problem, n, field=field,
-                                                                      **options))
+                                                                      **options),
+                               into=f64_fractional if field is FLOAT64 else kept)
     for field in (RATIONAL, FLOAT64, bigdecimal(30)):
         for alpha, d, p, r in ((2, 1, 3, 1), (F(8, 5), 2, 2, 1), (F(8, 5), 2, 5, F(1, 2)),
                                (3, 2, 4, F(7, 3)), (F(1, 2), 1, 6, 0)):
             cv = beta_coefficients(derive_params(alpha, d, p, r, field))
             for count in (1, p, p + 2):
                 record(field, alpha, d, p, r, count, symbol_series(cv, count))
-    return kept.hexdigest(), unified.hexdigest(), fractional.hexdigest()
+    return kept.hexdigest(), unified.hexdigest(), fractional.hexdigest(), f64_fractional.hexdigest()
 
 
 def test_solver_outputs_are_unchanged():
     # solve_bvp (solution, max_error, h), the assemble_* systems and
     # symbol_series in the rational, f64 and 30- and 50-digit fields, except
-    # the unified solves outside the exact field and the decimal fractional
-    # solves; taken with the dense unified solver, which gave the same
-    # rational unified solutions, and with the decimal fractional records
-    # split off before their series products became exact. The fractional
-    # r = 2 system is assembled only, as solve_bvp refuses it. The 50-digit
-    # power-law data carry the correctly rounded Gamma(28/5).
-    assert _solver_digests()[0] == "1175376b7702cf1aa109f98bc4684cf2806061706548a1084dd394fc228cade5"
+    # the unified solves outside the exact field, the decimal fractional
+    # solves and the f64 fractional records; taken with the dense unified
+    # solver, which gave the same rational unified solutions, with the
+    # decimal fractional records split off before their series products
+    # became exact, and with the f64 fractional records split off before
+    # their series left BLAS. The fractional r = 2 system is assembled only,
+    # as solve_bvp refuses it. The 50-digit power-law data carry the
+    # correctly rounded Gamma(28/5).
+    assert _solver_digests()[0] == "e055830f987b9d5595bf72a8815d87d72d461ee36aea3841582f7f00c3116ccd"
 
 
 def test_unified_float_and_decimal_outputs_are_pinned():
@@ -1773,11 +1777,20 @@ def test_decimal_fractional_outputs_are_pinned():
     assert _solver_digests()[2] == "e7959788c4ab42891a2b3216b849bca0e65cbf16ad25c5702e251e40b48468ed"
 
 
+def test_f64_fractional_outputs_are_pinned():
+    # the f64 fractional solves and assemble_fractional systems, whose
+    # weight series sum each term of the Miller recurrence on Python floats
+    # in a fixed order, so they have the same bits on every IEEE host
+    assert _solver_digests()[3] == "a52428768a713a56403e9182bf42f449ae5abd462eda05421e073420eb41e8e9"
+
+
 def test_f64_series_solves_at_large_grids_are_pinned():
     # reprs of solution and max_error of the f64 central and fractional
-    # (r = 1 and 0) series solves where the array path pays most; taken
-    # before the weight series became arrays from expansion to solution
-    digest = hashlib.sha256()
+    # (r = 1 and 0) series solves where the array path pays most, one digest
+    # each for the central and the fractional solves; the central one taken
+    # before the weight series became arrays from expansion to solution, the
+    # fractional one after its series left BLAS
+    digests = {"central": hashlib.sha256(), "fractional": hashlib.sha256()}
     central, fractional = sine_bvp(), power_law_fractional_bvp(F(8, 5))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -1786,9 +1799,12 @@ def test_f64_series_solves_at_large_grids_are_pinned():
                                              (fractional, "fractional", {"r": 1}),
                                              (fractional, "fractional", {"r": 0})):
                 report = solve_bvp(problem, scheme, n, **options)
-                digest.update(repr((scheme, options, n, report.solution, report.max_error)).encode()
-                              + b"\n")
-    assert digest.hexdigest() == "b0478da8601611f965a1f54a25d332365f7b81841e2e742eba63e883bb683415"
+                digests[scheme].update(repr((scheme, options, n, report.solution,
+                                             report.max_error)).encode() + b"\n")
+    assert {scheme: digest.hexdigest() for scheme, digest in digests.items()} == {
+        "central": "42058e172b3988dab0a03301e940a8eef2cfb74e15e23875bcaf1e4b4b496c8a",
+        "fractional": "d2bae959d4fdca5201b6173e2246aef66436e875d939f91c84e97ada16c9bb9b",
+    }
 
 
 # --- the unified scheme by exact collocation ---------------------------------
