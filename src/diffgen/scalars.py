@@ -174,10 +174,12 @@ class Field:
         return _NO_CONTEXT
 
     def vector(self, values) -> np.ndarray:
-        """A new 1-D array of ``values`` converted into this field: float64 in
-        double precision, objects (each value through ``of``) otherwise."""
-        # an object array holds a numpy array's numbers as Python numbers
-        return np.array([self.of(v) for v in np.asarray(values, dtype=object)], dtype=object)
+        """A new 1-D array of ``values`` (an ndarray, by ``tolist``, or an ordered
+        iterable) in this field: float64 in double precision, else objects via ``of``."""
+        if isinstance(values, (str, bytes, set, frozenset, dict)):  # one scalar, or no order
+            raise TypeError(f"a vector takes a sequence of values, not {type(values).__name__}")
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        return np.fromiter(map(self.of, values), dtype=object, count=len(values))
 
 
 class _Rational(Field):
@@ -268,7 +270,9 @@ class _BigDecimal(Field):
         return localcontext(self._context)
 
     def of(self, value) -> Decimal:
-        if isinstance(value, (Decimal, float)):  # an inf or a NaN stays one, for the finite checks
+        if isinstance(value, Decimal):  # an inf or a NaN stays one, for the finite checks
+            return self._context.plus(value)
+        if isinstance(value, float):
             return self._context.plus(Decimal(value))
         if isinstance(value, str):  # read as the other fields read it, then rounded once
             value = Fraction(value)
@@ -277,10 +281,6 @@ class _BigDecimal(Field):
         if isinstance(value, np.generic):
             return self.of(_python_number(value))
         raise TypeError(f"cannot convert {type(value).__name__} to a decimal")
-
-    def vector(self, values) -> np.ndarray:
-        return np.array([self._context.plus(v) if isinstance(v, Decimal) else self.of(v)
-                         for v in np.asarray(values, dtype=object)], dtype=object)
 
     def finite(self, values) -> bool:
         return all(v.is_finite() for v in values)

@@ -63,9 +63,7 @@ def grunwald_weights(alpha, truncation: int, field: Field | None = None) -> tupl
         for k in range(1, truncation):
             weights.append(weights[-1] * (k - 1 - alpha) / k)
     if field.name == "float64":
-        first = next((k for k, g in enumerate(weights) if not math.isfinite(g)), None)
-        if first is not None:
-            raise OverflowError(_not_finite(first, f"(1 - z)^{alpha}"))
+        _refuse_non_finite(weights, f"(1 - z)^{alpha}")
     return tuple(weights)
 
 
@@ -92,6 +90,8 @@ def miller_expand(base, gamma, truncation: int, field: Field | None = None) -> W
         if gamma_f == int(gamma_f) and gamma_f >= 0:
             full = poly_power_int(base_f, int(gamma_f)) if gamma_f else (field.one,)
             weights = (full + (field.zero,) * truncation)[:truncation]
+            if field.name == "float64":
+                _refuse_non_finite(weights, f"P(z)^{gamma_f}")
             return WeightSeries(gamma_f, base_f, weights, truncation)
         weights = _expand(base_f, gamma_f, truncation, field)
     return WeightSeries(gamma_f, base_f, tuple(weights.tolist()), truncation)
@@ -123,24 +123,23 @@ def _expand(base, gamma, truncation: int, field: Field, head=None) -> np.ndarray
             for c, x in zip(row, w[-deg:]):
                 acc -= c * x
             w.append(acc / b0)
-        w = np.array(w[deg:])
-        finite = np.isfinite(w)
-        if not finite.all():
-            raise OverflowError(_not_finite(int(np.argmin(finite)), f"P(z)^{gamma}"))
-        return w
+        _refuse_non_finite(w[deg:], f"P(z)^{gamma}")
+        return np.array(w[deg:])
     rise = [k * (gamma + 1) for k in range(deg + 1)]
     for m in range(len(w), truncation):
         acc = field.zero
         for k in range(1, min(m, deg) + 1):
             acc += (rise[k] - m) * base[k] * w[m - k]
         w.append(acc / (m * b0))
-    return np.array(w, dtype=object)
+    return np.fromiter(w, dtype=object, count=len(w))
 
 
-def _not_finite(index: int, series: str) -> str:
-    """The refusal of a double-precision weight out of range."""
-    return (f"double-precision weight {index} of {series} is not finite; "
-            "expand in a decimal field, e.g. bigdecimal(50) or --mode big")
+def _refuse_non_finite(weights, series: str) -> None:
+    """OverflowError naming the first double-precision weight out of range, if any."""
+    first = next((k for k, g in enumerate(weights) if not math.isfinite(g)), None)
+    if first is not None:
+        raise OverflowError(f"double-precision weight {first} of {series} is not finite; "
+                            "expand in a decimal field, e.g. bigdecimal(50) or --mode big")
 
 
 def poly_power_int(base, gamma: int) -> tuple[Scalar, ...]:

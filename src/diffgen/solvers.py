@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, getcontext, localcontext
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, getcontext,
+                     localcontext)
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import decfun
@@ -83,6 +84,13 @@ class Grid:
     h: Scalar
     n: int
     x: np.ndarray
+
+    @cached_property
+    def _rounded(self) -> list:
+        """(i, x_i - (a + i h)) exactly, where a decimal point was rounded;
+        ``_grid`` seeds [] when its context raised no Inexact."""
+        with localcontext(_EXACT):
+            return [(i, d) for i, x in enumerate(self.x) if (d := x - (self.a + i * self.h))]
 
 
 @dataclass(frozen=True)
@@ -134,37 +142,37 @@ class SolveReport:
 
 # exact decimal arithmetic for sums and products (no rounding, no overflow)
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_wide = lru_cache(bigdecimal)  # each working precision's field, and its Context, built once
 
 
 def _guard(field: Field, grid: Grid) -> Field:
-    """The decimal field that grid data are built in before one rounding:
-    10 guard digits, and one per decade of points for the error each step adds."""
-    return bigdecimal(field.digits + 10 + math.ceil(math.log10(grid.n + 1)))
-
-
-def _offsets(grid: Grid) -> list:
-    """x_i - (a + i h), exactly: nonzero where a decimal grid point was rounded."""
-    with localcontext(_EXACT):
-        return [x - (grid.a + i * grid.h) for i, x in enumerate(grid.x)]
+    """The decimal field that grid data are built in before one rounding: 10
+    guard digits, and two per decade of points for the sine recurrence's n^2 u."""
+    return _wide(field.digits + 10 + 2 * math.ceil(math.log10(grid.n + 1)))
 
 
 def _decimal_sines(grid: Grid, field: Field, kept: dict) -> np.ndarray:
-    """sin x_i on a decimal grid: (sin, cos)(a + i h) by angle addition from a
-    in steps of h, plus the first-order term cos * offset where x_i was
-    rounded, each rounded once into ``field``. ``kept`` maps (precision, the
-    text of a or h) to its (sin, cos), so the grids of a study share a's pair
-    and a repeated grid computes no sine."""
+    """sin x_i on a decimal grid, rounded once into ``field``: s_0 = sin a,
+    s_1 = sin(a + h), s_(i+1) = 2 cos h s_i - s_(i-1) (Goertzel and Reinsch),
+    plus cos(a + i h), by the same recurrence, times the offset where x_i was
+    rounded; exactly 0 where x_i = 0. An error e at step j reaches point i as
+    e sin((i - j) h) / sin h, at most (i - j) e; a step errs by at most 7u, with
+    2 cos h's rounding, and s_0, s_1 by 6u (u: half a unit in the last guard digit),
+    so |s_i - sin x_i| <= (7 i^2 / 2 + 6 i) u. ``kept``: (precision, a or h text) -> (sin, cos)."""
     wide = _guard(field, grid)
     with wide.context():
         for x in (grid.a, grid.h):
             if (wide.digits, str(x)) not in kept:
                 kept[wide.digits, str(x)] = decfun.sin(x), decfun.cos(x)
         (s, c), (sh, ch) = (kept[wide.digits, str(x)] for x in (grid.a, grid.h))
-        values = []
-        for d in _offsets(grid):
-            values.append(s + c * d if d else s)
-            s, c = s * ch + c * sh, c * ch - s * sh
-    return field.vector(values)
+        twice, rounded = 2 * ch, grid._rounded
+        columns = [[s, s * ch + c * sh]] + ([[c, c * ch - s * sh]] if rounded else [])
+        for column in columns:  # the sines, and the cosines if a point was rounded
+            for _ in range(grid.n - 1):
+                column.append(twice * column[-1] - column[-2])
+        for i, d in rounded:
+            columns[0][i] += columns[1][i] * d
+    return field.vector([v if x else 0 for v, x in zip(columns[0], grid.x)])
 
 
 def sine_bvp(field: Field = FLOAT64) -> BvpProblem:
@@ -172,9 +180,9 @@ def sine_bvp(field: Field = FLOAT64) -> BvpProblem:
 
     ``exact(grid)`` is sin at the n + 1 grid points and ``rhs(grid)`` its
     negation at the interior ones. Double precision takes ``np.sin``; a
-    decimal field rotates (sin, cos) by the angle h along the grid (angle
-    addition) at digits + 10 + ceil(log10(n + 1)) digits and rounds once, so
-    the values are within 10^-digits of sin x_i. Both serve from one
+    decimal field runs s_(i+1) = 2 cos h s_i - s_(i-1) along the grid at
+    digits + 10 + 2 ceil(log10(n + 1)) digits and rounds once: within
+    10^-digits of sin x_i, and exactly 0 at x = 0. Both serve from one
     evaluation on the same ``Grid``. The problem keeps (sin a, cos a) per
     working precision and (sin h, cos h) per precision and step, so a study
     computes a's pair once and a repeated grid computes no sine. The
@@ -246,7 +254,7 @@ def _decimal_powers(grid: Grid, e: Decimal, field: Field, kept: dict) -> np.ndar
         raise ValueError(f"power-law grid data need a grid starting at 0, got a = {grid.a}")
     wide = _guard(field, grid)
     prec = wide.digits + 3
-    with localcontext(Context(prec=prec)):
+    with _wide(prec).context():
         if prec not in kept:
             binomial = [Decimal(1)]
             for k in range(1, math.floor(e) + 2 + math.ceil(prec / math.log10(2))):
@@ -267,9 +275,8 @@ def _decimal_powers(grid: Grid, e: Decimal, field: Field, kept: dict) -> np.ndar
             scales[str(grid.h)] = (e * grid.h.ln()).exp()
         scale = scales[str(grid.h)]
         values = [scale * power for power in powers[:grid.n + 1]]
-        for i, d in enumerate(_offsets(grid)):
-            if d:
-                values[i] += e * values[i] * d / grid.x[i]
+        for i, d in grid._rounded:
+            values[i] += e * values[i] * d / grid.x[i]
     return field.vector(values)
 
 
@@ -279,7 +286,7 @@ def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
     ``rhs(grid)`` is f at the interior points. ``exact(grid)`` is
     ``grid.x ** (3 + alpha)`` in double precision; in a decimal field it is
     h^e * i^e, h^e from one logarithm and i^e by binomial series over the
-    primes <= n, at digits + 10 + ceil(log10(n + 1)) digits and rounded once.
+    primes <= n, at digits + 10 + 2 ceil(log10(n + 1)) digits, rounded once.
     The problem keeps the binomial table, the i^e and each step's h^e per
     working precision, so a study finds each i^e once and a repeated grid
     computes no logarithm. A grid that does not start at 0 raises ValueError.
@@ -347,12 +354,16 @@ def _checked(problem: BvpProblem, scheme: str, n: int, field: Field | None, opti
 
 
 def _grid(problem: BvpProblem, n: int, field: Field) -> Grid:
-    with field.context():
+    with field.context() as context:
         a = field.of(problem.a)
         h = (field.of(problem.b) - a) / n
         points = np.arange(n + 1)  # each int64 is a float64 exactly
-        x = a + (points if field.name == "float64" else points.astype(object)) * h
-    return Grid(a, h, n, x)
+        if context:  # a decimal field's, whose flags now answer for the points, not for h
+            context.clear_flags()
+        grid = Grid(a, h, n, a + (points if field.name == "float64" else points.astype(object)) * h)
+        if context and not context.flags[Inexact]:
+            object.__setattr__(grid, "_rounded", [])  # every x_i is a + i h
+    return grid
 
 
 def _grid_values(problem: BvpProblem, name: str, grid: Grid, field: Field) -> np.ndarray:
@@ -654,9 +665,9 @@ def _convolve(a, b, field: Field) -> np.ndarray:
         carry = 2 * c >= full  # a negative sum, which borrowed from the next slot
         sums.append(c - full if carry else c)
     if field.digits is None:
-        return np.array([Fraction(c, ea * eb) for c in sums], dtype=object)
+        return np.fromiter((Fraction(c, ea * eb) for c in sums), dtype=object, count=m)
     round_, scale = field._context.create_decimal, field._context.scaleb
-    return np.array([scale(round_(c), ea + eb) for c in sums], dtype=object)
+    return np.fromiter((scale(round_(c), ea + eb) for c in sums), dtype=object, count=m)
 
 
 def _solve_band(problem: BvpProblem, scheme: str, n: int, field: Field, options):

@@ -2,7 +2,9 @@
 
 import json
 import os
+import sys
 import warnings
+from decimal import Decimal
 
 import pytest
 
@@ -194,6 +196,19 @@ def test_expand_grunwald_overflow_in_double_precision_exits_1(capsys):
     assert "--mode big" in err
     rc, out, err = invoke(capsys, *argv, "--mode", "big")
     assert rc == 0 and err == "" and len(out.split()) == 800
+
+
+def test_expand_integer_power_overflow_in_double_precision_exits_1(capsys):
+    # the (d, p, r) = (1, 1, 0) generator to the integer power 1100 leaves the
+    # double range at weight 388, as its exact 50-digit weights do
+    argv = ["expand", "--alpha", "1100", "--K", "1101", "--d", "1", "--p", "1", "--r", "0"]
+    rc, out, err = invoke(capsys, *argv, "--mode", "f64")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: double-precision weight 388 of P(z)^1100.0 is not finite;")
+    rc, out, err = invoke(capsys, *argv, "--mode", "big")
+    weights = [abs(Decimal(w)) for w in out.split()]
+    assert rc == 0 and err == "" and len(weights) == 1101
+    assert weights[388] > Decimal(sys.float_info.max) >= max(weights[:388])
 
 
 def test_table_one(capsys):

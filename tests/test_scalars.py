@@ -281,16 +281,14 @@ _LONG = "3.14159265358979323846264338327950288419716939937510582097494459"
         "empty"])
 @pytest.mark.parametrize("digits", [15, 30])
 def test_decimal_vector_equals_of_by_repr(monkeypatch, inputs, digits):
-    # each value that is not a Decimal goes through ``of`` once, and a Decimal
-    # is rounded by the context's ``plus`` as ``of`` rounds it: the same
-    # values, exponents and signs of zero either way
+    # each value goes through ``of`` once, a Decimal straight to the context's
+    # ``plus``: the same values, exponents and signs of zero as ``of`` of each
     field, calls = bigdecimal(digits), []
     of = type(field).of
     monkeypatch.setattr(type(field), "of", lambda self, v: calls.append(v) or of(self, v))
     values = field.vector(inputs)
     monkeypatch.undo()
-    others = [v for v in np.asarray(inputs, dtype=object) if not isinstance(v, Decimal)]
-    assert repr(calls) == repr(others)
+    assert repr(calls) == repr(list(np.asarray(inputs, dtype=object)))
     assert values.dtype == object and values.shape == (len(inputs),)
     assert repr(values.tolist()) == repr([field.of(v) for v in np.asarray(inputs, dtype=object)])
 
@@ -311,6 +309,51 @@ def test_fields_take_numpy_scalars_at_their_exact_value(field, values):
     assert repr(field.vector(values).tolist()) == repr(field.vector(python).tolist())
     if field is RATIONAL:  # a numpy int64 numerator would wrap on overflow
         assert all(type(v.numerator) is int for v in converted)
+
+
+def _vector_by_lists(field, values):
+    """``Field.vector`` of the rational and decimal fields as a list of each
+    element of an object array through ``of`` (a Decimal rounded by ``plus``),
+    put into ``np.array``: their earlier form, the reference for one call."""
+    return np.array([field.of(v) for v in np.asarray(values, dtype=object)], dtype=object)
+
+
+def _outcome(build):
+    try:
+        values = build()
+    except Exception as exc:  # the error's type is part of the behaviour
+        return type(exc)
+    return values.dtype, values.shape, repr(values.tolist()), [type(v) for v in values.tolist()]
+
+
+@pytest.mark.parametrize("field", [RATIONAL, bigdecimal(30)], ids=lambda f: f.name)
+@pytest.mark.parametrize("values", [
+    [0, -7, 10**40 + 1], [Fraction(1, 3), Fraction(-22, 7)], [0.1, -0.0, 1e300],
+    ["1/3", "0.25", "-0", "1E-5"], [np.int64(5), np.float32(0.1), np.uint8(7), np.bool_(True)],
+    np.arange(-3, 4), np.array([0.1, -0.0, 2.5]), np.array([0.5, 0.1], dtype=np.float32),
+    np.array([0.1], dtype=np.longdouble), np.array([Decimal(1), Fraction(1, 2)], dtype=object),
+    [Decimal("3.14159265358979323846264338327950288419716939937510582097494459"),
+     Decimal("-0E-40")],
+    [math.inf, -math.inf], [math.nan], [Decimal("Infinity"), Decimal("-Infinity")],
+    [Decimal("NaN")], [], np.array([]), (Fraction(1, 2), 3), range(4),
+    np.ones((2, 2)), [[1, 2], [3, 4]], [[1], 2], 5, "12", b"12", {1, 2}, {1: 2},
+], ids=["ints", "fractions", "floats", "strings", "numpy-scalars", "numpy-arange", "numpy-floats",
+        "numpy-float32", "numpy-longdouble", "numpy-objects", "wider-decimals", "infinities",
+        "nan", "decimal-infinities", "decimal-nan", "empty", "empty-array", "tuple", "range",
+        "2-D-array", "2-D-list", "ragged", "scalar", "string", "bytes", "set", "dict"])
+def test_vector_in_one_call_equals_the_list_form(field, values):
+    # the same dtype, shape, reprs and element types, or the same type of
+    # error: a 2-D input, a scalar, a string, a set or a dict, or a value the
+    # field cannot hold
+    want = _outcome(lambda: _vector_by_lists(field, values))
+    assert _outcome(lambda: field.vector(values)) == want
+
+
+@pytest.mark.parametrize("field", [RATIONAL, bigdecimal(30)], ids=lambda f: f.name)
+def test_vector_refuses_a_2d_input(field):
+    for values in (np.ones((2, 2)), [[1, 2], [3, 4]], np.array([[Decimal(1)]], dtype=object)):
+        with pytest.raises(TypeError):
+            field.vector(values)
 
 
 def test_float64_quotient_of_zero_is_a_positive_zero():

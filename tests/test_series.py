@@ -209,6 +209,20 @@ def test_float64_grunwald_overflow_is_refused():
     assert abs(weights[275]) > sys.float_info.max >= abs(weights[274])
 
 
+def test_float64_integer_power_overflow_is_refused():
+    # the convolution power (1 - 3z)^700 is refused at its weight 240, the
+    # first whose exact value leaves the double range, as the banded solve
+    # and the Grunwald weights refuse theirs; a decimal field carries it
+    with pytest.raises(OverflowError, match=r"^double-precision weight 240 of P\(z\)\^700\.0 "
+                                            r"is not finite; expand in a decimal field"):
+        miller_expand((1.0, -3.0), 700, 700, FLOAT64)
+    assert all(map(math.isfinite, miller_expand((1.0, -3.0), 700, 240, FLOAT64).weights))
+    weights = miller_expand((1, -3), 700, 700, bigdecimal(30)).weights
+    assert abs(weights[240]) > sys.float_info.max >= abs(weights[239])
+    # in range, the integer power is the exact convolution rounded as before
+    assert miller_expand((1.0, -3.0), 3, 6, FLOAT64).weights == (1.0, -9.0, 27.0, -27.0, 0.0, 0.0)
+
+
 def test_bool_truncation_is_refused():
     for call in (lambda t: miller_expand((1, -1), F(1, 2), t),
                  lambda t: miller_expand((1.0, -1.0), 0.5, t, FLOAT64),

@@ -10,7 +10,7 @@ import re
 import sys
 import warnings
 from collections import Counter
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import mpmath
@@ -1635,7 +1635,7 @@ def test_decimal_power_law_small_and_rounded_grids_match_per_point_powers(digits
     problem = power_law_fractional_bvp(alpha, field)
     e = 3 + field.of(alpha)
     grids = [_grid(problem, n, field) for n in (2, 3, 11)] + [_rounded_thirds(field, 12)]
-    assert all(any(solvers._offsets(grid)) for grid in grids[2:])
+    assert all(grid._rounded for grid in grids[2:])
     with field.context():
         u = Decimal(10) ** -digits
         near_tie, neighbours = 1 - u, (1 - 5 * u, 1 - 4 * u)
@@ -1649,6 +1649,100 @@ def test_decimal_power_law_small_and_rounded_grids_match_per_point_powers(digits
                 assert value in neighbours
                 continue
             assert value == field.power(x, e), (grid.n, x)
+
+
+# --- the three-term sine recurrence and the exact-grid skip -------------------
+
+@pytest.mark.parametrize("digits", [20, 50, 100])
+def test_decimal_sines_are_within_half_an_ulp_and_the_guard_of_mpmath(digits):
+    # every point of the sine problem's grids and of the rounded-thirds grid,
+    # whose cosine correction runs at most points; x = 0 gives exactly 0
+    field = bigdecimal(digits)
+    problem = sine_bvp(field)
+    grids = [_grid(problem, n, field) for n in (2, 3, 5, 1000, 4096)]
+    for grid in grids + [_rounded_thirds(field, 300)]:
+        guard = solvers._guard(field, grid).digits
+        values = problem.exact(grid)
+        with mpmath.workdps(digits + 40):
+            slack = mpmath.mpf(10) ** (3 - guard)
+            for i, (x, value) in enumerate(zip(grid.x, values)):
+                want = mpmath.sin(mpmath.mpf(str(x)))
+                if not want:
+                    assert value == 0 and repr(value) == "Decimal('0')", (grid.n, i)
+                    continue
+                ulp = mpmath.mpf(10) ** (value.adjusted() + 1 - digits)
+                assert abs(mpmath.mpf(str(value)) - want) <= ulp / 2 + slack, (grid.n, i)
+
+
+def test_decimal_sine_recurrence_alone_is_within_its_error_budget(monkeypatch):
+    # with no guard digits each value is the recurrence at the field's own
+    # precision: within (7 i^2 / 2 + 6 i) u of sin x_i, u = 10^(1 - digits)/2,
+    # plus one u for the cosine correction of a rounded point
+    monkeypatch.setattr(solvers, "_guard", lambda field, grid: field)
+    for digits in (20, 50):
+        field = bigdecimal(digits)
+        problem = sine_bvp(field)
+        for grid in (_grid(problem, 4096, field), _grid(problem, 999, field),
+                     _rounded_thirds(field, 1000)):
+            values = problem.exact(grid)
+            with mpmath.workdps(digits + 40):
+                u = mpmath.mpf(10) ** (1 - digits) / 2
+                for i, (x, value) in enumerate(zip(grid.x, values)):
+                    error = abs(mpmath.mpf(str(value)) - mpmath.sin(mpmath.mpf(str(x))))
+                    assert error <= (mpmath.mpf(7) * i * i / 2 + 6 * i + 1) * u, (grid.n, i)
+
+
+def _exact_offsets(grid):
+    """Whether x_i == a + i h exactly at every point, by exact arithmetic."""
+    with localcontext(solvers._EXACT):
+        return all(x == grid.a + i * grid.h for i, x in enumerate(grid.x))
+
+
+def _seeded(grid):
+    """Whether ``_grid`` recorded that the points are exact."""
+    return vars(grid).get("_rounded") == []
+
+
+@pytest.mark.parametrize("digits", [20, 50])
+@pytest.mark.parametrize("a", [0, -1, F(1, 3), -10**40], ids=str)
+def test_offset_pass_is_skipped_exactly_when_every_offset_is_zero(digits, a):
+    field = bigdecimal(digits)
+    problem = BvpProblem(a=a, b=1, ua=0, ub=0, rhs=lambda g: [0] * (g.n - 1), alpha=2, field=field)
+    for n in range(2, 65):
+        grid = _grid(problem, n, field)
+        assert _seeded(grid) == _exact_offsets(grid), n
+        # a Grid built again from the same points computes its offsets, and
+        # they agree with the record
+        again = Grid(grid.a, grid.h, grid.n, grid.x)
+        assert "_rounded" not in vars(again)
+        assert (again._rounded == []) == _exact_offsets(grid), n
+
+
+def test_offset_pass_runs_where_a_product_i_h_was_rounded():
+    # at 2 digits every -9.9 + i/10 fits, but i h rounds for i >= 100 (12.3 to
+    # 12), so x_i is not a + i h and the offsets are computed
+    field = type(bigdecimal(15))("bigdecimal", 2)  # past bigdecimal's 15-digit floor
+    problem = BvpProblem(a=F(-99, 10), b=F(99, 10), ua=0, ub=0, rhs=lambda g: [0] * (g.n - 1),
+                         alpha=2, field=field)
+    grid = _grid(problem, 198, field)
+    assert grid.h == Decimal("0.10") and not _seeded(grid) and not _exact_offsets(grid)
+    assert grid._rounded and all(i >= 100 for i, _ in grid._rounded)
+
+
+def test_hand_made_grids_compute_their_offsets():
+    # no record on a Grid built by hand: the rounded thirds get their offsets
+    # (at 10 of their 13 points), each the exact x_i - i h, and an exact
+    # hand-made grid none; both sine data are the per-point sines
+    field = bigdecimal(30)
+    thirds = _rounded_thirds(field, 12)
+    assert "_rounded" not in vars(thirds)
+    with localcontext(solvers._EXACT):
+        want = [(i, x - i * thirds.h) for i, x in enumerate(thirds.x) if x != i * thirds.h]
+    assert thirds._rounded == want and len(want) == 10
+    quarters = Grid(field.zero, field.of(F(1, 4)), 8, field.vector([F(i, 4) for i in range(9)]))
+    assert quarters._rounded == []
+    for grid in (thirds, quarters):
+        assert list(sine_bvp(field).exact(grid)) == [field.sin(x) for x in grid.x]
 
 
 def test_decimal_power_law_takes_one_logarithm_per_grid():
@@ -1759,14 +1853,16 @@ def test_solver_outputs_are_unchanged():
     # became exact, and with the f64 fractional records split off before
     # their series left BLAS. The fractional r = 2 system is assembled only,
     # as solve_bvp refuses it. The 50-digit power-law data carry the
-    # correctly rounded Gamma(28/5).
-    assert _solver_digests()[0] == "e055830f987b9d5595bf72a8815d87d72d461ee36aea3841582f7f00c3116ccd"
+    # correctly rounded Gamma(28/5), and the decimal sine data are exactly 0
+    # at x = 0 (four assembled right-hand sides hold one each).
+    assert _solver_digests()[0] == "62b655779c2e073d55af20aa8f03bd93bae5f678b563aeb940057eea607c3ca6"
 
 
 def test_unified_float_and_decimal_outputs_are_pinned():
     # the f64 and decimal unified solves, each the exact collocation of the
-    # field's data rounded once (checked against exact elimination below)
-    assert _solver_digests()[1] == "ec8378728fed2ecde8b9a8b48702be90d5b433c34634562f78fe19e8bf6519f5"
+    # field's data rounded once (checked against exact elimination below);
+    # the decimal midpoint values are exactly 0, as the sine data are at x = 0
+    assert _solver_digests()[1] == "e723f53b6d9bc5d51fd6d152d228b8fae43df3c7298a7243a6ed893c4491baba"
 
 
 def test_decimal_fractional_outputs_are_pinned():
