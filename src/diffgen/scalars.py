@@ -33,15 +33,15 @@ from . import decfun
 class _Numpy:
     """numpy, imported by the first attribute read of it rather than by diffgen's import.
 
-    No coefficient, stencil or Grünwald series needs an array, so importing
-    diffgen runs no numpy until an array operation (any BVP solve,
-    ``Field.vector``, a Miller expansion to a power that is not an integer
-    >= 0) reads an attribute of it. That saves the import only for work that
-    builds no array; a solve pays it at its first array operation. The first
-    read of each name runs the import statement, which holds numpy's module
-    lock while numpy executes, so threads that touch it at once wait for one
-    whole import, and a failed import raises its ImportError each time. The
-    modules of the package take ``np`` from here.
+    No coefficient, stencil or weight series needs an array, so importing
+    diffgen runs no numpy until an array operation (any BVP solve or
+    ``Field.vector``) reads an attribute of it. That saves the import only
+    for work that builds no array; a solve pays it at its first array
+    operation. The first read of each name runs the import statement, which
+    holds numpy's module lock while numpy executes, so threads that touch it
+    at once wait for one whole import, and a failed import raises its
+    ImportError each time. The solvers take ``np`` from here; no other
+    module of the package uses numpy.
     """
 
     def __getattr__(self, name: str):

@@ -8,11 +8,11 @@ coefficients come from the J.C.P. Miller recurrence
 
 seeded with w_0 = beta_0^gamma. The recurrence is a lower-triangular banded
 system A w = w_0 e_0 of bandwidth deg: A[0, 0] = 1, A[m, m] = m * beta_0 and
-A[m, m-k] = -(k*(gamma+1) - m) * beta_k, solved by forward substitution in
-every field. Double precision first divides row m by m, so that no partial
-sum holds m times a weight, and sums each row on Python floats from k = deg
-down to 1: the same bits on every IEEE host, at any truncation. The Grünwald
-weights are the P(z) = 1 - z case.
+A[m, m-k] = -(k*(gamma+1) - m) * beta_k, solved by forward substitution on
+the field's own Python numbers, with no array. Double precision first
+divides row m by m, so that no partial sum holds m times a weight, and sums
+each row from k = deg down to 1: the same bits on every IEEE host, at any
+truncation. The Grünwald weights are the P(z) = 1 - z case.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .explicit_form import CoefficientVector, _finite
-from .scalars import Field, Scalar, _integer, _over_common_denominator, field_of, np
+from .scalars import Field, Scalar, _integer, _over_common_denominator, field_of
 
 __all__ = [
     "WeightSeries",
@@ -94,44 +94,42 @@ def miller_expand(base, gamma, truncation: int, field: Field | None = None) -> W
                 _refuse_non_finite(weights, f"P(z)^{gamma_f}")
             return WeightSeries(gamma_f, base_f, weights, truncation)
         weights = _expand(base_f, gamma_f, truncation, field)
-    return WeightSeries(gamma_f, base_f, tuple(weights.tolist()), truncation)
+    return WeightSeries(gamma_f, base_f, tuple(weights), truncation)
 
 
-def _expand(base, gamma, truncation: int, field: Field, head=None) -> np.ndarray:
+def _expand(base, gamma, truncation: int, field: Field, head=None) -> list:
     """``truncation`` weights of P(z)**gamma, for gamma not an integer >= 0,
-    as the field's array (float64 in double precision, objects otherwise)
-    from ``base`` and ``gamma`` in ``field``, under ``field.context()``.
-    ``head``, a shorter expansion of the same series, gives the seed, and
-    every field continues the recurrence after it: each term is computed
-    from the ones before it alone, so it has the same bits at every length."""
+    as a list of field scalars from ``base`` and ``gamma`` in ``field``,
+    under ``field.context()``. ``head``, a shorter expansion of the same
+    series, gives the seed, and every field continues the recurrence after
+    it: each term is computed from the ones before it alone, so it has the
+    same bits at every length."""
     b0 = base[0]
     if gamma != int(gamma) and not b0 > 0:
         raise ValueError("fractional exponent requires a positive leading base coefficient")
     if b0 == 0:  # gamma is a negative integer here
         raise ZeroDivisionError("negative power of a polynomial with zero constant term")
-    w = [field.power(b0, gamma)] if head is None else head.tolist()
+    w = [field.power(b0, gamma)] if head is None else list(head)
     deg = len(base) - 1
     if field.name == "float64":
         # row m of the band divided by m, its terms k = deg .. 1 against
-        # w_{m-deg} .. w_{m-1}; those of k > m fall below w_0, where w holds
-        # deg zeros, and are 0 themselves
-        m, k = np.arange(len(w), truncation)[:, None], np.arange(deg, 0, -1)
-        rows = np.where(k <= m, (m - k - k * gamma) * np.array(base[:0:-1]) / m, 0.0)
-        w = [0.0] * deg + w
-        for row in rows.tolist():
-            acc = 0.0
-            for c, x in zip(row, w[-deg:]):
-                acc -= c * x
+        # w_{m-deg} .. w_{m-1}, read as w[-k] while w holds m weights; row
+        # m < deg has the last m of them. m - k is exact in floats
+        terms = [(-k, float(k), k * gamma, base[k]) for k in range(deg, 0, -1)]
+        for m in range(len(w), truncation):
+            mf, acc = float(m), 0.0
+            for back, kf, kg, bk in terms[-m:]:
+                acc -= (mf - kf - kg) * bk / mf * w[back]
             w.append(acc / b0)
-        _refuse_non_finite(w[deg:], f"P(z)^{gamma}")
-        return np.array(w[deg:])
+        _refuse_non_finite(w, f"P(z)^{gamma}")
+        return w
     rise = [k * (gamma + 1) for k in range(deg + 1)]
     for m in range(len(w), truncation):
         acc = field.zero
         for k in range(1, min(m, deg) + 1):
             acc += (rise[k] - m) * base[k] * w[m - k]
         w.append(acc / (m * b0))
-    return np.fromiter(w, dtype=object, count=len(w))
+    return w
 
 
 def _refuse_non_finite(weights, series: str) -> None:

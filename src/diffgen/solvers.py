@@ -143,6 +143,7 @@ class SolveReport:
 # exact decimal arithmetic for sums and products (no rounding, no overflow)
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _wide = lru_cache(bigdecimal)  # each working precision's field, and its Context, built once
+_DATA_BLOCK = 32  # the Lagrange basis columns that _data_bound gathers at a time
 
 
 def _guard(field: Field, grid: Grid) -> Field:
@@ -543,7 +544,8 @@ def _series(generator, gamma, length: int) -> np.ndarray:
     # a race between two growths only repeats work: every expansion has the same terms
     head = kept.get(gamma)
     if head is None or len(head) < length:
-        head = kept[gamma] = _expand(cv.beta, gamma, length, cv.params.field, head)
+        head = kept[gamma] = np.array(_expand(cv.beta, gamma, length, cv.params.field,
+                                              None if head is None else head.tolist()))
         head.flags.writeable = False
     return head[:length]
 
@@ -604,10 +606,10 @@ def _solve_float(matrix, b):
 def solve_dense(matrix, rhs, field: Field | None = None):
     """Solve a nonempty square system given as a numpy array or as lists of rows.
 
-    numpy arrays take scipy's LAPACK LU (the only call that loads scipy) and
-    refuse a pivot below 1e-14 of the largest entry, naming a condition
-    estimate. Lists take Gaussian elimination with partial pivoting and a
-    zero-pivot check, under ``field.context()`` when given.
+    Numeric numpy arrays take scipy's LAPACK LU (the only call that loads
+    scipy) and refuse a pivot below 1e-14 of the largest entry, naming a
+    condition estimate. Lists and object arrays take Gaussian elimination with
+    partial pivoting and a zero-pivot check, under ``field.context()`` if given.
     """
     shape = matrix.shape if isinstance(matrix, np.ndarray) else (
         len(matrix), *sorted({len(row) for row in matrix}))
@@ -615,7 +617,7 @@ def solve_dense(matrix, rhs, field: Field | None = None):
     if shape[0] == 0 or shape != (shape[0],) * 2 or rhs_shape != shape[:1]:
         raise ValueError(f"need a nonempty square matrix and a right-hand side of "
                          f"matching length, got shapes {shape} and {rhs_shape}")
-    if isinstance(matrix, np.ndarray):
+    if isinstance(matrix, np.ndarray) and matrix.dtype != object:
         return _solve_float(matrix, np.asarray(rhs, dtype=float))
     with _NO_CONTEXT if field is None else field.context():
         return _solve_exact(matrix, rhs)
@@ -777,7 +779,7 @@ def _integrated_values(poly: np.ndarray, points) -> tuple[np.ndarray, int]:
 
 
 @lru_cache(maxsize=None)
-def _data_bound(n: int, block: int = 32) -> Fraction:
+def _data_bound(n: int, block: int = _DATA_BLOCK) -> Fraction:
     """||A_N||_inf exactly, A_N the map from v = h^2 f to the interior u of
     the unified scheme (zero boundary values, t = (x - a)/h): the columns
     of A_N are the double integrals of the Lagrange basis. Rows j and n - j

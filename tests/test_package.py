@@ -121,7 +121,8 @@ def test_no_request_loads_scipy_but_a_dense_float_solve():
 
 
 # CLI requests that need no array, so numpy never executes: coefficients and
-# stencils in every field, the tables, the oracle and the Grünwald series
+# stencils in every field, the tables, the oracle, the Grünwald series and
+# the generator expansions
 NUMPY_FREE_REQUESTS = [
     ["weights", "--alpha", "8/5", "--d", "2", "--p", "2", "--r", "1", "--mode", mode]
     for mode in ("rational", "f64", "big")
@@ -130,6 +131,10 @@ NUMPY_FREE_REQUESTS = [
     for mode in ("rational", "f64", "big")
 ] + [
     ["expand", "--alpha", "8/5", "--K", "8", "--mode", mode] for mode in ("rational", "f64", "big")
+] + [
+    ["expand", "--alpha", "3/2", "--K", "8", "--d", "1", "--p", "1", "--r", "0"],
+    ["expand", "--alpha", "8/5", "--K", "24", "--d", "2", "--p", "2", "--r", "1", "--mode", "f64"],
+    ["expand", "--alpha", "8/5", "--K", "24", "--d", "2", "--p", "2", "--r", "1", "--mode", "big"],
 ] + [["table", "--which", "5"], ["oracle", "--dmax", "2", "--pmax", "2"]]
 
 NUMPY_FRESH_PROCESS = """
@@ -137,7 +142,7 @@ import contextlib, io, json, sys
 from fractions import Fraction
 import diffgen, diffgen.cli
 from diffgen import (FLOAT64, RATIONAL, apply_stencil, bigdecimal, compact_stencil,
-                     power_law_fractional_bvp, sine_bvp, solve_bvp)
+                     miller_expand, power_law_fractional_bvp, sine_bvp, solve_bvp)
 def numpy_idle(step):
     assert not [m for m in sys.modules if m.split(".")[0] == "numpy"], f"{step} imports numpy"
 numpy_idle("import diffgen, diffgen.cli")
@@ -154,6 +159,11 @@ for field in (RATIONAL, FLOAT64, bigdecimal(50)):
     apply_stencil(stencil, lambda x: x * x * x, Fraction(1, 3), Fraction(1, 8))
     apply_stencil(stencil, [1, 2, 4, 8], 0, Fraction(1, 2))
     numpy_idle(f"a stencil in {field}")
+    with field.context():
+        base = tuple(field.of(b) for b in (Fraction(9, 4), -3, 1))
+    miller_expand(base, Fraction(-1, 2), 64, field)
+    miller_expand(base, Fraction(1, 2), 64, field)
+    numpy_idle(f"a miller_expand in {field}")
 report = solve_bvp(sine_bvp(FLOAT64), "central", 16)
 assert "numpy.linalg" in sys.modules, "an f64 solve ran without numpy"
 import numpy
@@ -180,6 +190,9 @@ sys.modules["numpy"] = None  # every import of numpy now fails, as if it were no
 import diffgen.cli
 from diffgen import FLOAT64
 assert diffgen.cli.run(["weights", "--alpha", "8/5", "--d", "2", "--p", "2", "--r", "1"]) == 0
+generator = ["expand", "--alpha", "8/5", "--K", "3", "--d", "2", "--p", "2", "--r", "1"]
+assert diffgen.cli.run(generator + ["--mode", "f64"]) == 0
+assert diffgen.cli.run(generator + ["--mode", "big", "--digits", "50"]) == 0
 try:
     FLOAT64.vector([1.0])
 except ImportError as exc:
@@ -190,7 +203,11 @@ except ImportError as exc:
 def test_without_numpy_only_an_array_operation_fails_and_names_it():
     lines = _fresh_interpreter(WITHOUT_NUMPY).splitlines()
     assert lines[:2] == ["3/4 -5/4 1/4 1/4", "error: 17/120"]
-    assert len(lines) == 3 and "numpy" in lines[2]
+    assert lines[2] == "0.7944178807866091 -1.0592238410488122 0.035307461368293803"
+    assert lines[3] == ("0.79441788078660918997100605009456420568479974936165 "
+                        "-1.0592238410488122532946747334594189409130663324822 "
+                        "0.035307461368293741776489157781980631363768877749407")
+    assert len(lines) == 5 and "numpy" in lines[4]
 
 
 FIRST_USE_FROM_THREADS = """

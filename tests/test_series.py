@@ -4,11 +4,13 @@ diagnostic."""
 
 import decimal
 import hashlib
+import itertools
 import math
 import random
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import diffgen.series as series
@@ -268,7 +270,48 @@ def test_expansion_grown_from_a_head_is_the_full_expansion(field, gamma):
         full = series._expand(base, gamma, 48, field)
         for k in (1, 2, 3, 4, 17, 47, 48):
             grown = series._expand(base, gamma, 48, field, series._expand(base, gamma, k, field))
-            assert repr(grown.tolist()) == repr(full.tolist()), k
+            assert repr(grown) == repr(full), k
+
+
+def _band_table_expansion(base, gamma, truncation, head):
+    """The double-precision recurrence as a numpy band table: row m holds
+    (m - k - k gamma) b_k / m for k = deg .. 1, and 0.0 where k > m, against
+    deg zeros below w_0; each row is summed on Python floats from k = deg."""
+    deg = len(base) - 1
+    m, k = np.arange(len(head), truncation)[:, None], np.arange(deg, 0, -1)
+    rows = np.where(k <= m, (m - k - k * gamma) * np.array(base[:0:-1]) / m, 0.0)
+    w = [0.0] * deg + list(head)
+    for row in rows.tolist():
+        acc = 0.0
+        for c, x in zip(row, w[-deg:]):
+            acc -= c * x
+        w.append(acc / base[0])
+    return w[deg:]
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_float64_recurrence_has_the_band_table_bits(p):
+    # every generator with beta_0 > 0 at d = 1..3 and r = 0, 1, to 4096
+    # weights or up to its first overflow (refused there), and grown to 64
+    # weights from heads of length 1, deg - 1, deg and 17, bit for bit
+    for d, r, alpha in itertools.product((1, 2, 3), (0, 1), (F(3, 2), F(8, 5), F(23, 16), F(7, 4))):
+        cv = beta_coefficients(derive_params(alpha, d, p, r, FLOAT64))
+        base, deg = cv.beta, len(cv.beta) - 1
+        if not base[0] > 0:
+            continue
+        for gamma in (cv.params.gamma, -cv.params.gamma):
+            want = [x.hex() for x in _band_table_expansion(base, gamma, 4096,
+                                                           [FLOAT64.power(base[0], gamma)])]
+            finite = next((i for i, x in enumerate(want) if not math.isfinite(float.fromhex(x))),
+                          4096)
+            if finite < 4096:
+                with pytest.raises(OverflowError, match=f"^double-precision weight {finite} "):
+                    series._expand(base, gamma, finite + 1, FLOAT64)
+            got = series._expand(base, gamma, finite, FLOAT64)
+            assert [x.hex() for x in got] == want[:finite], (d, r, alpha, gamma)
+            for length in {1, deg - 1, deg, 17} - {0}:
+                grown = series._expand(base, gamma, 64, FLOAT64, got[:length])
+                assert [x.hex() for x in grown] == want[:64], (d, r, alpha, gamma, length)
 
 
 def _expansions_digest():

@@ -176,6 +176,27 @@ def test_solve_dense_exact():
     assert solve_dense(hilbert, b) == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("field", [None, RATIONAL, bigdecimal(50)],
+                         ids=lambda f: getattr(f, "name", "none"))
+def test_solve_dense_object_array_is_solved_exactly(monkeypatch, field):
+    # the rows as an object array take the elimination that lists take, not LAPACK
+    def refuse(*args, **kwargs):
+        raise AssertionError("an object array was factored in double precision")
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+    of = F if field is None else field.of
+    rows = [[of(1), of(F(1, 3)), of(2)], [of(F(1, 3)), of(1), of(F(-1, 7))],
+            [of(5), of(F(2, 9)), of(1)]]
+    rhs = [of(1), of(0), of(F(-3, 11))]
+    want = solve_dense(rows, rhs, field)
+    for matrix, b in ((np.array(rows, dtype=object), rhs),
+                      (np.array(rows, dtype=object), np.array(rhs, dtype=object))):
+        got = solve_dense(matrix, b, field)
+        assert [type(x) for x in got] == [type(x) for x in want]
+        assert repr(got) == repr(want)
+    assert type(want[0]) is (F if field in (None, RATIONAL) else Decimal)
+
+
 def test_solve_dense_singular():
     with pytest.raises(SingularMatrixError):
         solve_dense([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)])
