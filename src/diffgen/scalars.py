@@ -175,7 +175,7 @@ class Field:
 
     def vector(self, values) -> np.ndarray:
         """A new 1-D array of ``values`` (an ndarray, by ``tolist``, or an ordered
-        iterable) in this field: float64 in double precision, else objects via ``of``."""
+        iterable) in this field, each via ``of``: float64 in double precision, else objects."""
         if isinstance(values, (str, bytes, set, frozenset, dict)):  # one scalar, or no order
             raise TypeError(f"a vector takes a sequence of values, not {type(values).__name__}")
         values = values.tolist() if isinstance(values, np.ndarray) else list(values)
@@ -225,10 +225,18 @@ class _Float64(Field):
     condition_limit = 1e14
 
     def of(self, value) -> float:
-        return float(Fraction(value)) if isinstance(value, str) else float(value)
+        if isinstance(value, str):  # read as the other fields read it, then rounded once
+            value = Fraction(value)
+        if isinstance(value, (float, int, Fraction, Decimal)):  # read with no numpy
+            return float(value)
+        if isinstance(value, np.generic):  # a numpy complex or bytes value raises below
+            return self.of(_python_number(value))
+        raise TypeError(f"cannot convert {type(value).__name__} to a float")
 
     def vector(self, values) -> np.ndarray:
-        return np.array(values, dtype=float)
+        if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "biuf":
+            return np.array(values, dtype=float)  # real numbers, in one conversion
+        return super().vector(values).astype(float)
 
     def finite(self, values) -> bool:
         if isinstance(values, np.ndarray):

@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, getcontext,
-                     localcontext)
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import decfun
@@ -78,19 +77,16 @@ class SingularMatrixError(ArithmeticError):
 class Grid:
     """The uniform grid a solve evaluates its problem on: ``n`` intervals of
     width ``h`` from ``a``, and the n + 1 points ``x[i] = a + i*h`` (a float64
-    ndarray in double precision, an object ndarray of field scalars otherwise)."""
+    ndarray in double precision, an object ndarray of field scalars otherwise).
+
+    In the exact and decimal fields ``x[i]`` is a + i h exactly, so a decimal
+    point may carry more digits than the field. The built-in problems' decimal
+    data read ``a``, ``h`` and ``n``, and ``x`` only for the sine's exact zero."""
 
     a: Scalar
     h: Scalar
     n: int
     x: np.ndarray
-
-    @cached_property
-    def _rounded(self) -> list:
-        """(i, x_i - (a + i h)) exactly, where a decimal point was rounded;
-        ``_grid`` seeds [] when its context raised no Inexact."""
-        with localcontext(_EXACT):
-            return [(i, d) for i, x in enumerate(self.x) if (d := x - (self.a + i * self.h))]
 
 
 @dataclass(frozen=True)
@@ -154,26 +150,22 @@ def _guard(field: Field, grid: Grid) -> Field:
 
 def _decimal_sines(grid: Grid, field: Field, kept: dict) -> np.ndarray:
     """sin x_i on a decimal grid, rounded once into ``field``: s_0 = sin a,
-    s_1 = sin(a + h), s_(i+1) = 2 cos h s_i - s_(i-1) (Goertzel and Reinsch),
-    plus cos(a + i h), by the same recurrence, times the offset where x_i was
-    rounded; exactly 0 where x_i = 0. An error e at step j reaches point i as
-    e sin((i - j) h) / sin h, at most (i - j) e; a step errs by at most 7u, with
-    2 cos h's rounding, and s_0, s_1 by 6u (u: half a unit in the last guard digit),
-    so |s_i - sin x_i| <= (7 i^2 / 2 + 6 i) u. ``kept``: (precision, a or h text) -> (sin, cos)."""
+    s_1 = sin(a + h), s_(i+1) = 2 cos h s_i - s_(i-1) (Goertzel and Reinsch);
+    exactly 0 where x_i = 0. An error e at step j reaches point i as
+    e sin((i - j) h) / sin h, at most (i - j) e, and one in s_0 at most
+    (i - 1) e; a step errs by at most 7u, with 2 cos h's rounding, and s_0,
+    s_1 by 6u (u: half a unit in the last guard digit), so |s_i - sin x_i| <=
+    (7 i^2 + 17 i + 12) u / 2. ``kept``: (precision, a or h text) -> (sin, cos)."""
     wide = _guard(field, grid)
     with wide.context():
         for x in (grid.a, grid.h):
             if (wide.digits, str(x)) not in kept:
                 kept[wide.digits, str(x)] = decfun.sin(x), decfun.cos(x)
         (s, c), (sh, ch) = (kept[wide.digits, str(x)] for x in (grid.a, grid.h))
-        twice, rounded = 2 * ch, grid._rounded
-        columns = [[s, s * ch + c * sh]] + ([[c, c * ch - s * sh]] if rounded else [])
-        for column in columns:  # the sines, and the cosines if a point was rounded
-            for _ in range(grid.n - 1):
-                column.append(twice * column[-1] - column[-2])
-        for i, d in rounded:
-            columns[0][i] += columns[1][i] * d
-    return field.vector([v if x else 0 for v, x in zip(columns[0], grid.x)])
+        twice, sines = 2 * ch, [s, s * ch + c * sh]
+        for _ in range(grid.n - 1):
+            sines.append(twice * sines[-1] - sines[-2])
+    return field.vector([v if x else 0 for v, x in zip(sines, grid.x)])
 
 
 def sine_bvp(field: Field = FLOAT64) -> BvpProblem:
@@ -181,13 +173,13 @@ def sine_bvp(field: Field = FLOAT64) -> BvpProblem:
 
     ``exact(grid)`` is sin at the n + 1 grid points and ``rhs(grid)`` its
     negation at the interior ones. Double precision takes ``np.sin``; a
-    decimal field runs s_(i+1) = 2 cos h s_i - s_(i-1) along the grid at
-    digits + 10 + 2 ceil(log10(n + 1)) digits and rounds once: within
-    10^-digits of sin x_i, and exactly 0 at x = 0. Both serve from one
-    evaluation on the same ``Grid``. The problem keeps (sin a, cos a) per
-    working precision and (sin h, cos h) per precision and step, so a study
-    computes a's pair once and a repeated grid computes no sine. The
-    rational field has no sine and raises ExactnessError.
+    decimal field runs s_(i+1) = 2 cos h s_i - s_(i-1) from sin a and cos a,
+    sin h and cos h at digits + 10 + 2 ceil(log10(n + 1)) digits and rounds
+    once: within 10^-digits of sin(a + i h), and exactly 0 at x = 0. Both
+    serve from one evaluation on the same ``Grid``. The problem keeps
+    (sin a, cos a) per working precision and (sin h, cos h) per precision and
+    step, so a study computes a's pair once and a repeated grid computes no
+    sine. The rational field has no sine and raises ExactnessError.
     """
     latest = [None, None]  # the grid of the latest evaluation and its sines
     kept = {}  # (precision, text of a or h) -> (sin, cos)
@@ -235,8 +227,7 @@ def _rise(binomial: list, e: Decimal, m: int) -> Decimal:
 
 
 def _decimal_powers(grid: Grid, e: Decimal, field: Field, kept: dict) -> np.ndarray:
-    """x_i^e on a decimal grid from 0: h^e * i^e, times 1 + e * offset / x_i
-    where x_i was rounded, each rounded once into ``field``.
+    """x_i^e on a decimal grid from 0: h^e * i^e, each rounded once into ``field``.
 
     h^e is the step's one exp(e ln h). The i^e are climbed at P = guard + 3
     digits: p^e (i/p)^e for a composite with least prime factor p,
@@ -276,8 +267,6 @@ def _decimal_powers(grid: Grid, e: Decimal, field: Field, kept: dict) -> np.ndar
             scales[str(grid.h)] = (e * grid.h.ln()).exp()
         scale = scales[str(grid.h)]
         values = [scale * power for power in powers[:grid.n + 1]]
-        for i, d in grid._rounded:
-            values[i] += e * values[i] * d / grid.x[i]
     return field.vector(values)
 
 
@@ -355,27 +344,29 @@ def _checked(problem: BvpProblem, scheme: str, n: int, field: Field | None, opti
 
 
 def _grid(problem: BvpProblem, n: int, field: Field) -> Grid:
-    with field.context() as context:
+    with field.context():
         a = field.of(problem.a)
         h = (field.of(problem.b) - a) / n
-        points = np.arange(n + 1)  # each int64 is a float64 exactly
-        if context:  # a decimal field's, whose flags now answer for the points, not for h
-            context.clear_flags()
-        grid = Grid(a, h, n, a + (points if field.name == "float64" else points.astype(object)) * h)
-        if context and not context.flags[Inexact]:
-            object.__setattr__(grid, "_rounded", [])  # every x_i is a + i h
-    return grid
+    points = np.arange(n + 1)  # each int64 is a float64 exactly
+    if field.name == "float64":
+        return Grid(a, h, n, a + points * h)
+    with localcontext(_EXACT):  # every x_i is a + i h, with all its digits
+        return Grid(a, h, n, a + points.astype(object) * h)
 
 
 def _grid_values(problem: BvpProblem, name: str, grid: Grid, field: Field) -> np.ndarray:
     """A new ``field.vector`` of ``problem.rhs(grid)`` (n - 1 values) or
-    ``problem.exact(grid)`` (n + 1 values); a wrong length raises ValueError."""
+    ``problem.exact(grid)`` (n + 1 values); a wrong length raises ValueError,
+    and so does a value that is not finite."""
     values = getattr(problem, name)(grid)
     count, points = (grid.n - 1, "interior") if name == "rhs" else (grid.n + 1, "grid")
     if np.shape(values) != (count,):
         raise ValueError(f"problem.{name} must return {count} values on a grid of N = {grid.n} "
                          f"(one per {points} point), got an array of shape {np.shape(values)}")
-    return field.vector(values)
+    values = field.vector(values)
+    if not field.finite(values):
+        raise ValueError(f"problem.{name} must not return infs or NaNs")
+    return values
 
 
 def _problem_data(problem: BvpProblem, grid: Grid, field: Field):
@@ -383,10 +374,9 @@ def _problem_data(problem: BvpProblem, grid: Grid, field: Field):
     once; a non-finite value (or grid step) raises ValueError. Call under
     ``field.context()``."""
     ua, ub = field.of(problem.ua), field.of(problem.ub)
-    f = _grid_values(problem, "rhs", grid, field)
-    if not (field.finite((ua, ub, grid.h)) and field.finite(f)):
+    if not field.finite((ua, ub, grid.h)):
         raise ValueError("problem data must not contain infs or NaNs")
-    return ua, ub, f
+    return ua, ub, _grid_values(problem, "rhs", grid, field)
 
 
 def _band_rhs(problem: BvpProblem, grid: Grid, field: Field, coeff, r: int, norm=math.inf):

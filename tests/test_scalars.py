@@ -149,7 +149,8 @@ def test_fields_read_strings_by_one_grammar(field):
 
 
 @pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
-@pytest.mark.parametrize("value", [None, 1j, object()], ids=["none", "complex", "object"])
+@pytest.mark.parametrize("value", [None, 1j, object(), np.complex128(1 + 2j), b"1"],
+                         ids=["none", "complex", "object", "numpy-complex", "bytes"])
 def test_a_value_no_field_converts_is_refused_by_type(field, value):
     # every field raises TypeError, and the kernel's inputs raise ValueError naming the argument
     with pytest.raises(TypeError):
@@ -349,9 +350,10 @@ def test_vector_in_one_call_equals_the_list_form(field, values):
     assert _outcome(lambda: field.vector(values)) == want
 
 
-@pytest.mark.parametrize("field", [RATIONAL, bigdecimal(30)], ids=lambda f: f.name)
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
 def test_vector_refuses_a_2d_input(field):
-    for values in (np.ones((2, 2)), [[1, 2], [3, 4]], np.array([[Decimal(1)]], dtype=object)):
+    for values in (np.ones((2, 2)), [[1, 2], [3, 4]], np.array([[Decimal(1)]], dtype=object),
+                   "12", 5):
         with pytest.raises(TypeError):
             field.vector(values)
 

@@ -1405,6 +1405,35 @@ def test_series_solve_refuses_non_finite_data(scheme):
             solve_bvp(problem, scheme, 8)
 
 
+@pytest.mark.parametrize("field, exact", [
+    (FLOAT64, lambda g: np.sqrt(g.x - 0.5)),
+    (bigdecimal(20), lambda g: [Decimal(0)] * g.n + [Decimal("Infinity")]),
+    (bigdecimal(20), lambda g: [Decimal(0)] * g.n + [Decimal("NaN")]),
+], ids=["f64-nan", "decimal-infinity", "decimal-nan"])
+@pytest.mark.parametrize("scheme", ["central", "unified"])
+def test_a_non_finite_exact_solution_is_refused(field, exact, scheme):
+    # checked where rhs is: in f64 the error was nan and the study's order
+    # nan, in a decimal field an infinite error or a bare InvalidOperation
+    problem = BvpProblem(a=field.zero, b=field.one, ua=field.zero, ub=field.zero, alpha=2,
+                         rhs=lambda g: [field.zero] * (g.n - 1), exact=exact, field=field)
+    for solve in (lambda: solve_bvp(problem, scheme, 8),
+                  lambda: list(iter_convergence_study(problem, scheme, [4, 8]))):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            solve()
+
+
+@pytest.mark.parametrize("field", [RATIONAL, FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
+def test_complex_problem_data_are_refused_in_every_field(field):
+    # double precision kept the real part, with one ComplexWarning
+    problem = BvpProblem(a=field.zero, b=field.one, ua=field.zero, ub=field.zero, alpha=2,
+                         rhs=lambda g: (6 + 1j) * g.x[1:-1], field=field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scheme in ("central", "unified"):
+            with pytest.raises(TypeError):
+                solve_bvp(problem, scheme, 8)
+
+
 @pytest.mark.parametrize("field", [FLOAT64, bigdecimal(30)], ids=lambda f: f.name)
 @pytest.mark.parametrize("scheme, options", [("central", {}), ("fractional", {"r": 0}),
                                              ("fractional", {"r": 1})])
@@ -1597,13 +1626,6 @@ def test_decimal_power_law_ladder_alone_is_within_its_error_budget(monkeypatch):
                     assert abs(mpmath.mpf(str(values[i])) - want) <= bound * want, (digits, i)
 
 
-def _rounded_thirds(field, n):
-    """A grid of step h = 1/3 whose points are i/3 each rounded into the
-    field, so that x_i and i h differ in the last place for most i."""
-    x = field.vector([F(i, 3) for i in range(n + 1)])
-    return Grid(field.zero, field.of(F(1, 3)), n, x)
-
-
 def _climb_counts(n):
     """The series (2^e counts three) and the products behind each climbed
     i^e, i <= n: p^e (i/p)^e for the least prime factor p of a composite i,
@@ -1621,14 +1643,15 @@ def _climb_counts(n):
 @pytest.mark.parametrize("e", ["0.5", "1.25", "2.75", "7.75", "12.5", "13"])
 def test_decimal_powers_meet_the_budget_for_any_exponent(digits, e):
     # the budget holds for every e > 0, not only the problem's 4 < e < 5: on
-    # N = 1024 (every point) and on the rounded-thirds grid, each value is
-    # within half an ulp and the guard of mpmath, as above, and each climbed
-    # i^e within the (R (2e + 8) + M) u of ``_decimal_powers``
+    # N = 1024 (every point) and on N = 300, whose step 1/300 is rounded, each
+    # value is within half an ulp and the guard of mpmath at the exact point,
+    # as above, and each climbed i^e within the (R (2e + 8) + M) u of
+    # ``_decimal_powers``
     field = bigdecimal(digits)
     e = Decimal(e)
     series, products = _climb_counts(1024)
-    unit = _grid(power_law_fractional_bvp(F(3, 2), field), 1024, field)
-    for grid in (unit, _rounded_thirds(field, 300)):
+    problem = power_law_fractional_bvp(F(3, 2), field)
+    for grid in (_grid(problem, 1024, field), _grid(problem, 300, field)):
         guard, kept = solvers._guard(field, grid).digits, {}
         values = solvers._decimal_powers(grid, e, field, kept)
         [(prec, (_, powers, _))] = kept.items()
@@ -1650,13 +1673,14 @@ def test_decimal_powers_meet_the_budget_for_any_exponent(digits, e):
 @pytest.mark.parametrize("digits", [20, 50, 100])
 @pytest.mark.parametrize("alpha", LADDER_ALPHAS, ids=str)
 def test_decimal_power_law_small_and_rounded_grids_match_per_point_powers(digits, alpha):
-    # N = 2 and 3 have no composite to climb from; N = 11 and the thirds
-    # grid take the first-order correction at their rounded points
+    # N = 2 and 3 have no composite to climb from; at N = 11 and 12 some
+    # exact point a + i h has more digits than the field, and each value is
+    # the correctly rounded power of that exact point
     field = bigdecimal(digits)
     problem = power_law_fractional_bvp(alpha, field)
     e = 3 + field.of(alpha)
-    grids = [_grid(problem, n, field) for n in (2, 3, 11)] + [_rounded_thirds(field, 12)]
-    assert all(grid._rounded for grid in grids[2:])
+    grids = [_grid(problem, n, field) for n in (2, 3, 11, 12)]
+    assert all(any(field.of(x) != x for x in grid.x) for grid in grids[2:])
     with field.context():
         u = Decimal(10) ** -digits
         near_tie, neighbours = 1 - u, (1 - 5 * u, 1 - 4 * u)
@@ -1669,19 +1693,21 @@ def test_decimal_power_law_small_and_rounded_grids_match_per_point_powers(digits
                 # digits, as exp(e ln 3) did at 20
                 assert value in neighbours
                 continue
-            assert value == field.power(x, e), (grid.n, x)
+            assert value == field._context.power(x, e), (grid.n, x)
 
 
-# --- the three-term sine recurrence and the exact-grid skip -------------------
+# --- the three-term sine recurrence and the exact grid points ---------------
 
 @pytest.mark.parametrize("digits", [20, 50, 100])
 def test_decimal_sines_are_within_half_an_ulp_and_the_guard_of_mpmath(digits):
-    # every point of the sine problem's grids and of the rounded-thirds grid,
-    # whose cosine correction runs at most points; x = 0 gives exactly 0
+    # every point of the sine problem's grids and of N = 300 on [0, 100],
+    # whose step 1/3 is rounded, against the sine of the exact point a + i h;
+    # x = 0 gives exactly 0
     field = bigdecimal(digits)
     problem = sine_bvp(field)
     grids = [_grid(problem, n, field) for n in (2, 3, 5, 1000, 4096)]
-    for grid in grids + [_rounded_thirds(field, 300)]:
+    thirds = dataclasses.replace(problem, a=field.zero, b=field.of(100))
+    for grid in grids + [_grid(thirds, 300, field)]:
         guard = solvers._guard(field, grid).digits
         values = problem.exact(grid)
         with mpmath.workdps(digits + 40):
@@ -1697,14 +1723,15 @@ def test_decimal_sines_are_within_half_an_ulp_and_the_guard_of_mpmath(digits):
 
 def test_decimal_sine_recurrence_alone_is_within_its_error_budget(monkeypatch):
     # with no guard digits each value is the recurrence at the field's own
-    # precision: within (7 i^2 / 2 + 6 i) u of sin x_i, u = 10^(1 - digits)/2,
-    # plus one u for the cosine correction of a rounded point
+    # precision: within (7 i^2 / 2 + 6 i + 1) u of sin x_i, u = 10^(1 - digits)/2,
+    # inside the worst case (7 i^2 + 17 i + 12) u / 2 of ``_decimal_sines``;
+    # the bound is absolute, also at N = 300's x_150 = 5 10^-(digits + 1), a
+    # point next to 0 that the rounded step leaves
     monkeypatch.setattr(solvers, "_guard", lambda field, grid: field)
     for digits in (20, 50):
         field = bigdecimal(digits)
         problem = sine_bvp(field)
-        for grid in (_grid(problem, 4096, field), _grid(problem, 999, field),
-                     _rounded_thirds(field, 1000)):
+        for grid in (_grid(problem, n, field) for n in (4096, 999, 1000, 300)):
             values = problem.exact(grid)
             with mpmath.workdps(digits + 40):
                 u = mpmath.mpf(10) ** (1 - digits) / 2
@@ -1713,57 +1740,28 @@ def test_decimal_sine_recurrence_alone_is_within_its_error_budget(monkeypatch):
                     assert error <= (mpmath.mpf(7) * i * i / 2 + 6 * i + 1) * u, (grid.n, i)
 
 
-def _exact_offsets(grid):
-    """Whether x_i == a + i h exactly at every point, by exact arithmetic."""
+def _exactly_uniform(grid):
+    """Whether x_i == a + i h at every point, by exact arithmetic."""
     with localcontext(solvers._EXACT):
         return all(x == grid.a + i * grid.h for i, x in enumerate(grid.x))
 
 
-def _seeded(grid):
-    """Whether ``_grid`` recorded that the points are exact."""
-    return vars(grid).get("_rounded") == []
-
-
-@pytest.mark.parametrize("digits", [20, 50])
-@pytest.mark.parametrize("a", [0, -1, F(1, 3), -10**40], ids=str)
-def test_offset_pass_is_skipped_exactly_when_every_offset_is_zero(digits, a):
-    field = bigdecimal(digits)
-    problem = BvpProblem(a=a, b=1, ua=0, ub=0, rhs=lambda g: [0] * (g.n - 1), alpha=2, field=field)
-    for n in range(2, 65):
+@pytest.mark.parametrize("digits, a, b, sizes", [
+    *(pytest.param(digits, a, 1, range(2, 65), id=f"{a}-{digits}")
+      for a in (0, -1, F(1, 3), -10**40) for digits in (20, 50)),
+    pytest.param(2, F(-99, 10), F(99, 10), [198], id="-99/10-2"),
+])
+def test_decimal_grid_points_are_a_plus_i_h_exactly(digits, a, b, sizes):
+    # the step is the field's h = (b - a)/n, and every point a + i h keeps all
+    # its digits, where the field would round it: at 2 digits i h rounds for
+    # i >= 100 (12.3 to 12), and x_123 is still -9.9 + 12.3
+    field = type(bigdecimal(15))("bigdecimal", digits)  # 2 is past bigdecimal's 15-digit floor
+    problem = BvpProblem(a=a, b=b, ua=0, ub=0, rhs=lambda g: [0] * (g.n - 1), alpha=2, field=field)
+    for n in sizes:
         grid = _grid(problem, n, field)
-        assert _seeded(grid) == _exact_offsets(grid), n
-        # a Grid built again from the same points computes its offsets, and
-        # they agree with the record
-        again = Grid(grid.a, grid.h, grid.n, grid.x)
-        assert "_rounded" not in vars(again)
-        assert (again._rounded == []) == _exact_offsets(grid), n
-
-
-def test_offset_pass_runs_where_a_product_i_h_was_rounded():
-    # at 2 digits every -9.9 + i/10 fits, but i h rounds for i >= 100 (12.3 to
-    # 12), so x_i is not a + i h and the offsets are computed
-    field = type(bigdecimal(15))("bigdecimal", 2)  # past bigdecimal's 15-digit floor
-    problem = BvpProblem(a=F(-99, 10), b=F(99, 10), ua=0, ub=0, rhs=lambda g: [0] * (g.n - 1),
-                         alpha=2, field=field)
-    grid = _grid(problem, 198, field)
-    assert grid.h == Decimal("0.10") and not _seeded(grid) and not _exact_offsets(grid)
-    assert grid._rounded and all(i >= 100 for i, _ in grid._rounded)
-
-
-def test_hand_made_grids_compute_their_offsets():
-    # no record on a Grid built by hand: the rounded thirds get their offsets
-    # (at 10 of their 13 points), each the exact x_i - i h, and an exact
-    # hand-made grid none; both sine data are the per-point sines
-    field = bigdecimal(30)
-    thirds = _rounded_thirds(field, 12)
-    assert "_rounded" not in vars(thirds)
-    with localcontext(solvers._EXACT):
-        want = [(i, x - i * thirds.h) for i, x in enumerate(thirds.x) if x != i * thirds.h]
-    assert thirds._rounded == want and len(want) == 10
-    quarters = Grid(field.zero, field.of(F(1, 4)), 8, field.vector([F(i, 4) for i in range(9)]))
-    assert quarters._rounded == []
-    for grid in (thirds, quarters):
-        assert list(sine_bvp(field).exact(grid)) == [field.sin(x) for x in grid.x]
+        assert _exactly_uniform(grid), n
+    if digits == 2:
+        assert grid.h == Decimal("0.10") and grid.x[123] == Decimal("2.4")
 
 
 def test_decimal_power_law_takes_one_logarithm_per_grid():
@@ -1875,15 +1873,17 @@ def test_solver_outputs_are_unchanged():
     # their series left BLAS. The fractional r = 2 system is assembled only,
     # as solve_bvp refuses it. The 50-digit power-law data carry the
     # correctly rounded Gamma(28/5), and the decimal sine data are exactly 0
-    # at x = 0 (four assembled right-hand sides hold one each).
-    assert _solver_digests()[0] == "62b655779c2e073d55af20aa8f03bd93bae5f678b563aeb940057eea607c3ca6"
+    # at x = 0 (four assembled right-hand sides hold one each) and taken at
+    # the exact points a + i h, with the step rounded at N = 3.
+    assert _solver_digests()[0] == "8dd4e5a9a3529c9c79fe50f3e6c6c556355bf118c0e597ec74f4097d3251523b"
 
 
 def test_unified_float_and_decimal_outputs_are_pinned():
     # the f64 and decimal unified solves, each the exact collocation of the
     # field's data rounded once (checked against exact elimination below);
-    # the decimal midpoint values are exactly 0, as the sine data are at x = 0
-    assert _solver_digests()[1] == "e723f53b6d9bc5d51fd6d152d228b8fae43df3c7298a7243a6ed893c4491baba"
+    # the decimal midpoint values are exactly 0, as the sine data are at x = 0,
+    # and the sine data are taken at the exact points a + i h
+    assert _solver_digests()[1] == "4486283db689d5174e5a0360c80b1e45c4651f65b4dce856b5297f0f88c0f53e"
 
 
 def test_decimal_fractional_outputs_are_pinned():
