@@ -80,8 +80,9 @@ class Grid:
     ndarray in double precision, an object ndarray of field scalars otherwise).
 
     In the exact and decimal fields ``x[i]`` is a + i h exactly, so a decimal
-    point may carry more digits than the field. The built-in problems' decimal
-    data read ``a``, ``h`` and ``n``, and ``x`` only for the sine's exact zero."""
+    point may carry more digits than the field, up to 2 digits + 20 (a wider
+    grid raises ValueError). The built-in problems' decimal data read ``a``,
+    ``h`` and ``n``, and ``x`` only at the sine's point nearest 0."""
 
     a: Scalar
     h: Scalar
@@ -94,10 +95,11 @@ class BvpProblem:
     """Two-point Dirichlet problem D^alpha u = f on [a, b].
 
     ``rhs`` and ``exact`` are grid functions: a solve calls each once, under
-    the field's context, with the ``Grid`` it solves on. ``rhs(grid)``
-    returns f at the n - 1 interior points ``grid.x[1:-1]`` (so an f singular
-    at an end still works) and ``exact(grid)`` returns u at all n + 1 points,
-    each as a sequence or a 1-D array; any other length raises ValueError.
+    the field's context, with the ``Grid`` it solves on, and rounds each value
+    into the field once. ``rhs(grid)`` returns f at the n - 1 interior points
+    ``grid.x[1:-1]`` (so an f singular at an end still works) and
+    ``exact(grid)`` u at all n + 1 points, each as a sequence or a 1-D array
+    at any precision; any other length raises ValueError.
     For u'' = 6x with u = x^3 - x on [0, 1]::
 
         BvpProblem(a=0.0, b=1.0, ua=0.0, ub=0.0, alpha=2,
@@ -149,13 +151,14 @@ def _guard(field: Field, grid: Grid) -> Field:
 
 
 def _decimal_sines(grid: Grid, field: Field, kept: dict) -> np.ndarray:
-    """sin x_i on a decimal grid, rounded once into ``field``: s_0 = sin a,
-    s_1 = sin(a + h), s_(i+1) = 2 cos h s_i - s_(i-1) (Goertzel and Reinsch);
-    exactly 0 where x_i = 0. An error e at step j reaches point i as
-    e sin((i - j) h) / sin h, at most (i - j) e, and one in s_0 at most
-    (i - 1) e; a step errs by at most 7u, with 2 cos h's rounding, and s_0,
-    s_1 by 6u (u: half a unit in the last guard digit), so |s_i - sin x_i| <=
-    (7 i^2 + 17 i + 12) u / 2. ``kept``: (precision, a or h text) -> (sin, cos)."""
+    """sin x_i on a decimal grid at the guard precision (objects): s_0 = sin a,
+    s_1 = sin(a + h), s_(i+1) = 2 cos h s_i - s_(i-1) (Goertzel and Reinsch).
+    An error e at step j reaches point i as e sin((i - j) h) / sin h, at most
+    (i - j) e, and one in s_0 at most (i - 1) e; a step errs by at most 7u,
+    with 2 cos h's rounding, and s_0, s_1 by 6u (u: half a unit in the last
+    guard digit), so |s_i - sin x_i| <= (7 i^2 + 17 i + 12) u / 2, an absolute
+    bound: the x_i nearest 0 takes sin x_i itself below 10^(digits + 1) times
+    it, and 0 at x_i = 0. ``kept``: (precision, a or h text) -> (sin, cos)."""
     wide = _guard(field, grid)
     with wide.context():
         for x in (grid.a, grid.h):
@@ -165,21 +168,25 @@ def _decimal_sines(grid: Grid, field: Field, kept: dict) -> np.ndarray:
         twice, sines = 2 * ch, [s, s * ch + c * sh]
         for _ in range(grid.n - 1):
             sines.append(twice * sines[-1] - sines[-2])
-    return field.vector([v if x else 0 for v, x in zip(sines, grid.x)])
+        i = min(max(-int((grid.a / grid.h).to_integral_value()), 0), grid.n)  # x_i nearest 0
+        limit = (7 * i * i + 17 * i + 12) * Decimal(10) ** (field.digits + 2 - wide.digits)
+        if 4 * abs(grid.x[i]) < limit:
+            sines[i] = decfun.sin(grid.x[i]) if grid.x[i] else Decimal(0)
+    return np.array(sines, dtype=object)
 
 
 def sine_bvp(field: Field = FLOAT64) -> BvpProblem:
     """u'' = -sin x on [-1, 1] with exact solution u = sin x.
 
     ``exact(grid)`` is sin at the n + 1 grid points and ``rhs(grid)`` its
-    negation at the interior ones. Double precision takes ``np.sin``; a
-    decimal field runs s_(i+1) = 2 cos h s_i - s_(i-1) from sin a and cos a,
-    sin h and cos h at digits + 10 + 2 ceil(log10(n + 1)) digits and rounds
-    once: within 10^-digits of sin(a + i h), and exactly 0 at x = 0. Both
-    serve from one evaluation on the same ``Grid``. The problem keeps
-    (sin a, cos a) per working precision and (sin h, cos h) per precision and
-    step, so a study computes a's pair once and a repeated grid computes no
-    sine. The rational field has no sine and raises ExactnessError.
+    negation at the interior ones, which rounds them. Double precision takes
+    ``np.sin``; a decimal field runs s_(i+1) = 2 cos h s_i - s_(i-1) from
+    sin a and cos a, sin h and cos h at digits + 10 + 2 ceil(log10(n + 1))
+    digits (sin x itself at a small x nearest 0, 0 at x = 0), which a solve
+    rounds once to within 10^-digits of sin(a + i h). Both serve from one
+    evaluation. The problem keeps (sin a, cos a) per working precision and
+    (sin h, cos h) per precision and step, so a study computes a's pair once
+    and a repeated grid computes no sine; the rational field raises ExactnessError.
     """
     latest = [None, None]  # the grid of the latest evaluation and its sines
     kept = {}  # (precision, text of a or h) -> (sin, cos)
@@ -227,7 +234,7 @@ def _rise(binomial: list, e: Decimal, m: int) -> Decimal:
 
 
 def _decimal_powers(grid: Grid, e: Decimal, field: Field, kept: dict) -> np.ndarray:
-    """x_i^e on a decimal grid from 0: h^e * i^e, each rounded once into ``field``.
+    """x_i^e on a decimal grid from 0: h^e * i^e at the guard precision, an object array.
 
     h^e is the step's one exp(e ln h). The i^e are climbed at P = guard + 3
     digits: p^e (i/p)^e for a composite with least prime factor p,
@@ -266,8 +273,7 @@ def _decimal_powers(grid: Grid, e: Decimal, field: Field, kept: dict) -> np.ndar
         if str(grid.h) not in scales:
             scales[str(grid.h)] = (e * grid.h.ln()).exp()
         scale = scales[str(grid.h)]
-        values = [scale * power for power in powers[:grid.n + 1]]
-    return field.vector(values)
+        return np.array([scale * power for power in powers[:grid.n + 1]], dtype=object)
 
 
 def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
@@ -276,7 +282,7 @@ def power_law_fractional_bvp(alpha, field: Field = FLOAT64) -> BvpProblem:
     ``rhs(grid)`` is f at the interior points. ``exact(grid)`` is
     ``grid.x ** (3 + alpha)`` in double precision; in a decimal field it is
     h^e * i^e, h^e from one logarithm and i^e by binomial series over the
-    primes <= n, at digits + 10 + 2 ceil(log10(n + 1)) digits, rounded once.
+    primes <= n, at digits + 10 + 2 ceil(log10(n + 1)) digits; a solve rounds once.
     The problem keeps the binomial table, the i^e and each step's h^e per
     working precision, so a study finds each i^e once and a repeated grid
     computes no logarithm. A grid that does not start at 0 raises ValueError.
@@ -345,19 +351,24 @@ def _checked(problem: BvpProblem, scheme: str, n: int, field: Field | None, opti
 
 def _grid(problem: BvpProblem, n: int, field: Field) -> Grid:
     with field.context():
-        a = field.of(problem.a)
-        h = (field.of(problem.b) - a) / n
+        a, b = field.of(problem.a), field.of(problem.b)
+        h = (b - a) / n
     points = np.arange(n + 1)  # each int64 is a float64 exactly
     if field.name == "float64":
         return Grid(a, h, n, a + points * h)
+    if field.digits and field.finite((a, h)):  # the digits of a + i h run from 10^low up
+        low = min(a.as_tuple().exponent, h.as_tuple().exponent)
+        if (width := max(a.adjusted(), b.adjusted()) + 1 - low) > 2 * field.digits + 20:
+            raise ValueError(f"grid points a + i h with a = {a} and h = {h} would hold {width} "
+                             f"digits, above 2 * {field.digits} + 20")
     with localcontext(_EXACT):  # every x_i is a + i h, with all its digits
         return Grid(a, h, n, a + points.astype(object) * h)
 
 
 def _grid_values(problem: BvpProblem, name: str, grid: Grid, field: Field) -> np.ndarray:
     """A new ``field.vector`` of ``problem.rhs(grid)`` (n - 1 values) or
-    ``problem.exact(grid)`` (n + 1 values); a wrong length raises ValueError,
-    and so does a value that is not finite."""
+    ``problem.exact(grid)`` (n + 1 values), the data's one rounding into the
+    field; a wrong length or a value that is not finite raises ValueError."""
     values = getattr(problem, name)(grid)
     count, points = (grid.n - 1, "interior") if name == "rhs" else (grid.n + 1, "grid")
     if np.shape(values) != (count,):
@@ -769,14 +780,14 @@ def _integrated_values(poly: np.ndarray, points) -> tuple[np.ndarray, int]:
 
 
 @lru_cache(maxsize=None)
-def _data_bound(n: int, block: int = _DATA_BLOCK) -> Fraction:
+def _data_bound(n: int) -> Fraction:
     """||A_N||_inf exactly, A_N the map from v = h^2 f to the interior u of
     the unified scheme (zero boundary values, t = (x - a)/h): the columns
     of A_N are the double integrals of the Lagrange basis. Rows j and n - j
     have equal absolute sums (reflect t to n - t), so rows j <= n/2 suffice.
-    The row sums gather ``block`` columns at a time, so no N x N array is held."""
+    The row sums gather ``_DATA_BLOCK`` columns at a time, so no N x N array is held."""
     sums = 0
-    for columns in _lagrange_basis(n, block):
+    for columns in _lagrange_basis(n, _DATA_BLOCK):
         g, scale = _integrated_values(columns, range(1, n // 2 + 1))
         sums = sums + np.abs(g).sum(axis=1)
     return Fraction(max(sums), n * scale)
@@ -825,7 +836,7 @@ def _solve_unified(problem: BvpProblem, n: int, field: Field):
     # u_j: the part that vanishes at both ends, plus the line from ua to ub
     values = (field._quotient(gj + scale * (n * ia + j * (ib - ia)), n * scale * den)
               for j, gj in enumerate(g.tolist(), 1))
-    return grid, field.vector([ua, *values, ub])
+    return grid, np.array([ua, *values, ub], dtype=grid.x.dtype)
 
 
 def solve_bvp(

@@ -49,7 +49,7 @@ from diffgen import (
     vandermonde_solve,
 )
 from diffgen import explicit_form
-from diffgen.solvers import _convolve, _grid
+from diffgen.solvers import _convolve, _grid, _grid_values
 
 # derandomized and without an example database, so every run checks the
 # same examples
@@ -211,11 +211,11 @@ def test_decimal_sine_grid_data_are_within_one_place(digits, n):
     field = bigdecimal(digits)
     problem = sine_bvp(field)
     grid = _grid(problem, n, field)
-    exact, rhs = problem.exact(grid), problem.rhs(grid)
+    exact, rhs = (_grid_values(problem, name, grid, field) for name in ("exact", "rhs"))
     assert len(exact) == n + 1 and len(rhs) == n - 1
     with mpmath.workdps(digits + 20):
-        # |sin| < 1 here; the rotation's error is absolute, so at x = 0 the
-        # value is far below 10^-digits but not 0
+        # |sin| < 1 here; the recurrence's error is absolute, so the floor
+        # is 10^-digits
         floor = mpmath.mpf(10) ** -digits
         reference = [mpmath.sin(mpmath.mpf(str(x))) for x in grid.x]
         _within_last_place(exact, reference, digits, floor)
@@ -228,7 +228,7 @@ def test_decimal_power_law_grid_data_are_within_one_place(digits, n, alpha):
     field = bigdecimal(digits)
     problem = power_law_fractional_bvp(alpha, field)
     grid = _grid(problem, n, field)
-    exact = problem.exact(grid)
+    exact = _grid_values(problem, "exact", grid, field)
     with mpmath.workdps(digits + 20):
         e = 3 + mpmath.mpf(alpha.numerator) / alpha.denominator
         _within_last_place(exact, [mpmath.mpf(str(x)) ** e for x in grid.x], digits)

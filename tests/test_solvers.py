@@ -1570,7 +1570,7 @@ def test_decimal_power_law_exact_matches_per_point_powers(alpha):
     for n in (16, 100, 128):
         grid = _grid(problem, n, field)
         want = [field.power(x, 3 + field.of(alpha)) for x in grid.x]
-        assert list(problem.exact(grid)) == want
+        assert list(solvers._grid_values(problem, "exact", grid, field)) == want
 
 
 # --- the binomial ladder of the decimal power law -----------------------------
@@ -1592,7 +1592,7 @@ def test_decimal_power_law_is_within_half_an_ulp_and_the_guard_of_mpmath(digits,
     for n in (2, 3, 5, 1000, 4096):
         grid = _grid(problem, n, field)
         guard = solvers._guard(field, grid).digits
-        values = problem.exact(grid)
+        values = solvers._grid_values(problem, "exact", grid, field)
         with mpmath.workdps(digits + 40):
             e = 3 + mpmath.mpf(alpha.numerator) / alpha.denominator
             slack = mpmath.mpf(10) ** (3 - guard)
@@ -1617,7 +1617,8 @@ def test_decimal_power_law_ladder_alone_is_within_its_error_budget(monkeypatch):
         field = bigdecimal(digits)
         grid = Grid(field.zero, field.one, n, field.vector(range(n + 1)))
         for alpha in LADDER_ALPHAS:
-            values = power_law_fractional_bvp(alpha, field).exact(grid)
+            problem = power_law_fractional_bvp(alpha, field)
+            values = solvers._grid_values(problem, "exact", grid, field)
             with mpmath.workdps(digits + 40):
                 e = 3 + mpmath.mpf(alpha.numerator) / alpha.denominator
                 bound = mpmath.mpf(10) ** (1 - digits) + 275 * mpmath.mpf(10) ** -(digits + 3)
@@ -1653,7 +1654,7 @@ def test_decimal_powers_meet_the_budget_for_any_exponent(digits, e):
     problem = power_law_fractional_bvp(F(3, 2), field)
     for grid in (_grid(problem, 1024, field), _grid(problem, 300, field)):
         guard, kept = solvers._guard(field, grid).digits, {}
-        values = solvers._decimal_powers(grid, e, field, kept)
+        values = field.vector(solvers._decimal_powers(grid, e, field, kept))
         [(prec, (_, powers, _))] = kept.items()
         assert prec == guard + 3 and len(powers) == grid.n + 1
         with mpmath.workdps(digits + 40):
@@ -1685,7 +1686,7 @@ def test_decimal_power_law_small_and_rounded_grids_match_per_point_powers(digits
         u = Decimal(10) ** -digits
         near_tie, neighbours = 1 - u, (1 - 5 * u, 1 - 4 * u)
     for grid in grids:
-        for x, value in zip(grid.x, problem.exact(grid)):
+        for x, value in zip(grid.x, solvers._grid_values(problem, "exact", grid, field)):
             if x == near_tie and e == Decimal("4.5"):
                 # x_3 = 3h = 1 - u at N = 3: x^(9/2) = 1 - 4.5 u + 7.875 u^2
                 # - ... lies 7.9e-digits ulp above a tie, which no guard
@@ -1702,14 +1703,16 @@ def test_decimal_power_law_small_and_rounded_grids_match_per_point_powers(digits
 def test_decimal_sines_are_within_half_an_ulp_and_the_guard_of_mpmath(digits):
     # every point of the sine problem's grids and of N = 300 on [0, 100],
     # whose step 1/3 is rounded, against the sine of the exact point a + i h;
-    # x = 0 gives exactly 0
+    # x = 0 gives exactly 0. On [-1, 1], N = 6 and 300 leave a point next to
+    # 0 (x_3 = -10^-digits, x_150 = 5 10^-(digits + 1)), whose sine is
+    # relative to it
     field = bigdecimal(digits)
     problem = sine_bvp(field)
-    grids = [_grid(problem, n, field) for n in (2, 3, 5, 1000, 4096)]
+    grids = [_grid(problem, n, field) for n in (2, 3, 5, 6, 300, 1000, 4096)]
     thirds = dataclasses.replace(problem, a=field.zero, b=field.of(100))
     for grid in grids + [_grid(thirds, 300, field)]:
         guard = solvers._guard(field, grid).digits
-        values = problem.exact(grid)
+        values = solvers._grid_values(problem, "exact", grid, field)
         with mpmath.workdps(digits + 40):
             slack = mpmath.mpf(10) ** (3 - guard)
             for i, (x, value) in enumerate(zip(grid.x, values)):
@@ -1732,12 +1735,40 @@ def test_decimal_sine_recurrence_alone_is_within_its_error_budget(monkeypatch):
         field = bigdecimal(digits)
         problem = sine_bvp(field)
         for grid in (_grid(problem, n, field) for n in (4096, 999, 1000, 300)):
-            values = problem.exact(grid)
+            values = solvers._grid_values(problem, "exact", grid, field)
             with mpmath.workdps(digits + 40):
                 u = mpmath.mpf(10) ** (1 - digits) / 2
                 for i, (x, value) in enumerate(zip(grid.x, values)):
                     error = abs(mpmath.mpf(str(value)) - mpmath.sin(mpmath.mpf(str(x))))
                     assert error <= (mpmath.mpf(7) * i * i / 2 + 6 * i + 1) * u, (grid.n, i)
+
+
+@pytest.mark.parametrize("a", ["1E-100000", "0E-100000"])
+@pytest.mark.parametrize("n", [8, 4096])
+def test_decimal_grid_of_too_many_digits_is_refused(a, n):
+    # a domain end far below the step: each point a + i h would hold 100,001
+    # digits (about 170 MB of points at N = 4096); refused before any is built
+    field = bigdecimal(20)
+    problem = BvpProblem(a=Decimal(a), b=1, ua=0, ub=0, rhs=lambda g: [0] * (g.n - 1), alpha=2,
+                         field=field)
+    with pytest.raises(ValueError, match=rf"a = {a} and h = .* would hold 100001 digits, "
+                                         r"above 2 \* 20 \+ 20"):
+        solve_bvp(problem, "central", n)
+
+
+@pytest.mark.parametrize("scheme, n", [("central", 128), ("fractional", 128), ("unified", 32)])
+def test_warm_decimal_solve_rounds_its_data_into_the_field_once(monkeypatch, scheme, n):
+    # the n + 1 exact and n - 1 right-hand side values each go through ``of``
+    # once, with a few scalars besides; the unified solution, built from
+    # values already in the field, through it not at all
+    field = bigdecimal(50)
+    problem = (power_law_fractional_bvp(F(8, 5), field) if scheme == "fractional"
+               else sine_bvp(field))
+    solve_bvp(problem, scheme, n)
+    calls, of = [], type(field).of
+    monkeypatch.setattr(type(field), "of", lambda self, value: calls.append(1) or of(self, value))
+    solve_bvp(problem, scheme, n)
+    assert len(calls) <= 2 * n + 16
 
 
 def _exactly_uniform(grid):
@@ -1991,11 +2022,14 @@ def test_unified_data_bound_matches_column_by_column_solves(n):
     assert solvers._data_bound(n) == _column_by_column_bound(n)
 
 
-def test_unified_data_bound_in_column_blocks_equals_one_block():
+def test_unified_data_bound_in_column_blocks_equals_one_block(monkeypatch):
     # a block of 7 leaves a partial last block unless 7 divides N - 1
     bound = solvers._data_bound.__wrapped__
     for n in range(2, 71):
-        assert bound(n, 7) == bound(n, n), n
+        monkeypatch.setattr(solvers, "_DATA_BLOCK", 7)
+        in_blocks = bound(n)
+        monkeypatch.setattr(solvers, "_DATA_BLOCK", n)
+        assert in_blocks == bound(n), n
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
